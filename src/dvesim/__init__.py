@@ -12,7 +12,7 @@ non-functional metrics.
 __version__ = "0.1.0"
 
 from . import actors, engine, netsim, partition, scene, stats
-from .engine import Engine, NodeClock, RandomStream, SchedulingInPast, draw_uniform
+from .engine import Engine, NodeClock, RandomStream, SchedulingInPast
 from .scene import (
     ApplyResult,
     DuplicateCreate,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -114,14 +114,7 @@ class GaltonGeometry:
         return (column + self.n_levels) // 2 + row * self.row_offset_buckets
 
     def geometry_hash(self) -> str:
-        blob = json.dumps({
-            "n_levels": self.n_levels, "boxes": self.boxes,
-            "rows_per_box": self.rows_per_box,
-            "droppers_per_row": self.droppers_per_row,
-            "balls_per_dropper": self.balls_per_dropper,
-            "row_offset_buckets": self.row_offset_buckets,
-            "nominal_descent_s": self.nominal_descent_s,
-        }, sort_keys=True)
+        blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -1,7 +1,8 @@
 """Command-line entry points for running experiments and checks.
 
 Exit status is 0 only when every evaluated verdict passes, so the commands
-can gate CI jobs directly.
+can gate CI jobs directly.  A bad config or an unknown metric name prints
+one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    ConfigInvalid,
     GaltonExperimentConfig,
     LoginExperimentConfig,
+    UnknownMetric,
     evaluate,
     export,
     load_report_summary,
@@ -143,7 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigInvalid, UnknownMetric) as e:
+        print(f"error: {e.args[0]}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,45 +76,6 @@ class RandomStream:
         """Next ``n`` values in [0, 1) as an array (same stream as uniform())."""
         return self._gen.random(n)
 
-    def uniform_range(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
-
-def draw_uniform(stream: RandomStream) -> float:
-    """Next uniform [0, 1) value of the stream."""
-    return stream.uniform()
-
-
-@dataclass(order=True)
-class _Entry:
-    fire_at_us: int
-    seq: int
-    event: "Event" = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-@dataclass
-class Event:
-    fire_at_us: int
-    seq: int
-    target: str
-    kind: str
-    action: Callable[[], None]
-
-
-class EventHandle:
-    """Permits cancelling a scheduled event before it fires."""
-
-    def __init__(self, entry: _Entry):
-        self._entry = entry
-
-    def cancel(self) -> None:
-        self._entry.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
-
 
 class Engine:
     """Single-threaded event scheduler over one virtual timeline.
@@ -131,7 +92,9 @@ class Engine:
         self.epsilon_max_us = seconds_to_us(epsilon_max_s)
         self._now_us = 0
         self._seq = itertools.count()
-        self._heap: list[_Entry] = []
+        #: (fire_at_us, seq, action, target, kind); seq is unique, so
+        #: entries compare on (fire_at_us, seq) only
+        self._heap: list[tuple[int, int, Callable[[], None], str, str]] = []
         self._streams: dict[str, RandomStream] = {}
         self._clocks: dict[str, NodeClock] = {}
         self.stats = EngineStats()
@@ -154,20 +117,13 @@ class Engine:
     # ------------------------------------------------------------------
 
     def schedule(self, fire_at_us: int, target: str, kind: str,
-                 action: Callable[[], None]) -> EventHandle:
+                 action: Callable[[], None]) -> None:
         """Queue an action at an absolute virtual time (>= now)."""
         if fire_at_us < self._now_us:
             raise SchedulingInPast(
                 f"cannot schedule at {fire_at_us} us; engine time is {self._now_us} us"
             )
-        seq = next(self._seq)
-        entry = _Entry(fire_at_us, seq, Event(fire_at_us, seq, target, kind, action))
-        heapq.heappush(self._heap, entry)
-        return EventHandle(entry)
-
-    def schedule_in(self, delay_us: int, target: str, kind: str,
-                    action: Callable[[], None]) -> EventHandle:
-        return self.schedule(self._now_us + delay_us, target, kind, action)
+        heapq.heappush(self._heap, (fire_at_us, next(self._seq), action, target, kind))
 
     def run_until(self, t_end_us: int) -> EngineStats:
         """Process every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -179,22 +135,18 @@ class Engine:
             raise SchedulingInPast(
                 f"run_until target {t_end_us} us is before engine time {self._now_us} us"
             )
-        while self._heap and self._heap[0].fire_at_us <= t_end_us:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
-                continue
-            self._now_us = entry.fire_at_us
+        while self._heap and self._heap[0][0] <= t_end_us:
+            fire_at_us, seq, action, target, kind = heapq.heappop(self._heap)
+            self._now_us = fire_at_us
             if self.event_log is not None:
-                self.event_log.append(
-                    (entry.fire_at_us, entry.seq, entry.event.target, entry.event.kind)
-                )
-            entry.event.action()
+                self.event_log.append((fire_at_us, seq, target, kind))
+            action()
             self.stats.events_processed += 1
         self.stats.end_time_us = self._now_us
         return self.stats
 
     def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     def write_event_log(self, path) -> None:
         """Dump the ordered event log as newline-delimited records.

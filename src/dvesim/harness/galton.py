@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -27,14 +27,22 @@ from ..actors import (
     ScriptActor,
 )
 from ..engine import Engine, seconds_to_us
-from ..netsim import Network
+from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
 from ..stats import BucketHistogram, EmpiricalBaseline, rmse, theoretical_distribution
-from .report import ExperimentReport, NodeSeries
+from .report import ExperimentReport, NodeSeries, window_interval_means
 
 
 class ConfigInvalid(ValueError):
     pass
+
+
+def check_keys(cls, d: dict, prefix: str = "") -> None:
+    """Raise ConfigInvalid naming the first key of ``d`` that is no field of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ConfigInvalid(f"unknown config key {prefix}{key}")
 
 
 class BoundsDoNotBracket(ValueError):
@@ -95,8 +103,27 @@ class GaltonExperimentConfig:
             raise ConfigInvalid("tick and sample periods must be positive")
         if self.duration_cap_s <= 0:
             raise ConfigInvalid("duration cap must be positive")
-        if self.link_byte_rate <= 0 or self.link_latency_s < 0:
-            raise ConfigInvalid("bad link parameters")
+        for name in ("epsilon_max_s", "link_latency_s", "link_jitter_s"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} must be >= 0")
+        if self.link_byte_rate <= 0:
+            raise ConfigInvalid("link_byte_rate must be positive")
+        link_keys = {k for src, dst in self.links() for k in _override_keys(src, dst)}
+        for key, override in self.link_overrides.items():
+            if key not in link_keys:
+                raise ConfigInvalid(f"link_overrides key {key!r} names no link "
+                                    f"of topology {self.topology}")
+            for name, value in override.items():
+                if name not in ("latency_s", "byte_rate", "jitter_s"):
+                    raise ConfigInvalid(f"link_overrides[{key!r}]: unknown field {name!r}")
+                if value < 0 or (name == "byte_rate" and value == 0):
+                    raise ConfigInvalid(
+                        f"link_overrides[{key!r}].{name} out of range: {value!r}")
+        for kind, size in self.message_sizes.items():
+            if kind not in DEFAULT_MESSAGE_SIZES:
+                raise ConfigInvalid(f"message_sizes: unknown message kind {kind!r}")
+            if size <= 0:
+                raise ConfigInvalid(f"message_sizes[{kind!r}] must be positive")
         try:
             self.region()
         except ValueError as e:
@@ -114,6 +141,13 @@ class GaltonExperimentConfig:
             return ["physics-1"]
         return ["physics-1", "physics-2"]
 
+    def links(self) -> list[tuple[str, str]]:
+        """(src, dst) of every link the topology wires."""
+        physics_ids = self.physics_nodes()
+        return ([(SCRIPT, DISPATCHER), (DISPATCHER, SCRIPT)]
+                + [(DISPATCHER, p) for p in physics_ids]
+                + [(p, DISPATCHER) for p in physics_ids])
+
     def build_partition_map(self) -> PartitionMap:
         region = self.region()
         if self.topology == TOPOLOGY_A:
@@ -127,41 +161,19 @@ class GaltonExperimentConfig:
     # ---- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": {
-                "n_levels": self.geometry.n_levels,
-                "boxes": self.geometry.boxes,
-                "rows_per_box": self.geometry.rows_per_box,
-                "droppers_per_row": self.geometry.droppers_per_row,
-                "balls_per_dropper": self.geometry.balls_per_dropper,
-                "row_offset_buckets": self.geometry.row_offset_buckets,
-                "nominal_descent_s": self.geometry.nominal_descent_s,
-            },
-            "topology": self.topology,
-            "split": self.split,
-            "period_t_s": self.period_t_s,
-            "capacity_c": self.capacity_c,
-            "capacity_factor": self.capacity_factor,
-            "tick_len_s": self.tick_len_s,
-            "duration_cap_s": self.duration_cap_s,
-            "epsilon_max_s": self.epsilon_max_s,
-            "sample_period_s": self.sample_period_s,
-            "link_latency_s": self.link_latency_s,
-            "link_byte_rate": self.link_byte_rate,
-            "link_jitter_s": self.link_jitter_s,
-            "link_overrides": self.link_overrides,
-            "message_sizes": self.message_sizes,
-            "region_width_m": self.region_width_m,
-            "region_depth_m": self.region_depth_m,
-            "microcell_m": self.microcell_m,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaltonExperimentConfig":
         d = dict(d)
         geo = d.pop("geometry", {})
-        cfg = cls(geometry=GaltonGeometry(**geo), **d)
+        check_keys(cls, d)
+        check_keys(GaltonGeometry, geo, "geometry.")
+        try:
+            geometry = GaltonGeometry(**geo)
+        except ValueError as e:
+            raise ConfigInvalid(f"geometry.{e}") from e
+        cfg = cls(geometry=geometry, **d)
         cfg.validate()
         return cfg
 
@@ -179,22 +191,28 @@ class GaltonExperimentConfig:
 # wiring and run loop
 # ----------------------------------------------------------------------
 
+def _override_keys(src: str, dst: str) -> list[str]:
+    """Override keys that apply to the src->dst link, most specific first.
+
+    Keys: exact "src->dst", or the class keys "dispatcher->physics" /
+    "physics->dispatcher" covering every physics node.
+    """
+    keys = [f"{src}->{dst}"]
+    if src == DISPATCHER and dst.startswith("physics"):
+        keys.append("dispatcher->physics")
+    if src.startswith("physics") and dst == DISPATCHER:
+        keys.append("physics->dispatcher")
+    return keys
+
+
 def _link_params(config: GaltonExperimentConfig, src: str,
                  dst: str) -> tuple[float, float, float]:
-    """Latency, byte rate and jitter for a link, honouring overrides.
-
-    Override keys: exact "src->dst", or the class keys
-    "dispatcher->physics" / "physics->dispatcher" covering every physics node.
-    """
+    """Latency, byte rate and jitter for a link, honouring the first override
+    among ``_override_keys(src, dst)``."""
     latency = config.link_latency_s
     rate = config.link_byte_rate
     jitter = config.link_jitter_s
-    candidates = [f"{src}->{dst}"]
-    if src == DISPATCHER and dst.startswith("physics"):
-        candidates.append("dispatcher->physics")
-    if src.startswith("physics") and dst == DISPATCHER:
-        candidates.append("physics->dispatcher")
-    for key in candidates:
+    for key in _override_keys(src, dst):
         o = config.link_overrides.get(key)
         if o:
             latency = o.get("latency_s", latency)
@@ -215,9 +233,7 @@ def run_galton(config: GaltonExperimentConfig,
     ledger = RunLedger(geometry.bucket_count)
 
     physics_ids = config.physics_nodes()
-    for src, dst in [(SCRIPT, DISPATCHER), (DISPATCHER, SCRIPT)] + \
-            [(DISPATCHER, p) for p in physics_ids] + \
-            [(p, DISPATCHER) for p in physics_ids]:
+    for src, dst in config.links():
         latency, rate, jitter = _link_params(config, src, dst)
         network.add_link(src, dst, latency, rate, jitter_s=jitter)
 
@@ -242,25 +258,16 @@ def run_galton(config: GaltonExperimentConfig,
     cap_us = seconds_to_us(config.duration_cap_s)
     node_order = [SCRIPT, DISPATCHER] + physics_ids
     series = {n: NodeSeries() for n in node_order}
-    times_s: list[float] = []
+    times_us: list[int] = []
     peak_balls = 0
     hit_cap = False
     t = 0
-    collection_cursor = 0
 
     while True:
         t = min(t + sample_us, cap_us)
         engine.run_until(t)
-        times_s.append(t / 1e6)
+        times_us.append(t)
         network.sample_queues(t)
-        # per-node interval means over the elapsed window
-        window: dict[str, list[int]] = {n: [] for n in physics_ids}
-        while collection_cursor < len(ledger.collections):
-            ct, interval_us, node, _bucket = ledger.collections[collection_cursor]
-            if ct > t:
-                break
-            window[node].append(interval_us)
-            collection_cursor += 1
         for n in node_order:
             s = series[n]
             if n == SCRIPT:
@@ -279,8 +286,6 @@ def run_galton(config: GaltonExperimentConfig,
                 actor = physics[n]
                 s.balls_in_scene.append(actor.active_count)
                 s.load_proxy.append(actor.load_proxy)
-                w = window[n]
-                s.mean_interval_s.append(sum(w) / len(w) / 1e6 if w else None)
                 s.msgs_sent.append(actor.msgs_sent)
                 s.msgs_recv.append(actor.msgs_recv)
         falling = sum(a.active_count for a in physics.values())
@@ -307,6 +312,9 @@ def run_galton(config: GaltonExperimentConfig,
             hit_cap = True
             break
 
+    for n in physics_ids:
+        series[n].mean_interval_s = window_interval_means(ledger.collections,
+                                                          times_us, n)
     end_time_s = t / 1e6
     expected = theoretical_distribution(geometry).expected
     histogram = BucketHistogram(ledger.histogram.copy())
@@ -339,7 +347,7 @@ def run_galton(config: GaltonExperimentConfig,
         code_version=_code_version,
         geometry_hash=geometry.geometry_hash(),
         nominal_descent_s=geometry.nominal_descent_s,
-        times_s=times_s,
+        times_s=[t_us / 1e6 for t_us in times_us],
         nodes=series,
         physics_nodes=physics_ids,
         queue_samples=list(network.samples),

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..engine import Engine, seconds_to_us
 from ..netsim import Message, Network
-from .galton import ConfigInvalid
+from .galton import ConfigInvalid, check_keys
 
 CLIENT = "client"
 SIM = "sim"
@@ -72,33 +72,19 @@ class LoginExperimentConfig:
             raise ConfigInvalid("repeats must be >= 1")
         if self.run_length_s <= 0:
             raise ConfigInvalid("run_length_s must be positive")
-        if self.link_byte_rate <= 0 or self.link_latency_s < 0:
-            raise ConfigInvalid("bad link parameters")
+        for name in ("sim_proxy_delay_s", "central_delay_s", "inventory_delay_s",
+                     "link_latency_s"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} must be >= 0")
+        if self.link_byte_rate <= 0:
+            raise ConfigInvalid("link_byte_rate must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "inventory_folders": self.inventory_folders,
-            "inventory_items": self.inventory_items,
-            "scene_objects": self.scene_objects,
-            "scene_assets": self.scene_assets,
-            "avatar_cost": self.avatar_cost,
-            "proxy_cost": self.proxy_cost,
-            "central_serve_cost": self.central_serve_cost,
-            "inventory_serve_cost": self.inventory_serve_cost,
-            "per_asset_cost": self.per_asset_cost,
-            "sim_proxy_delay_s": self.sim_proxy_delay_s,
-            "central_delay_s": self.central_delay_s,
-            "inventory_delay_s": self.inventory_delay_s,
-            "run_length_s": self.run_length_s,
-            "repeats": self.repeats,
-            "link_latency_s": self.link_latency_s,
-            "link_byte_rate": self.link_byte_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LoginExperimentConfig":
+        check_keys(cls, d)
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -277,36 +263,9 @@ class LoginReport:
     units_mean: dict[str, float]
     units_sd: dict[str, float]
 
-    def metric(self, name: str) -> float:
-        from .report import UnknownMetric
-        if name.startswith("units_mean:"):
-            return self.units_mean[name.split(":", 1)[1]]
-        if name.startswith("inventory_requests:"):
-            return float(self.runs[0].inventory_requests[name.split(":", 1)[1]])
-        raise UnknownMetric(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "units_mean": self.units_mean,
-            "units_sd": self.units_sd,
-            "runs": [
-                {
-                    "units": r.units,
-                    "total_requests": r.total_requests,
-                    "inventory_requests": r.inventory_requests,
-                    "inventory_done_s": r.inventory_done_s,
-                    "assets_done_s": r.assets_done_s,
-                    "completed": r.completed,
-                }
-                for r in self.runs
-            ],
-        }
-
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
 

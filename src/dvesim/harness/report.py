@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +31,64 @@ class NodeSeries:
     load_proxy: list[Optional[float]] = field(default_factory=list)
     msgs_sent: list[int] = field(default_factory=list)
     msgs_recv: list[int] = field(default_factory=list)
+
+
+def window_interval_means(collections: Sequence[tuple[int, int, str, int]],
+                          times_us: Sequence[int],
+                          node: Optional[str] = None) -> list[Optional[float]]:
+    """Mean interval (s) of the balls collected in each sample window.
+
+    Window i holds the collections with time in (times_us[i-1], times_us[i]];
+    ``collections`` are (t_us, interval_us, node, bucket) in time order.
+    With ``node`` only that node's collections count.  A window without
+    collections has mean None.
+    """
+    rows = [c for c in collections if node is None or c[2] == node]
+    means: list[Optional[float]] = []
+    idx = 0
+    for t_us in times_us:
+        total = count = 0
+        while idx < len(rows) and rows[idx][0] <= t_us:
+            total += rows[idx][1]
+            count += 1
+            idx += 1
+        means.append(total / count / 1e6 if count else None)
+    return means
+
+
+#: Scalar regression metric name -> the report.json key holding its value.
+SCALAR_METRICS = {
+    "interval_mean_s": "interval_mean_s",
+    "rmse_theoretical": "rmse_theoretical",
+    "rmse_baseline": "rmse_baseline",
+    "peak_load_proxy": "peak_load_proxy",
+    "peak_balls_in_scene": "peak_balls_in_scene",
+    "collected_total": "collected_total",
+    "discarded_total": "discarded",
+    "created_total": "created_total",
+    "migrations_total": "migrations_total",
+    "end_time_s": "end_time_s",
+}
+
+#: ``final_queue_depth:<link>`` is the link's queue depth when the run ended.
+QUEUE_DEPTH_METRIC = "final_queue_depth:"
+
+
+def report_metric(data: dict, name: str) -> float:
+    """Regression metric ``name`` of a run, read from its report.json dict."""
+    if name.startswith(QUEUE_DEPTH_METRIC):
+        link = name[len(QUEUE_DEPTH_METRIC):]
+        totals = data["link_totals"].get(link)
+        if totals is None:
+            raise UnknownMetric(f"no link {link!r} in this run")
+        # every message sent and not yet delivered is still queued
+        return float(totals["sent_count"] - totals["delivered_count"])
+    key = SCALAR_METRICS.get(name)
+    if key is None:
+        raise UnknownMetric(name)
+    if data[key] is None:
+        raise UnknownMetric(f"metric {name!r} not measured in this run")
+    return float(data[key])
 
 
 @dataclass
@@ -81,18 +139,8 @@ class ExperimentReport:
 
     def interval_series(self) -> tuple[list[float], list[Optional[float]]]:
         """Windowed mean interval per sample window (None when no landings)."""
-        means: list[Optional[float]] = []
-        idx = 0
-        for i, t in enumerate(self.times_s):
-            t_us = round(t * 1_000_000)
-            total = 0
-            count = 0
-            while idx < len(self.collections) and self.collections[idx][0] <= t_us:
-                total += self.collections[idx][1]
-                count += 1
-                idx += 1
-            means.append(total / count / 1e6 if count else None)
-        return list(self.times_s), means
+        times_us = [round(t * 1_000_000) for t in self.times_s]
+        return list(self.times_s), window_interval_means(self.collections, times_us)
 
     def queue_depth_series(self, link_id: str) -> tuple[list[float], list[int]]:
         times = [s.t_us / 1e6 for s in self.queue_samples if s.link_id == link_id]
@@ -111,37 +159,9 @@ class ExperimentReport:
             return None
         return float(vals.mean())
 
-    # ---- metric registry ---------------------------------------------------
-
     def metric(self, name: str) -> float:
         """Scalar metric by name, for regression specifications."""
-        scalars = {
-            "interval_mean_s": self.interval_mean_s,
-            "rmse_theoretical": self.rmse_theoretical,
-            "peak_load_proxy": self.peak_load_proxy,
-            "peak_balls_in_scene": float(self.peak_balls_in_scene),
-            "collected_total": float(self.collected_total),
-            "discarded_total": float(self.discarded),
-            "created_total": float(self.created_total),
-            "migrations_total": float(self.migrations_total),
-            "end_time_s": self.end_time_s,
-        }
-        if name in scalars:
-            value = scalars[name]
-            if value is None:
-                raise UnknownMetric(f"metric {name!r} not measured in this run")
-            return float(value)
-        if name == "rmse_baseline":
-            if self.rmse_baseline is None:
-                raise UnknownMetric("run was not compared against a baseline")
-            return float(self.rmse_baseline)
-        if name.startswith("final_queue_depth:"):
-            link = name.split(":", 1)[1]
-            _, depths = self.queue_depth_series(link)
-            if not depths:
-                raise UnknownMetric(f"no queue samples for link {link!r}")
-            return float(depths[-1])
-        raise UnknownMetric(name)
+        return report_metric(self.to_json_dict(), name)
 
     # ---- json ---------------------------------------------------------------
 
@@ -168,11 +188,7 @@ class ExperimentReport:
             "hit_cap": self.hit_cap,
             "audit_ok": self.audit_ok,
             "link_totals": self.link_totals,
-            "verdicts": [
-                {"metric": v.metric, "passed": v.passed, "reason": v.reason,
-                 "mean": v.mean, "cv": v.cv}
-                for v in self.verdicts
-            ],
+            "verdicts": [asdict(v) for v in self.verdicts],
         }
 
 
@@ -276,19 +292,6 @@ class ReportSummary:
     and the same scalar metric names a live report exposes.
     """
 
-    _METRIC_KEYS = {
-        "interval_mean_s": "interval_mean_s",
-        "rmse_theoretical": "rmse_theoretical",
-        "rmse_baseline": "rmse_baseline",
-        "peak_load_proxy": "peak_load_proxy",
-        "peak_balls_in_scene": "peak_balls_in_scene",
-        "collected_total": "collected_total",
-        "discarded_total": "discarded",
-        "created_total": "created_total",
-        "migrations_total": "migrations_total",
-        "end_time_s": "end_time_s",
-    }
-
     def __init__(self, data: dict):
         self._data = data
         self.histogram = BucketHistogram(np.asarray(data["histogram"], dtype=np.int64))
@@ -298,10 +301,7 @@ class ReportSummary:
         self.seed = data["seed"]
 
     def metric(self, name: str) -> float:
-        key = self._METRIC_KEYS.get(name)
-        if key is None or self._data.get(key) is None:
-            raise UnknownMetric(name)
-        return float(self._data[key])
+        return report_metric(self._data, name)
 
 
 def load_report_summary(path) -> ReportSummary:

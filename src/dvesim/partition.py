@@ -138,9 +138,6 @@ class PartitionMap:
     def owner_node(self, partition_id: int) -> str:
         return self.partitions[partition_id]
 
-    def partition_ids(self) -> list[int]:
-        return sorted(self.partitions)
-
     def owners_xy(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup; every position must be in the region."""
         if ((xs < 0) | (xs >= self.region.width_m)).any() or \
@@ -234,6 +231,3 @@ class MigrationTracker:
 
     def in_flight_count(self) -> int:
         return len(self._in_flight)
-
-    def is_migrating(self, entity: int) -> bool:
-        return entity in self._in_flight

@@ -173,14 +173,8 @@ class SceneReplica:
         rec = self._entities.get(entity)
         return rec is not None and rec.alive
 
-    def is_known(self, entity: int) -> bool:
-        return entity in self._entities
-
     def live_count(self) -> int:
         return sum(1 for rec in self._entities.values() if rec.alive)
-
-    def live_entities(self) -> list[int]:
-        return sorted(e for e, rec in self._entities.items() if rec.alive)
 
     def get(self, entity: int, prop: str, default: Any = None) -> Any:
         """Visible value of a property, or default if absent or invisible."""
@@ -191,13 +185,6 @@ class SceneReplica:
         if entry is None or entry[1] < rec.existence_stamp:
             return default
         return entry[0]
-
-    def visible_properties(self, entity: int) -> dict[str, Any]:
-        rec = self._entities.get(entity)
-        if rec is None or not rec.alive:
-            return {}
-        return {name: value for name, (value, stamp) in rec.props.items()
-                if stamp >= rec.existence_stamp}
 
 
 def digest(replica: SceneReplica) -> str:

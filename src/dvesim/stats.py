@@ -324,11 +324,6 @@ def moving_average(series: Sequence[float], window: int) -> np.ndarray:
     return np.convolve(xs, kernel, mode="valid")
 
 
-def second_differences(series: Sequence[float]) -> np.ndarray:
-    xs = np.asarray(series, dtype=float)
-    return np.diff(xs, n=2)
-
-
 def is_convex_increasing(series: Sequence[float], smooth_window: int = 9,
                          tol_frac: float = 0.25) -> bool:
     """True if the smoothed series rises with non-negative curvature.

@@ -12,9 +12,9 @@ from dvesim.actors import (
     UnroutableMessage,
     descend_one_level,
 )
-from dvesim.engine import Engine, seconds_to_us
+from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import Message, Network
-from dvesim.partition import PartitionMap, RegionSpec
+from dvesim.partition import PartitionMap, RegionSpec, detect_crossing
 from dvesim.stats import binomial_pmf
 
 
@@ -161,6 +161,106 @@ class TestDilation:
         assert actor.steps_executed <= actor.ticks * actor.capacity
         report = actor.physics_tick(actor.engine.now_us)
         assert report["stepped"] == min(actor.active_count, actor.capacity)
+
+
+class TestPhysicsTickOracle:
+    """The vectorized physics_tick against a scalar model of the same tick.
+
+    The model is built from Ball, descend_one_level and detect_crossing and
+    replays the node's descent stream: each tick it serves the first
+    min(n, capacity) balls in order, draws in index order, removes landed
+    and migrated balls and rotates the served survivors to the back.
+    """
+
+    GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                         balls_per_dropper=1, nominal_descent_s=10.0)
+    CAPACITY = 100
+    TICK_S = 0.1
+    SEED = 23
+
+    def scalar_model(self, n_balls, node, pmap):
+        """Ordered (t_us, bucket) collections and (entity, t_us) migrations."""
+        geo = self.GEO
+        region = pmap.region
+        multi = len(pmap.partitions) > 1
+        stream = RandomStream(f"{node}:descent", self.SEED)
+        tick_us = seconds_to_us(self.TICK_S)
+        level_us = geo.level_time_us
+        y = geo.box_center_y_m(region, 0)
+        balls = [Ball(id=i + 1, box=0, row=0) for i in range(n_balls)]
+        progress = {b.id: 0 for b in balls}
+        collections, migrations = [], []
+        now = 0
+        while balls:
+            now += tick_us
+            served = balls[:self.CAPACITY]
+            gone = set()
+            for b in served:
+                progress[b.id] += tick_us
+            crossed = [b for b in served if progress[b.id] >= level_us]
+            while crossed:
+                prev_x = {}
+                for b in crossed:
+                    progress[b.id] -= level_us
+                    prev_x[b.id] = geo.ball_x_m(region, b.row, b.column)
+                    descend_one_level(b, stream)
+                for b in crossed:
+                    if b.level >= geo.n_levels:
+                        collections.append((now, geo.final_bucket(b.column, b.row)))
+                        gone.add(b.id)
+                if multi:
+                    for b in crossed:
+                        x = geo.ball_x_m(region, b.row, b.column)
+                        if b.id not in gone and detect_crossing((prev_x[b.id], y),
+                                                                (x, y), pmap):
+                            migrations.append((b.id, now))
+                            gone.add(b.id)
+                crossed = [b for b in crossed
+                           if b.id not in gone and progress[b.id] >= level_us]
+            balls = balls[self.CAPACITY:] + [b for b in served if b.id not in gone]
+        return collections, migrations
+
+    def vectorized_run(self, n_balls, node, pmap, monkeypatch):
+        """The actor on a sink dispatcher: what it sends is never answered."""
+        engine = Engine(seed=self.SEED)
+        network = Network(engine)
+        network.add_link(node, "dispatcher", 0.001, 1e9)
+        ledger = RunLedger(self.GEO.bucket_count)
+        partition_id = next(p for p, n in pmap.partitions.items() if n == node)
+        actor = PhysicsActor(node, partition_id, pmap, self.GEO, self.CAPACITY,
+                             self.TICK_S, engine, network, "dispatcher", ledger)
+        migrations = []
+        begin = actor.tracker.begin_migration
+
+        def record(entity, from_partition, to_partition, now_us, state):
+            migrations.append((entity, now_us))
+            return begin(entity, from_partition, to_partition, now_us, state)
+
+        monkeypatch.setattr(actor.tracker, "begin_migration", record)
+        for i in range(n_balls):
+            actor.inject_ball(Ball(id=i + 1, box=0, row=0), scene_seq=i)
+        engine.run_until(seconds_to_us(600.0))
+        assert actor.active_count == 0
+        return [(c[0], c[3]) for c in ledger.collections], migrations
+
+    @pytest.mark.parametrize("n_balls", [50, 250])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_scalar_model(self, n_balls, split, monkeypatch):
+        region = RegionSpec()
+        if split:
+            pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"),
+                                        (2, "physics-2"))
+            node = "physics-2"
+        else:
+            pmap = PartitionMap.single(region, 1, "physics-1")
+            node = "physics-1"
+        want_collections, want_migrations = self.scalar_model(n_balls, node, pmap)
+        got_collections, got_migrations = self.vectorized_run(n_balls, node, pmap,
+                                                               monkeypatch)
+        assert got_collections == want_collections
+        assert got_migrations == want_migrations
+        assert len(want_collections) + len(want_migrations) == n_balls
+        assert bool(want_migrations) == split
 
 
 def wire_run(geometry, topology, period_s, capacity, seed=1):

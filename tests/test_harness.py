@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dvesim.harness.login import (
     TOPOLOGY_DEDICATED,
     TOPOLOGY_PROXIED,
 )
+from dvesim.harness.report import SCALAR_METRICS
 from dvesim.stats import RegressionSpec, capture_baseline
 from dvesim import cli
 
@@ -179,6 +181,47 @@ class TestEvaluate:
             evaluate([report] * 3, [RegressionSpec("nope", 0, 1, 0.1, 3)])
 
 
+class TestMetricRegistry:
+    def test_live_and_exported_verdicts_agree(self, tmp_path, capsys):
+        # a capped overload run, so that links end with queued messages
+        cfg = tiny_config(capacity_c=5, duration_cap_s=20.0, link_overrides={
+            "dispatcher->physics": {"byte_rate": 2000.0}})
+        reports = [run_galton(replace(cfg, seed=s)) for s in (1, 2, 3)]
+        paths = []
+        for i, report in enumerate(reports):
+            export(report, tmp_path / f"run{i}")
+            paths.append(str(tmp_path / f"run{i}" / "report.json"))
+        links = sorted(reports[0].link_totals)
+        for report in reports:
+            for link in links:
+                _, depths = report.queue_depth_series(link)
+                assert report.metric(f"final_queue_depth:{link}") == depths[-1]
+        assert reports[0].metric("final_queue_depth:dispatcher->physics-1") > 0
+
+        names = [n for n in SCALAR_METRICS if n != "rmse_baseline"]
+        names += [f"final_queue_depth:{link}" for link in links]
+        specs = [RegressionSpec(n, 0.0, 50.0, 0.2, 3) for n in names]
+        live = evaluate(reports, specs)
+        assert {v.passed for v in live} == {True, False}
+        expected = "".join(f"{v.metric}: PASS\n" if v.passed
+                           else f"{v.metric}: FAIL ({v.reason})\n" for v in live)
+        specs_path = tmp_path / "specs.json"
+        specs_path.write_text(json.dumps([s.to_json_dict() for s in specs]))
+        capsys.readouterr()
+        rc = cli.main(["regress", "--report", *paths, "--specs", str(specs_path)])
+        assert capsys.readouterr().out == expected
+        assert rc == 1
+
+        # without a baseline, rmse_baseline is unknown on both sides
+        unknown = [RegressionSpec("rmse_baseline", 0.0, 50.0, 0.2, 3)]
+        with pytest.raises(UnknownMetric):
+            evaluate(reports, unknown)
+        specs_path.write_text(json.dumps([s.to_json_dict() for s in unknown]))
+        rc = cli.main(["regress", "--report", *paths, "--specs", str(specs_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSearch:
     def test_bounds_must_bracket(self):
         cfg = tiny_config()
@@ -268,6 +311,81 @@ class TestLogin:
             login_cfg(topology="weird").validate()
         with pytest.raises(ConfigInvalid):
             login_cfg(repeats=0).validate()
+
+
+def galton_dict(geometry=None, **changes):
+    d = tiny_config().to_dict()
+    d["geometry"].update(geometry or {})
+    d.update(changes)
+    return d
+
+
+def login_dict(**changes):
+    d = login_cfg().to_dict()
+    d.update(changes)
+    return d
+
+
+STRICT_CASES = [
+    ("unknown key", "galton", galton_dict(perod_t_s=2.0), "perod_t_s"),
+    ("unknown geometry key", "galton", galton_dict(geometry={"levels": 9}), "levels"),
+    ("bad geometry value", "galton", galton_dict(geometry={"n_levels": 0}), "n_levels"),
+    ("misspelt link", "galton", galton_dict(link_overrides={
+        "dispatcher->phyiscs": {"byte_rate": 1e4}}), "dispatcher->phyiscs"),
+    ("link outside topology", "galton", galton_dict(link_overrides={
+        "dispatcher->physics-2": {"byte_rate": 1e4}}), "dispatcher->physics-2"),
+    ("unknown override field", "galton", galton_dict(link_overrides={
+        "dispatcher->physics": {"bandwidth": 1e4}}), "bandwidth"),
+    ("zero byte rate", "galton", galton_dict(link_overrides={
+        "physics->dispatcher": {"byte_rate": 0}}), "byte_rate"),
+    ("negative latency", "galton", galton_dict(link_overrides={
+        "script->dispatcher": {"latency_s": -0.1}}), "latency_s"),
+    ("negative jitter", "galton", galton_dict(link_overrides={
+        "dispatcher->physics-1": {"jitter_s": -0.1}}), "jitter_s"),
+    ("unknown message kind", "galton", galton_dict(message_sizes={"updtae": 10}),
+     "updtae"),
+    ("zero message size", "galton", galton_dict(message_sizes={"update": 0}),
+     "update"),
+    ("negative epsilon", "galton", galton_dict(epsilon_max_s=-1.0), "epsilon_max_s"),
+    ("negative link jitter", "galton", galton_dict(link_jitter_s=-1.0),
+     "link_jitter_s"),
+    ("unknown login key", "login", login_dict(repeat=2), "repeat"),
+    ("negative login delay", "login", login_dict(central_delay_s=-1.0),
+     "central_delay_s"),
+]
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("kind,data,key", [c[1:] for c in STRICT_CASES],
+                             ids=[c[0] for c in STRICT_CASES])
+    def test_bad_config_rejected_at_load(self, kind, data, key):
+        cls = GaltonExperimentConfig if kind == "galton" else LoginExperimentConfig
+        with pytest.raises(ConfigInvalid, match=key):
+            cls.from_dict(data)
+
+    def test_every_link_and_class_key_accepted(self):
+        links = ["script->dispatcher", "dispatcher->script", "dispatcher->physics-1",
+                 "physics-1->dispatcher", "dispatcher->physics-2",
+                 "physics-2->dispatcher", "dispatcher->physics", "physics->dispatcher"]
+        data = galton_dict(topology="B", link_overrides={
+            link: {"latency_s": 0.0, "byte_rate": 1e4, "jitter_s": 0.0}
+            for link in links})
+        assert GaltonExperimentConfig.from_dict(data).link_overrides == \
+            data["link_overrides"]
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(galton_dict(link_overrides={
+            "dispatcher->phyiscs": {"byte_rate": 1e4}})))
+        out = tmp_path / "out"
+        rc = cli.main(["run-galton", "--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "dispatcher->phyiscs" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCli:
