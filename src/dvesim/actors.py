@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -214,8 +214,7 @@ class RunLedger:
 # script node
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BallSpawn:
+class BallSpawn(NamedTuple):
     """Creation order shipped from the script node to the owning physics node."""
 
     entity: int
@@ -227,8 +226,7 @@ class BallSpawn:
     scene_seq: int
 
 
-@dataclass(frozen=True)
-class AckEnvelope:
+class AckEnvelope(NamedTuple):
     ack: MigrationAck
     from_partition: int
 
@@ -300,18 +298,24 @@ class ScriptActor:
 # physics node
 # ----------------------------------------------------------------------
 
-_GROW = 1024
+#: columns of the ball table, one row per ball
+_FIELDS = 9
+(_ID, _BOX, _ROW, _LEVEL, _COLUMN, _PROGRESS, _CREATED, _SCENE_TS,
+ _SCENE_SEQ) = range(_FIELDS)
+#: rows of a new ball table; a full table doubles
+_BLOCK = 1024
 
 
 class PhysicsActor:
     """Capacity-limited descent simulation for one partition.
 
-    Ball state lives in parallel arrays kept in service order; each tick
-    serves the first ``min(population, capacity)`` balls and rotates them
-    to the back, so under overload every ball is served at the same
-    fractional rate and the mean descent time stretches by
-    population/capacity.  Balls whose step crosses the partition boundary
-    are ghosted and shipped to the gaining node mid-flight.
+    Ball state lives in one table used as a ring: rows in service order
+    start at ``_head``.  Each tick serves the first
+    ``min(population, capacity)`` balls and moves the survivors to the
+    back, so under overload every ball is served at the same fractional
+    rate and the mean descent time stretches by population/capacity.
+    Balls whose step crosses the partition boundary are ghosted and
+    shipped to the gaining node mid-flight.
     """
 
     def __init__(self, node_id: str, partition_id: int, pmap: PartitionMap,
@@ -337,19 +341,12 @@ class PhysicsActor:
         self.tracker = MigrationTracker()
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = geometry.level_time_us
-        # parallel ball arrays, service order = index order over [0:n)
-        cap0 = _GROW
-        self._ids = np.zeros(cap0, dtype=np.int64)
-        self._box = np.zeros(cap0, dtype=np.int32)
-        self._row = np.zeros(cap0, dtype=np.int32)
-        self._level = np.zeros(cap0, dtype=np.int32)
-        self._column = np.zeros(cap0, dtype=np.int32)
-        self._progress = np.zeros(cap0, dtype=np.int64)
-        self._created = np.zeros(cap0, dtype=np.int64)
-        self._scene_ts = np.zeros(cap0, dtype=np.int64)
-        self._scene_seq = np.zeros(cap0, dtype=np.int64)
-        self._scene_origin: Optional[str] = None
+        self._owners, self._col_lo = self._owner_table()
+        self._col_hi = self._owners.shape[2] - 1
+        self._balls = np.zeros((_BLOCK, _FIELDS), dtype=np.int64)
+        self._head = 0
         self._n = 0
+        self._scene_origin: Optional[str] = None
         self._ghosts: dict[int, dict] = {}
         self._ticking = False
         self.ticks = 0
@@ -358,39 +355,72 @@ class PhysicsActor:
         self.msgs_sent = 0
         self.msgs_recv = 0
 
-    # ---- array plumbing ----------------------------------------------
+    def _owner_table(self) -> tuple[np.ndarray, int]:
+        """Partition id per (box, row, column - col_lo), -1 off the region.
 
-    def _arrays(self):
-        return (self._ids, self._box, self._row, self._level, self._column,
-                self._progress, self._created, self._scene_ts, self._scene_seq)
+        A ball's position depends only on its box, row and column, so the
+        owners are looked up once here, from the same float expression the
+        scalar ``ball_x_m`` and ``box_center_y_m`` use.  The columns run
+        from ``col_lo``, where every row is left of the region, to the first
+        column where every row is right of it; lookups clip a column into
+        that range, so any column beyond it reads -1 too.
+        """
+        geom = self.geometry
+        region = self.pmap.region
+        n = geom.n_levels
+        col_lo = -n - 2 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
+        cols = np.arange(col_lo, 2 * geom.bucket_count - n + 1, dtype=np.float64)
+        rows = np.arange(geom.rows_per_box, dtype=np.float64)
+        boxes = np.arange(geom.boxes, dtype=np.float64)
+        x = ((cols[None, :] + n + 1) / 2.0
+             + rows[:, None] * geom.row_offset_buckets) * geom.bucket_width_m(region)
+        y = (boxes + 0.5) * region.depth_m / geom.boxes
+        shape = (geom.boxes, geom.rows_per_box, len(cols))
+        xs = np.broadcast_to(x, shape)
+        ys = np.broadcast_to(y[:, None, None], shape)
+        inside = (xs >= 0.0) & (xs < region.width_m)
+        table = np.full(shape, -1, dtype=np.int64)
+        table[inside] = self.pmap.owners_xy(xs[inside], ys[inside])
+        return table, col_lo
 
-    def _ensure_room(self) -> None:
-        if self._n < len(self._ids):
-            return
-        self._ids = np.concatenate([self._ids, np.zeros(_GROW, dtype=np.int64)])
-        self._box = np.concatenate([self._box, np.zeros(_GROW, dtype=np.int32)])
-        self._row = np.concatenate([self._row, np.zeros(_GROW, dtype=np.int32)])
-        self._level = np.concatenate([self._level, np.zeros(_GROW, dtype=np.int32)])
-        self._column = np.concatenate([self._column, np.zeros(_GROW, dtype=np.int32)])
-        self._progress = np.concatenate([self._progress, np.zeros(_GROW, dtype=np.int64)])
-        self._created = np.concatenate([self._created, np.zeros(_GROW, dtype=np.int64)])
-        self._scene_ts = np.concatenate([self._scene_ts, np.zeros(_GROW, dtype=np.int64)])
-        self._scene_seq = np.concatenate([self._scene_seq, np.zeros(_GROW, dtype=np.int64)])
+    def _owner_at(self, boxes: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+        """Owner per ball, from the table; -1 off the region."""
+        index = np.minimum(np.maximum(cols - self._col_lo, 0), self._col_hi)
+        return self._owners[boxes, rows, index]
 
-    def _append_ball(self, entity: int, box: int, row: int, level: int,
-                     column: int, progress_us: int, created_at_us: int,
-                     scene_ts_us: int, scene_seq: int) -> None:
-        self._ensure_room()
-        i = self._n
-        self._ids[i] = entity
-        self._box[i] = box
-        self._row[i] = row
-        self._level[i] = level
-        self._column[i] = column
-        self._progress[i] = progress_us
-        self._created[i] = created_at_us
-        self._scene_ts[i] = scene_ts_us
-        self._scene_seq[i] = scene_seq
+    # ---- ball table --------------------------------------------------
+
+    def _window(self, k: int) -> np.ndarray:
+        """A copy of the first ``k`` rows in service order."""
+        table, head = self._balls, self._head
+        end = head + k
+        if end <= len(table):
+            return table[head:end].copy()
+        return np.concatenate((table[head:], table[:end - len(table)]))
+
+    def _append_rows(self, rows: np.ndarray, keep: np.ndarray) -> None:
+        """Write the kept rows after the last ball in service order."""
+        kept = np.flatnonzero(keep)
+        table = self._balls
+        start = (self._head + self._n) % len(table)
+        first = min(len(kept), len(table) - start)
+        # mode="clip" lets take write into the table without a buffer copy
+        np.take(rows, kept[:first], axis=0, out=table[start:start + first], mode="clip")
+        np.take(rows, kept[first:], axis=0, out=table[:len(kept) - first], mode="clip")
+        self._n += len(kept)
+
+    def _append_ball(self, *ball: int) -> None:
+        """Seat one ball, given in table column order, at the back."""
+        table = self._balls
+        if self._n == len(table):
+            grown = np.zeros((2 * len(table), _FIELDS), dtype=np.int64)
+            tail = len(table) - self._head
+            grown[:tail] = table[self._head:]
+            grown[tail:len(table)] = table[:self._head]
+            self._balls = table = grown
+            self._head = 0
+        table[(self._head + self._n) % len(table)] = ball
         self._n += 1
 
     @property
@@ -487,98 +517,80 @@ class PhysicsActor:
             return {"stepped": 0, "collected": 0, "migrated": 0, "load": load}
         k = min(n, self.capacity)
         self.steps_executed += k
-        geom = self.geometry
-        region = self.pmap.region
-        bw = geom.bucket_width_m(region)
+        w = self._window(k)
+        self._head = (self._head + k) % len(self._balls)
+        self._n = n - k
+        prog, level, column = w[:, _PROGRESS], w[:, _LEVEL], w[:, _COLUMN]
+        n_levels = self.geometry.n_levels
+        level_us = self._level_us
         multi = len(self.pmap.partitions) > 1
-        prog = self._progress
-        prog[:k] += self.tick_us
-        removed: list[int] = []
+        keep = np.ones(k, dtype=bool)
         collected = migrated = 0
-        crossed = np.nonzero(prog[:k] >= self._level_us)[0]
+        prog += self.tick_us
+        crossed = np.nonzero(prog >= level_us)[0]
         while crossed.size:
-            prog[crossed] -= self._level_us
-            self._level[crossed] += 1
-            prev_cols = self._column[crossed].copy()
+            prog[crossed] -= level_us
+            level[crossed] += 1
+            boxes, rows, cols = w[crossed, _BOX], w[crossed, _ROW], column[crossed]
+            if multi:
+                own_prev = self._owner_at(boxes, rows, cols)
             draws = self._stream.uniform_many(crossed.size)
-            self._column[crossed] += np.where(draws < 0.5, -1, 1).astype(np.int32)
-            levels = self._level[crossed]
-            landed_mask = levels >= geom.n_levels
-            for i in crossed[landed_mask]:
-                self._collect(int(i), now_us)
-                collected += 1
-            removed.extend(int(i) for i in crossed[landed_mask])
-            moving = crossed[~landed_mask]
-            if moving.size:
-                cols = self._column[moving].astype(np.float64)
-                rows = self._row[moving].astype(np.float64)
-                x_new = ((cols + geom.n_levels + 1) / 2.0
-                         + rows * geom.row_offset_buckets) * bw
-                oob = (x_new < 0.0) | (x_new >= region.width_m)
-                for i in moving[oob]:
-                    self._discard(int(i), now_us)
-                removed.extend(int(i) for i in moving[oob])
-                moving = moving[~oob]
-                if multi and moving.size:
-                    pc = prev_cols[~landed_mask][~oob].astype(np.float64)
-                    rows = self._row[moving].astype(np.float64)
-                    x_prev = ((pc + geom.n_levels + 1) / 2.0
-                              + rows * geom.row_offset_buckets) * bw
-                    x_now = ((self._column[moving].astype(np.float64)
-                              + geom.n_levels + 1) / 2.0
-                             + rows * geom.row_offset_buckets) * bw
-                    ys = (self._box[moving].astype(np.float64) + 0.5) \
-                        * region.depth_m / geom.boxes
-                    own_prev = self.pmap.owners_xy(x_prev, ys)
-                    own_now = self.pmap.owners_xy(x_now, ys)
-                    mover_mask = own_prev != own_now
-                    for i in moving[mover_mask]:
-                        self._migrate_out(int(i), now_us)
-                        migrated += 1
-                    removed.extend(int(i) for i in moving[mover_mask])
-                    moving = moving[~mover_mask]
-            crossed = moving[prog[moving] >= self._level_us] if moving.size else moving
-        self._compact(k, n, removed)
+            cols += np.where(draws < 0.5, -1, 1)
+            column[crossed] = cols
+            own_now = self._owner_at(boxes, rows, cols)
+            landed = level[crossed] >= n_levels
+            for ball in w[crossed[landed]].tolist():
+                self._collect(ball, now_us)
+            collected += np.count_nonzero(landed)
+            off = ~landed & (own_now < 0)
+            for ball in w[crossed[off]].tolist():
+                self._discard(ball, now_us)
+            gone = landed | off
+            if multi:
+                moved = ~gone & (own_now != own_prev)
+                for ball, to_partition in zip(w[crossed[moved]].tolist(),
+                                              own_now[moved].tolist()):
+                    self._migrate_out(ball, to_partition, now_us)
+                migrated += np.count_nonzero(moved)
+                gone |= moved
+            keep[crossed[gone]] = False
+            staying = crossed[~gone]
+            crossed = staying[prog[staying] >= level_us]
+        self._append_rows(w, keep)
         return {"stepped": k, "collected": collected, "migrated": migrated,
                 "load": load}
 
-    def _collect(self, i: int, now_us: int) -> None:
-        entity = int(self._ids[i])
-        bucket = self.geometry.final_bucket(int(self._column[i]), int(self._row[i]))
-        interval = now_us - int(self._created[i])
+    def _collect(self, ball: list[int], now_us: int) -> None:
+        entity, row, column, created = (ball[_ID], ball[_ROW], ball[_COLUMN],
+                                        ball[_CREATED])
+        bucket = self.geometry.final_bucket(column, row)
         ts = self.engine.local_now_us(self.clock)
         if 0 <= bucket < self.geometry.bucket_count:
-            self.ledger.ball_collected(self.node_id, entity, bucket, interval, now_us)
+            self.ledger.ball_collected(self.node_id, entity, bucket,
+                                       now_us - created, now_us)
         else:
             self.ledger.ball_discarded(self.node_id, entity, now_us)
         update = self.replica.delete_entity(entity, ts, self.node_id)
         self.network.send(self.node_id, self.dispatcher_id, "delete", update)
         self.msgs_sent += 1
 
-    def _discard(self, i: int, now_us: int) -> None:
+    def _discard(self, ball: list[int], now_us: int) -> None:
         """Ball left the region: drop it from the results and the scene."""
-        entity = int(self._ids[i])
+        entity = ball[_ID]
         ts = self.engine.local_now_us(self.clock)
         self.ledger.ball_discarded(self.node_id, entity, now_us)
         update = self.replica.delete_entity(entity, ts, self.node_id)
         self.network.send(self.node_id, self.dispatcher_id, "delete", update)
         self.msgs_sent += 1
 
-    def _migrate_out(self, i: int, now_us: int) -> None:
-        entity = int(self._ids[i])
-        geom = self.geometry
-        region = self.pmap.region
-        x = geom.ball_x_m(region, int(self._row[i]), int(self._column[i]))
-        y = geom.box_center_y_m(region, int(self._box[i]))
-        to_partition = self.pmap.owner_of(x, y)
+    def _migrate_out(self, ball: list[int], to_partition: int, now_us: int) -> None:
+        entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
         state = {
-            "box": int(self._box[i]), "row": int(self._row[i]),
-            "level": int(self._level[i]), "column": int(self._column[i]),
-            "progress_us": int(self._progress[i]),
-            "created_at_us": int(self._created[i]),
-            "scene_ts_us": int(self._scene_ts[i]),
+            "box": box, "row": row, "level": level, "column": column,
+            "progress_us": progress, "created_at_us": created,
+            "scene_ts_us": scene_ts,
             "scene_origin": self._scene_origin or "script",
-            "scene_seq": int(self._scene_seq[i]),
+            "scene_seq": scene_seq,
         }
         transfers = self.tracker.begin_migration(entity, self.partition_id,
                                                  to_partition, now_us, state)
@@ -588,25 +600,14 @@ class PhysicsActor:
             self.msgs_sent += 1
             self.ledger.transfer_sent(entity)
 
-    def _compact(self, k: int, n: int, removed: list[int]) -> None:
-        """Rotate served balls to the back, dropping removed ones."""
-        if not removed and k == n:
-            return
-        keep = np.ones(k, dtype=bool)
-        if removed:
-            keep[np.asarray(removed, dtype=np.int64)] = False
-        survivors = np.nonzero(keep)[0]
-        n_new = (n - k) + survivors.size
-        for arr in self._arrays():
-            merged = np.concatenate([arr[k:n], arr[:k][survivors]])
-            arr[:n_new] = merged
-        self._n = n_new
-
     # ---- test hooks -----------------------------------------------------
 
     def inject_ball(self, ball: Ball, scene_ts_us: int = 0, scene_seq: int = 0,
                     origin: str = "script") -> None:
         """Directly seat a ball, bypassing the network (tests, calibration)."""
+        geom = self.geometry
+        if not (0 <= ball.box < geom.boxes and 0 <= ball.row < geom.rows_per_box):
+            raise ValueError(f"ball {ball.id} has no box {ball.box} row {ball.row}")
         self._register_scene_entity(ball.id, scene_ts_us, origin, scene_seq)
         self._append_ball(ball.id, ball.box, ball.row, ball.level, ball.column,
                           0, ball.created_at_us, scene_ts_us, scene_seq)
@@ -641,9 +642,9 @@ class DispatcherActor:
 
     def dispatcher_relay(self, msg: Message) -> list[Message]:
         """Forward a message per the routing table; never filters or coalesces."""
-        region = self.pmap.region
         if msg.kind == "create":
             spawn: BallSpawn = msg.payload
+            region = self.pmap.region
             x = self.geometry.drop_x_m(region, spawn.row)
             y = self.geometry.box_center_y_m(region, spawn.box)
             node = self.pmap.owner_node(self.pmap.owner_of(x, y))

@@ -1,8 +1,9 @@
 """Command-line entry points for running experiments and checks.
 
 Exit status is 0 only when every evaluated verdict passes, so the commands
-can gate CI jobs directly.  A bad config or an unknown metric name prints
-one ``error:`` line and exits 2.
+can gate CI jobs directly.  A bad config, an unknown metric name or a
+spec whose ``k`` differs from the number of reports prints one ``error:``
+line and exits 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .harness import (
     run_galton,
     run_login,
 )
-from .stats import EmpiricalBaseline, RegressionSpec, capture_baseline
+from .stats import EmpiricalBaseline, RegressionSpec, WrongSampleCount, capture_baseline
 
 
 def _load_specs(path) -> list[RegressionSpec]:
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, UnknownMetric) as e:
+    except (ConfigInvalid, UnknownMetric, WrongSampleCount) as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
 

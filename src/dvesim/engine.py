@@ -135,15 +135,16 @@ class Engine:
             raise SchedulingInPast(
                 f"run_until target {t_end_us} us is before engine time {self._now_us} us"
             )
-        while self._heap and self._heap[0][0] <= t_end_us:
-            fire_at_us, seq, action, target, kind = heapq.heappop(self._heap)
+        heap, log, stats = self._heap, self.event_log, self.stats
+        while heap and heap[0][0] <= t_end_us:
+            fire_at_us, seq, action, target, kind = heapq.heappop(heap)
             self._now_us = fire_at_us
-            if self.event_log is not None:
-                self.event_log.append((fire_at_us, seq, target, kind))
+            if log is not None:
+                log.append((fire_at_us, seq, target, kind))
             action()
-            self.stats.events_processed += 1
-        self.stats.end_time_us = self._now_us
-        return self.stats
+            stats.events_processed += 1
+        stats.end_time_us = self._now_us
+        return stats
 
     def pending(self) -> int:
         return len(self._heap)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -43,6 +44,25 @@ def check_keys(cls, d: dict, prefix: str = "") -> None:
     for key in d:
         if key not in known:
             raise ConfigInvalid(f"unknown config key {prefix}{key}")
+
+
+#: field annotation -> accepted value type; bool is no number here
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "dict": dict}
+
+
+def _wrong_type(value, want) -> bool:
+    return isinstance(value, bool) or not isinstance(value, want)
+
+
+def check_types(cls, d: dict, prefix: str = "") -> None:
+    """Raise ConfigInvalid naming the first key of ``d`` whose value does not
+    have the type its field of ``cls`` declares."""
+    declared = {f.name: f.type for f in fields(cls)}
+    for key, value in d.items():
+        want = _FIELD_TYPES.get(declared.get(key))
+        if want is not None and _wrong_type(value, want):
+            raise ConfigInvalid(f"{prefix}{key} must be {declared[key]}, got {value!r}")
 
 
 class BoundsDoNotBracket(ValueError):
@@ -90,6 +110,7 @@ class GaltonExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_types(type(self), vars(self))
         if self.topology not in (TOPOLOGY_A, TOPOLOGY_B):
             raise ConfigInvalid(f"unknown topology {self.topology!r}")
         if self.topology == TOPOLOGY_B and self.split not in (
@@ -113,15 +134,24 @@ class GaltonExperimentConfig:
             if key not in link_keys:
                 raise ConfigInvalid(f"link_overrides key {key!r} names no link "
                                     f"of topology {self.topology}")
+            if not isinstance(override, dict):
+                raise ConfigInvalid(f"link_overrides[{key!r}] must be a dict, "
+                                    f"got {override!r}")
             for name, value in override.items():
                 if name not in ("latency_s", "byte_rate", "jitter_s"):
                     raise ConfigInvalid(f"link_overrides[{key!r}]: unknown field {name!r}")
+                if _wrong_type(value, numbers.Real):
+                    raise ConfigInvalid(
+                        f"link_overrides[{key!r}].{name} must be a number, got {value!r}")
                 if value < 0 or (name == "byte_rate" and value == 0):
                     raise ConfigInvalid(
                         f"link_overrides[{key!r}].{name} out of range: {value!r}")
         for kind, size in self.message_sizes.items():
             if kind not in DEFAULT_MESSAGE_SIZES:
                 raise ConfigInvalid(f"message_sizes: unknown message kind {kind!r}")
+            if _wrong_type(size, numbers.Integral):
+                raise ConfigInvalid(f"message_sizes[{kind!r}] must be an int, "
+                                    f"got {size!r}")
             if size <= 0:
                 raise ConfigInvalid(f"message_sizes[{kind!r}] must be positive")
         try:
@@ -168,7 +198,10 @@ class GaltonExperimentConfig:
         d = dict(d)
         geo = d.pop("geometry", {})
         check_keys(cls, d)
+        if not isinstance(geo, dict):
+            raise ConfigInvalid(f"geometry must be a dict, got {geo!r}")
         check_keys(GaltonGeometry, geo, "geometry.")
+        check_types(GaltonGeometry, geo, "geometry.")
         try:
             geometry = GaltonGeometry(**geo)
         except ValueError as e:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..engine import Engine, seconds_to_us
 from ..netsim import Message, Network
-from .galton import ConfigInvalid, check_keys
+from .galton import ConfigInvalid, check_keys, check_types
 
 CLIENT = "client"
 SIM = "sim"
@@ -62,6 +62,7 @@ class LoginExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_types(type(self), vars(self))
         if self.topology not in (TOPOLOGY_PROXIED, TOPOLOGY_DEDICATED):
             raise ConfigInvalid(f"unknown topology {self.topology!r}")
         for name in ("inventory_folders", "inventory_items", "scene_objects",

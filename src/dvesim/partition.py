@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -177,8 +177,7 @@ class MigrationRecord:
     state: str = IN_FLIGHT
 
 
-@dataclass(frozen=True)
-class TransferMessage:
+class TransferMessage(NamedTuple):
     """Full entity state shipped to the gaining partition."""
 
     entity: int
@@ -188,8 +187,7 @@ class TransferMessage:
     state: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class MigrationAck:
+class MigrationAck(NamedTuple):
     entity: int
     token: int
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 EXISTENCE = "existence"
 
@@ -42,8 +42,7 @@ class ApplyResult(Enum):
     SUPERSEDED = "superseded"
 
 
-@dataclass(frozen=True)
-class PropertyUpdate:
+class PropertyUpdate(NamedTuple):
     entity: int
     property: str
     value: Any
@@ -90,6 +89,7 @@ class SceneReplica:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self._entities: dict[int, _EntityRecord] = {}
+        self._live = 0
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -113,16 +113,21 @@ class SceneReplica:
     def apply_update(self, u: PropertyUpdate) -> ApplyResult:
         """Apply one replicated update under the last-writer-wins rule."""
         rec = self._entities.get(u.entity)
+        stamp = u.stamp
         if u.property == EXISTENCE:
             if rec is None:
                 if not u.value:
                     raise UnknownEntity(u.entity)
-                self._entities[u.entity] = _EntityRecord(True, u.stamp)
+                self._entities[u.entity] = _EntityRecord(True, stamp)
+                self._live += 1
                 return ApplyResult.ACCEPTED
-            if u.stamp <= rec.existence_stamp:
+            if stamp <= rec.existence_stamp:
                 return ApplyResult.SUPERSEDED
-            rec.alive = bool(u.value)
-            rec.existence_stamp = u.stamp
+            alive = bool(u.value)
+            if alive != rec.alive:
+                self._live += 1 if alive else -1
+                rec.alive = alive
+            rec.existence_stamp = stamp
             return ApplyResult.ACCEPTED
         if rec is None:
             raise UnknownEntity(u.entity)
@@ -130,9 +135,9 @@ class SceneReplica:
         floor = rec.existence_stamp
         if current is not None and current[1] > floor:
             floor = current[1]
-        if u.stamp <= floor:
+        if stamp <= floor:
             return ApplyResult.SUPERSEDED
-        rec.props[u.property] = (u.value, u.stamp)
+        rec.props[u.property] = (u.value, stamp)
         return ApplyResult.ACCEPTED
 
     def apply_all(self, updates: Iterable[PropertyUpdate]) -> None:
@@ -174,7 +179,7 @@ class SceneReplica:
         return rec is not None and rec.alive
 
     def live_count(self) -> int:
-        return sum(1 for rec in self._entities.values() if rec.alive)
+        return self._live
 
     def get(self, entity: int, prop: str, default: Any = None) -> Any:
         """Visible value of a property, or default if absent or invisible."""

@@ -291,7 +291,8 @@ class Verdict:
 def check_regression(samples: Sequence[float], spec: RegressionSpec) -> Verdict:
     """Pass iff the sample mean is in-window and dispersion is in-bound."""
     if len(samples) != spec.k:
-        raise WrongSampleCount(f"spec expects {spec.k} samples, got {len(samples)}")
+        raise WrongSampleCount(
+            f"{spec.metric}: spec expects {spec.k} samples, got {len(samples)}")
     xs = np.asarray(samples, dtype=float)
     mean = float(xs.mean())
     sd = float(xs.std())  # population sd

@@ -1,8 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from dvesim.actors import (
+    _BLOCK,
+    _ID,
     Ball,
     DispatcherActor,
     GaltonGeometry,
@@ -243,7 +247,7 @@ class TestPhysicsTickOracle:
         assert actor.active_count == 0
         return [(c[0], c[3]) for c in ledger.collections], migrations
 
-    @pytest.mark.parametrize("n_balls", [50, 250])
+    @pytest.mark.parametrize("n_balls", [50, 250, _BLOCK + 76])
     @pytest.mark.parametrize("split", [False, True])
     def test_matches_scalar_model(self, n_balls, split, monkeypatch):
         region = RegionSpec()
@@ -261,6 +265,118 @@ class TestPhysicsTickOracle:
         assert got_migrations == want_migrations
         assert len(want_collections) + len(want_migrations) == n_balls
         assert bool(want_migrations) == split
+
+
+def ring_ids(actor, count):
+    """Entity ids of the first ``count`` balls in the actor's service order."""
+    table = actor._balls
+    rows = (actor._head + np.arange(count)) % len(table)
+    return table[rows, _ID].tolist()
+
+
+class TestBallRing:
+    """The ball table's service order against a deque that rotates served
+    survivors to the back and appends arrivals."""
+
+    GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                         balls_per_dropper=1, nominal_descent_s=1.0)
+    CAPACITY = 7
+
+    def test_service_order_matches_deque(self, monkeypatch):
+        engine, actor, ledger = wire_physics(self.GEO, capacity=self.CAPACITY, seed=8)
+        reference = deque()
+        seen = {"ticks": 0, "wrapped": 0, "grew_offset": False}
+        next_id = iter(range(1, 10**6))
+
+        def inject(count):
+            head, size = actor._head, len(actor._balls)
+            for _ in range(count):
+                entity = next(next_id)
+                actor.inject_ball(Ball(id=entity, box=0, row=0), scene_seq=entity)
+                reference.append(entity)
+            if len(actor._balls) != size and head != 0:
+                seen["grew_offset"] = True
+
+        tick = actor.physics_tick
+
+        def checked_tick(now_us):
+            k = min(len(reference), self.CAPACITY)
+            served = [reference.popleft() for _ in range(k)]
+            assert ring_ids(actor, actor.active_count) == served + list(reference)
+            if actor._head + k > len(actor._balls):
+                seen["wrapped"] += 1
+            result = tick(now_us)
+            reference.extend(e for e in served if actor.replica.is_live(e))
+            seen["ticks"] += 1
+            return result
+
+        monkeypatch.setattr(actor, "physics_tick", checked_tick)
+        # arrivals land while earlier balls are mid-descent and the head has
+        # moved, so the table grows from an offset head and later wraps
+        schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
+        for t_s, count in schedule:
+            engine.schedule(seconds_to_us(t_s), "test", "inject",
+                            lambda count=count: inject(count))
+        engine.run_until(seconds_to_us(3600.0))
+        total = sum(count for _, count in schedule)
+        assert total > _BLOCK
+        assert ledger.collected + ledger.discarded == total
+        assert actor.active_count == 0 and not reference
+        assert seen["grew_offset"] and seen["wrapped"] > 0
+        assert seen["ticks"] == actor.ticks
+
+
+class TestOwnerTable:
+    GEO = GaltonGeometry()
+
+    @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
+    def test_table_equals_owners_xy(self, layout):
+        geo = self.GEO
+        region = RegionSpec()
+        if layout == "single":
+            pmap = PartitionMap.single(region, 1, "physics-1")
+        elif layout == "split_x":
+            pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"),
+                                        (2, "physics-2"))
+        else:
+            pmap = PartitionMap.split_y(region, 128.0, (1, "physics-1"),
+                                        (2, "physics-2"))
+        engine = Engine(seed=1)
+        actor = PhysicsActor("physics-1", 1, pmap, geo, 10, 0.1, engine,
+                             Network(engine), "dispatcher", RunLedger(geo.bucket_count))
+        # every column of the board, and far past both ends of the table
+        columns = range(actor._col_lo - 50, actor._col_hi + actor._col_lo + 50)
+        want, boxes, rows, cols = [], [], [], []
+        for box in range(geo.boxes):
+            for row in range(geo.rows_per_box):
+                for column in columns:
+                    x = geo.ball_x_m(region, row, column)
+                    y = geo.box_center_y_m(region, box)
+                    inside = 0.0 <= x < region.width_m
+                    want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
+                                if inside else -1)
+                    boxes.append(box)
+                    rows.append(row)
+                    cols.append(column)
+        got = actor._owner_at(np.array(boxes), np.array(rows), np.array(cols))
+        assert got.tolist() == want
+        assert set(want) == set(pmap.partitions) | {-1}
+
+    def test_column_off_the_board_is_discarded(self):
+        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                             balls_per_dropper=1, nominal_descent_s=1.0)
+        engine, actor, ledger = wire_physics(geo, capacity=10)
+        actor.inject_ball(Ball(id=1, box=0, row=0, column=10_000))
+        actor.inject_ball(Ball(id=2, box=0, row=0, column=-10_000))
+        engine.run_until(seconds_to_us(5.0))
+        assert ledger.discarded == 2 and actor.active_count == 0
+
+    def test_ball_outside_the_geometry_is_refused(self):
+        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                             balls_per_dropper=1, nominal_descent_s=1.0)
+        engine, actor, ledger = wire_physics(geo, capacity=10)
+        with pytest.raises(ValueError):
+            actor.inject_ball(Ball(id=1, box=0, row=1))
 
 
 def wire_run(geometry, topology, period_s, capacity, seed=1):

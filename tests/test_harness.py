@@ -352,6 +352,21 @@ STRICT_CASES = [
     ("unknown login key", "login", login_dict(repeat=2), "repeat"),
     ("negative login delay", "login", login_dict(central_delay_s=-1.0),
      "central_delay_s"),
+    ("string period", "galton", galton_dict(period_t_s="fast"), "period_t_s"),
+    ("string override byte rate", "galton", galton_dict(link_overrides={
+        "dispatcher->physics": {"byte_rate": "x"}}), "byte_rate"),
+    ("override not a dict", "galton", galton_dict(link_overrides={
+        "dispatcher->physics": 1e4}), "dispatcher->physics"),
+    ("bool capacity", "galton", galton_dict(capacity_c=True), "capacity_c"),
+    ("float seed", "galton", galton_dict(seed=1.5), "seed"),
+    ("null duration cap", "galton", galton_dict(duration_cap_s=None), "duration_cap_s"),
+    ("string geometry value", "galton", galton_dict(geometry={"n_levels": "9"}),
+     "n_levels"),
+    ("float message size", "galton", galton_dict(message_sizes={"update": 10.5}),
+     "update"),
+    ("string login repeats", "login", login_dict(repeats="5"), "repeats"),
+    ("bool login delay", "login", login_dict(central_delay_s=True),
+     "central_delay_s"),
 ]
 
 
@@ -420,6 +435,24 @@ class TestCli:
         rc = cli.main(["regress", "--report"] + [str(p) for p in outs]
                       + ["--specs", str(specs_path)])
         assert rc == 1
+
+    def test_regress_wrong_sample_count_prints_one_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config().to_dict()))
+        out = tmp_path / "run"
+        assert cli.main(["run-galton", "--config", str(cfg_path), "--out", str(out)]) == 0
+        specs_path = tmp_path / "specs.json"
+        specs_path.write_text(json.dumps([
+            {"metric": "collected_total", "lo": 59, "hi": 61, "max_cv": 0.1, "k": 3}
+        ]))
+        capsys.readouterr()
+        rc = cli.main(["regress", "--report", str(out / "report.json"),
+                       "--specs", str(specs_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: collected_total: spec expects 3 samples, "
+                                "got 1\n")
 
     def test_baseline_capture_cli(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -154,3 +154,37 @@ def test_delivery_never_beats_latency_plus_serialization(sizes, gaps_ms, latency
     # FIFO: delivery times never reorder
     times = [qm.deliver_at_us for qm in link._queue]
     assert times == sorted(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(st.one_of(
+        st.tuples(st.just("send"), st.integers(min_value=1, max_value=5_000)),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=30_000))),
+        min_size=1, max_size=60),
+    jitter_ms=st.integers(min_value=0, max_value=20),
+)
+def test_bytes_pending_is_the_sum_of_queued_sizes(ops, jitter_ms):
+    engine = Engine(seed=2)
+    network = Network(engine)
+    network.add_link("a", "b", 0.001, 200_000.0, jitter_s=jitter_ms / 1000)
+    received = []
+    network.register_handler("b", lambda m: received.append(m.size_bytes))
+    link = network.link("a", "b")
+
+    def check():
+        assert link.bytes_pending == sum(qm.message.size_bytes for qm in link._queue)
+        assert link.delivered_bytes == sum(received)
+        assert link.delivered_count == len(received)
+
+    t = 0
+    for op, value in ops:
+        if op == "send":
+            network.send("a", "b", "request", None, size_bytes=value)
+        else:
+            t += value
+            engine.run_until(max(t, engine.now_us))
+        check()
+    engine.run_until(engine.now_us + seconds_to_us(60.0))
+    check()
+    assert link.bytes_pending == 0 and link.depth == 0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvesim.scene import (
     EXISTENCE,
@@ -153,3 +155,34 @@ class TestConvergence:
             if rec is not None:
                 assert rec[1] >= last
                 last = rec[1]
+
+
+@st.composite
+def update_deliveries(draw):
+    """A pool of stamped updates and a delivery order that reorders,
+    duplicates and drops them; equal and older stamps get superseded."""
+    update = st.builds(
+        PropertyUpdate,
+        entity=st.integers(min_value=1, max_value=4),
+        property=st.sampled_from([EXISTENCE, EXISTENCE, "position"]),
+        value=st.booleans(),
+        ts_us=st.integers(min_value=0, max_value=12),
+        origin=st.sampled_from(["node-a", "node-b"]),
+        seq=st.integers(min_value=0, max_value=3),
+    )
+    pool = draw(st.lists(update, min_size=1, max_size=20))
+    order = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
+                          max_size=40))
+    return [pool[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(deliveries=update_deliveries())
+def test_live_count_matches_a_scan_of_the_records(deliveries):
+    r = SceneReplica("r")
+    for u in deliveries:
+        try:
+            r.apply_update(u)
+        except UnknownEntity:
+            pass
+        assert r.live_count() == sum(rec.alive for rec in r._entities.values())
