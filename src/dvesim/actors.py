@@ -162,7 +162,6 @@ class RunLedger:
     migrations_completed: int = 0
     collected: int = 0
     discarded: int = 0
-    relayed: int = 0
     histogram: np.ndarray = field(init=False)
     #: (t_us, interval_us, node, bucket) per collected ball
     collections: list[tuple[int, int, str, int]] = field(default_factory=list)
@@ -347,7 +346,7 @@ class PhysicsActor:
         self._head = 0
         self._n = 0
         self._scene_origin: Optional[str] = None
-        self._ghosts: dict[int, dict] = {}
+        self._ghosts: set[int] = set()
         self._ticking = False
         self.ticks = 0
         self.steps_executed = 0
@@ -468,7 +467,7 @@ class PhysicsActor:
         elif msg.kind == "ack":
             env: AckEnvelope = msg.payload
             self.tracker.complete_migration(env.ack, self.engine.now_us)
-            self._ghosts.pop(env.ack.entity, None)
+            self._ghosts.discard(env.ack.entity)
             self.ledger.migration_completed(env.ack.entity)
         elif msg.kind in ("delete", "update"):
             self.replica.apply_update(msg.payload)
@@ -594,7 +593,7 @@ class PhysicsActor:
         }
         transfers = self.tracker.begin_migration(entity, self.partition_id,
                                                  to_partition, now_us, state)
-        self._ghosts[entity] = state
+        self._ghosts.add(entity)
         for t in transfers:
             self.network.send(self.node_id, self.dispatcher_id, "migrate", t)
             self.msgs_sent += 1
@@ -666,5 +665,4 @@ class DispatcherActor:
         else:
             raise UnroutableMessage(msg.kind)
         self.msgs_sent += len(out)
-        self.ledger.relayed += len(out)
         return out

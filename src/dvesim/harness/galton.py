@@ -127,8 +127,8 @@ class GaltonExperimentConfig:
         for name in ("epsilon_max_s", "link_latency_s", "link_jitter_s"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
-        if self.link_byte_rate <= 0:
-            raise ConfigInvalid("link_byte_rate must be positive")
+        if self.link_byte_rate < 1:
+            raise ConfigInvalid("link_byte_rate must be >= 1 B/s")
         link_keys = {k for src, dst in self.links() for k in _override_keys(src, dst)}
         for key, override in self.link_overrides.items():
             if key not in link_keys:
@@ -143,7 +143,7 @@ class GaltonExperimentConfig:
                 if _wrong_type(value, numbers.Real):
                     raise ConfigInvalid(
                         f"link_overrides[{key!r}].{name} must be a number, got {value!r}")
-                if value < 0 or (name == "byte_rate" and value == 0):
+                if value < 0 or (name == "byte_rate" and value < 1):
                     raise ConfigInvalid(
                         f"link_overrides[{key!r}].{name} out of range: {value!r}")
         for kind, size in self.message_sizes.items():

@@ -77,8 +77,8 @@ class LoginExperimentConfig:
                      "link_latency_s"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
-        if self.link_byte_rate <= 0:
-            raise ConfigInvalid("link_byte_rate must be positive")
+        if self.link_byte_rate < 1:
+            raise ConfigInvalid("link_byte_rate must be >= 1 B/s")
 
     def to_dict(self) -> dict:
         return asdict(self)

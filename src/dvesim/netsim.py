@@ -59,8 +59,8 @@ class Link:
                  byte_rate: float, jitter_us: int = 0):
         if latency_us < 0:
             raise ValueError("latency must be >= 0")
-        if byte_rate <= 0:
-            raise ValueError("byte rate must be > 0")
+        if byte_rate < 1:
+            raise ValueError("byte rate must be >= 1 B/s")
         self.link_id = f"{from_node}->{to_node}"
         self.from_node = from_node
         self.to_node = to_node

@@ -6,7 +6,8 @@ run.  When a moving entity's position changes owner, the losing node ghosts
 the entity (it stops simulating it), ships its full state to the gaining
 node, and drops the ghost when the acknowledgment returns.  At any
 quiescent instant each live entity is simulated by exactly one partition,
-and by none while its transfer is in flight.
+and by none while its transfer is in flight.  Settled handshakes are
+returned to the caller, not retained: a tracker holds only those in flight.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ IN_FLIGHT = "in_flight"
 APPLIED = "applied"
 
 
-@dataclass
+@dataclass(slots=True)
 class MigrationRecord:
     entity: int
     from_partition: int
@@ -198,18 +199,18 @@ class MigrationTracker:
     def __init__(self):
         self._in_flight: dict[int, MigrationRecord] = {}
         self._tokens = itertools.count()
-        self.completed: list[MigrationRecord] = []
 
     def begin_migration(self, entity: int, from_partition: int, to_partition: int,
                         now_us: int, state: dict[str, Any]) -> list[TransferMessage]:
-        """Start the handshake; returns the messages to put on the wire."""
+        """Start the handshake; returns the messages to put on the wire.
+        They carry ``state`` itself, which the caller must not change after."""
         if entity in self._in_flight:
             raise AlreadyMigrating(entity)
         token = next(self._tokens)
         self._in_flight[entity] = MigrationRecord(
             entity, from_partition, to_partition, now_us, token
         )
-        return [TransferMessage(entity, from_partition, to_partition, token, dict(state))]
+        return [TransferMessage(entity, from_partition, to_partition, token, state)]
 
     @staticmethod
     def acknowledge(transfer: TransferMessage) -> MigrationAck:
@@ -217,14 +218,13 @@ class MigrationTracker:
         return MigrationAck(transfer.entity, transfer.token)
 
     def complete_migration(self, ack: MigrationAck, now_us: int) -> MigrationRecord:
-        """Settle the record on ack arrival; duplicate acks are unknown."""
+        """Settle the record on ack arrival and return it; duplicate acks are unknown."""
         record = self._in_flight.get(ack.entity)
         if record is None or record.token != ack.token:
             raise UnknownMigration((ack.entity, ack.token))
         del self._in_flight[ack.entity]
         record.completed_at_us = now_us
         record.state = APPLIED
-        self.completed.append(record)
         return record
 
     def in_flight_count(self) -> int:

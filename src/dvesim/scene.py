@@ -17,16 +17,17 @@ it.  Tombstones are kept for the whole run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Any, Iterator, NamedTuple
 
 EXISTENCE = "existence"
 
 #: (timestamp_us, origin node id, per-origin sequence number)
 Stamp = tuple[int, str, int]
 
-_MIN_STAMP: Stamp = (-1, "", -1)
+_NO_PROPS: Any = MappingProxyType({})
 
 
 class UnknownEntity(KeyError):
@@ -74,13 +75,14 @@ def deletion_update(entity: int, ts_us: int, origin: str,
     return PropertyUpdate(entity, EXISTENCE, False, ts_us, origin, next(seq_counter))
 
 
-@dataclass
+@dataclass(slots=True)
 class _EntityRecord:
     alive: bool
     existence_stamp: Stamp
     # property name -> (value, stamp); may hold entries older than the
-    # current incarnation, which stay invisible until out-stamped.
-    props: dict[str, tuple[Any, Stamp]] = field(default_factory=dict)
+    # current incarnation, which stay invisible until out-stamped.  Shared
+    # and read-only _NO_PROPS until the first one: most entities get none.
+    props: dict[str, tuple[Any, Stamp]]
 
 
 class SceneReplica:
@@ -118,7 +120,7 @@ class SceneReplica:
             if rec is None:
                 if not u.value:
                     raise UnknownEntity(u.entity)
-                self._entities[u.entity] = _EntityRecord(True, stamp)
+                self._entities[u.entity] = _EntityRecord(True, stamp, _NO_PROPS)
                 self._live += 1
                 return ApplyResult.ACCEPTED
             if stamp <= rec.existence_stamp:
@@ -137,12 +139,10 @@ class SceneReplica:
             floor = current[1]
         if stamp <= floor:
             return ApplyResult.SUPERSEDED
+        if rec.props is _NO_PROPS:
+            rec.props = {}
         rec.props[u.property] = (u.value, stamp)
         return ApplyResult.ACCEPTED
-
-    def apply_all(self, updates: Iterable[PropertyUpdate]) -> None:
-        for u in updates:
-            self.apply_update(u)
 
     # ------------------------------------------------------------------
     # entity-level operations
@@ -159,7 +159,8 @@ class SceneReplica:
         if rec is not None and rec.alive:
             raise DuplicateCreate(entity)
         updates = creation_updates(entity, initial, ts_us, origin, self.seq_counter())
-        self.apply_all(updates)
+        for u in updates:
+            self.apply_update(u)
         return updates
 
     def delete_entity(self, entity: int, ts_us: int, origin: str) -> PropertyUpdate:

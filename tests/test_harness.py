@@ -346,6 +346,12 @@ STRICT_CASES = [
      "updtae"),
     ("zero message size", "galton", galton_dict(message_sizes={"update": 0}),
      "update"),
+    ("byte rate below 1 B/s", "galton", galton_dict(link_byte_rate=0.5),
+     "link_byte_rate"),
+    ("override byte rate below 1 B/s", "galton", galton_dict(link_overrides={
+        "dispatcher->physics": {"byte_rate": 0.5}}), "byte_rate"),
+    ("login byte rate below 1 B/s", "login", login_dict(link_byte_rate=0.5),
+     "link_byte_rate"),
     ("negative epsilon", "galton", galton_dict(epsilon_max_s=-1.0), "epsilon_max_s"),
     ("negative link jitter", "galton", galton_dict(link_jitter_s=-1.0),
      "link_jitter_s"),
@@ -399,6 +405,21 @@ class TestStrictConfig:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "dispatcher->phyiscs" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"link_byte_rate": 0.5},
+        {"link_overrides": {"physics->dispatcher": {"byte_rate": 0.5}}},
+    ], ids=["link_byte_rate", "override"])
+    def test_cli_rejects_byte_rate_below_one(self, tmp_path, capsys, changes):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(galton_dict(**changes)))
+        out = tmp_path / "out"
+        rc = cli.main(["run-galton", "--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and "byte_rate" in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvesim.engine import Engine, seconds_to_us
-from dvesim.netsim import DEFAULT_MESSAGE_SIZES, Network
+from dvesim.netsim import DEFAULT_MESSAGE_SIZES, Link, Network
 
 
 def make_net(latency_s=0.001, byte_rate=125_000.0):
@@ -99,6 +99,12 @@ def test_sample_queues():
     with pytest.raises(ValueError):
         network.sample_queues(1)  # samples must strictly increase in time
     assert len(network.samples) == 2
+
+
+@pytest.mark.parametrize("byte_rate", [0.0, 0.5, 0.999])
+def test_link_rejects_rates_below_one_byte_per_second(byte_rate):
+    with pytest.raises(ValueError, match="byte rate"):
+        Link("a", "b", 0, byte_rate)
 
 
 def test_unknown_link_rejected():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,35 @@ class TestMigrationHandshake:
         assert record.completed_at_us == 300
         with pytest.raises(UnknownMigration):
             tracker.complete_migration(ack, now_us=301)
+
+    def test_settled_migrations_are_returned_not_retained(self):
+        tracker = MigrationTracker()
+
+        def cycles(first, count):
+            for i in range(first, first + count):
+                (t,) = tracker.begin_migration(i, 1, 2, now_us=10 * i, state={})
+                record = tracker.complete_migration(
+                    MigrationTracker.acknowledge(t), now_us=10 * i + 7)
+                assert (record.initiated_at_us, record.completed_at_us) == \
+                    (10 * i, 10 * i + 7)
+
+        def sizes():
+            return {name: len(value) for name, value in vars(tracker).items()
+                    if hasattr(value, "__len__")}
+
+        cycles(0, 10)
+        after_ten = sizes()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cycles(10, 1_000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sizes() == after_ten
+        assert tracker.in_flight_count() == 0
+        # a retained record costs over 100 B; 1,000 of them would show
+        assert grown < 16_000
 
     def test_completion_takes_at_least_the_link_latency(self):
         # handshake over simulated links: transfer out, ack back

@@ -157,6 +157,25 @@ class TestConvergence:
                 last = rec[1]
 
 
+class TestEntityRecords:
+    def test_entities_without_property_updates_share_no_props_container(self):
+        r = SceneReplica("r")
+        for entity in (1, 2):
+            r.create_entity(entity, {}, ts_us=entity, origin="node-a")
+            r.delete_entity(entity, ts_us=10 + entity, origin="node-a")
+        first, second = r._entities[1], r._entities[2]
+        assert first.props is second.props and len(first.props) == 0
+        assert not hasattr(first, "__dict__")
+
+    def test_first_property_update_gives_the_entity_its_own_props(self):
+        r = SceneReplica("r")
+        r.create_entity(1, {}, ts_us=1, origin="node-a")
+        r.create_entity(2, {}, ts_us=1, origin="node-a")
+        assert r.apply_update(upd(1, "position", 5, ts=2)) is ApplyResult.ACCEPTED
+        assert r.get(1, "position") == 5 and r.get(2, "position") is None
+        assert len(r._entities[2].props) == 0
+
+
 @st.composite
 def update_deliveries(draw):
     """A pool of stamped updates and a delivery order that reorders,
