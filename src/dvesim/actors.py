@@ -160,40 +160,24 @@ class RunLedger:
     transfers_sent: int = 0
     transfers_delivered: int = 0
     migrations_completed: int = 0
-    collected: int = 0
     discarded: int = 0
-    histogram: np.ndarray = field(init=False)
     #: (t_us, interval_us, node, bucket) per collected ball
     collections: list[tuple[int, int, str, int]] = field(default_factory=list)
     migrated_entities: set[int] = field(default_factory=set)
-
-    def __post_init__(self):
-        self.histogram = np.zeros(self.bucket_count, dtype=np.int64)
-
-    def ball_created(self, entity: int) -> None:
-        self.created += 1
-
-    def create_delivered(self, entity: int) -> None:
-        self.creates_delivered += 1
 
     def transfer_sent(self, entity: int) -> None:
         self.transfers_sent += 1
         self.migrated_entities.add(entity)
 
-    def transfer_delivered(self, entity: int) -> None:
-        self.transfers_delivered += 1
+    @property
+    def collected(self) -> int:
+        return len(self.collections)
 
-    def migration_completed(self, entity: int) -> None:
-        self.migrations_completed += 1
-
-    def ball_collected(self, node: str, entity: int, bucket: int,
-                       interval_us: int, t_us: int) -> None:
-        self.collected += 1
-        self.histogram[bucket] += 1
-        self.collections.append((t_us, interval_us, node, bucket))
-
-    def ball_discarded(self, node: str, entity: int, t_us: int) -> None:
-        self.discarded += 1
+    @property
+    def histogram(self) -> np.ndarray:
+        """Collected balls per bucket."""
+        buckets = np.array([c[3] for c in self.collections], dtype=np.int64)
+        return np.bincount(buckets, minlength=self.bucket_count)
 
     @property
     def pending_creates(self) -> int:
@@ -252,35 +236,34 @@ class ScriptActor:
                          for box in range(geometry.boxes)
                          for row in range(geometry.rows_per_box)
                          for d in range(geometry.droppers_per_row)]
-        self.remaining = {dropper: geometry.balls_per_dropper for dropper in self.droppers}
-        self.msgs_sent = 0
+        #: balls each dropper still has to drop; every dropper drops on
+        #: every tick, so one countdown serves them all
+        self.remaining = geometry.balls_per_dropper
 
     def start(self) -> None:
         self.engine.schedule(self.engine.now_us, self.node_id, "drop", self._fire)
 
     def _fire(self) -> None:
         self.dropper_tick(self.engine.now_us)
-        if any(r > 0 for r in self.remaining.values()):
+        if self.remaining > 0:
             self.engine.schedule(self.engine.now_us + self.period_us,
                                  self.node_id, "drop", self._fire)
 
     def dropper_tick(self, now_us: int) -> list[Message]:
-        """Emit one creation per dropper that still has balls to drop."""
+        """Emit one creation per dropper, until the droppers run dry."""
         msgs = []
+        if self.remaining <= 0:
+            return msgs
+        self.remaining -= 1
         ts = self.engine.local_now_us(self.clock)
-        for dropper in self.droppers:
-            if self.remaining[dropper] <= 0:
-                continue
-            self.remaining[dropper] -= 1
-            box, row, _ = dropper
+        for box, row, _ in self.droppers:
             entity = next(self._entities)
             updates = self.replica.create_entity(entity, {}, ts, self.node_id)
             spawn = BallSpawn(entity, box, row, now_us,
                               updates[0].ts_us, updates[0].origin, updates[0].seq)
             msgs.append(self.network.send(self.node_id, self.dispatcher_id,
                                           "create", spawn))
-            self.ledger.ball_created(entity)
-            self.msgs_sent += 1
+            self.ledger.created += 1
         return msgs
 
     def on_message(self, msg: Message) -> None:
@@ -290,7 +273,7 @@ class ScriptActor:
 
     @property
     def exhausted(self) -> bool:
-        return all(r <= 0 for r in self.remaining.values())
+        return self.remaining <= 0
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +334,6 @@ class PhysicsActor:
         self.ticks = 0
         self.steps_executed = 0
         self.peak_load = 0.0
-        self.msgs_sent = 0
-        self.msgs_recv = 0
 
     def _owner_table(self) -> tuple[np.ndarray, int]:
         """Partition id per (box, row, column - col_lo), -1 off the region.
@@ -437,14 +418,13 @@ class PhysicsActor:
     # ---- messaging ----------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        self.msgs_recv += 1
         if msg.kind == "create":
             spawn: BallSpawn = msg.payload
             self._register_scene_entity(spawn.entity, spawn.scene_ts_us,
                                         spawn.scene_origin, spawn.scene_seq)
             self._append_ball(spawn.entity, spawn.box, spawn.row, 0, 0, 0,
                               spawn.created_at_us, spawn.scene_ts_us, spawn.scene_seq)
-            self.ledger.create_delivered(spawn.entity)
+            self.ledger.creates_delivered += 1
             self._ensure_ticking()
         elif msg.kind == "migrate":
             transfer: TransferMessage = msg.payload
@@ -458,17 +438,16 @@ class PhysicsActor:
             self._append_ball(transfer.entity, st["box"], st["row"], st["level"],
                               st["column"], st["progress_us"], st["created_at_us"],
                               st["scene_ts_us"], st["scene_seq"])
-            self.ledger.transfer_delivered(transfer.entity)
+            self.ledger.transfers_delivered += 1
             ack = MigrationTracker.acknowledge(transfer)
             self.network.send(self.node_id, self.dispatcher_id, "ack",
                               AckEnvelope(ack, transfer.from_partition))
-            self.msgs_sent += 1
             self._ensure_ticking()
         elif msg.kind == "ack":
             env: AckEnvelope = msg.payload
             self.tracker.complete_migration(env.ack, self.engine.now_us)
             self._ghosts.discard(env.ack.entity)
-            self.ledger.migration_completed(env.ack.entity)
+            self.ledger.migrations_completed += 1
         elif msg.kind in ("delete", "update"):
             self.replica.apply_update(msg.payload)
         else:
@@ -543,7 +522,7 @@ class PhysicsActor:
             collected += np.count_nonzero(landed)
             off = ~landed & (own_now < 0)
             for ball in w[crossed[off]].tolist():
-                self._discard(ball, now_us)
+                self._discard(ball)
             gone = landed | off
             if multi:
                 moved = ~gone & (own_now != own_prev)
@@ -560,27 +539,26 @@ class PhysicsActor:
                 "load": load}
 
     def _collect(self, ball: list[int], now_us: int) -> None:
-        entity, row, column, created = (ball[_ID], ball[_ROW], ball[_COLUMN],
-                                        ball[_CREATED])
-        bucket = self.geometry.final_bucket(column, row)
-        ts = self.engine.local_now_us(self.clock)
-        if 0 <= bucket < self.geometry.bucket_count:
-            self.ledger.ball_collected(self.node_id, entity, bucket,
-                                       now_us - created, now_us)
-        else:
-            self.ledger.ball_discarded(self.node_id, entity, now_us)
-        update = self.replica.delete_entity(entity, ts, self.node_id)
-        self.network.send(self.node_id, self.dispatcher_id, "delete", update)
-        self.msgs_sent += 1
+        """Ball landed: record its bucket, or discard it off the histogram."""
+        bucket = self.geometry.final_bucket(ball[_COLUMN], ball[_ROW])
+        if not 0 <= bucket < self.geometry.bucket_count:
+            self._discard(ball)
+            return
+        self.ledger.collections.append(
+            (now_us, now_us - ball[_CREATED], self.node_id, bucket))
+        self._retire(ball[_ID])
 
-    def _discard(self, ball: list[int], now_us: int) -> None:
+    def _discard(self, ball: list[int]) -> None:
         """Ball left the region: drop it from the results and the scene."""
-        entity = ball[_ID]
+        self.ledger.discarded += 1
+        self._retire(ball[_ID])
+
+    def _retire(self, entity: int) -> None:
+        """Delete a collected or discarded ball from the scene and tell the
+        dispatcher."""
         ts = self.engine.local_now_us(self.clock)
-        self.ledger.ball_discarded(self.node_id, entity, now_us)
         update = self.replica.delete_entity(entity, ts, self.node_id)
         self.network.send(self.node_id, self.dispatcher_id, "delete", update)
-        self.msgs_sent += 1
 
     def _migrate_out(self, ball: list[int], to_partition: int, now_us: int) -> None:
         entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
@@ -596,7 +574,6 @@ class PhysicsActor:
         self._ghosts.add(entity)
         for t in transfers:
             self.network.send(self.node_id, self.dispatcher_id, "migrate", t)
-            self.msgs_sent += 1
             self.ledger.transfer_sent(entity)
 
     # ---- test hooks -----------------------------------------------------
@@ -632,11 +609,8 @@ class DispatcherActor:
         self.geometry = geometry
         self.subscribers = {kind: list(nodes) for kind, nodes in subscribers.items()}
         self.ledger = ledger
-        self.msgs_recv = 0
-        self.msgs_sent = 0
 
     def on_message(self, msg: Message) -> None:
-        self.msgs_recv += 1
         self.dispatcher_relay(msg)
 
     def dispatcher_relay(self, msg: Message) -> list[Message]:
@@ -664,5 +638,4 @@ class DispatcherActor:
                    for node in targets if node != msg.src]
         else:
             raise UnroutableMessage(msg.kind)
-        self.msgs_sent += len(out)
         return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
@@ -52,7 +53,10 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
 
 
 def _wrong_type(value, want) -> bool:
-    return isinstance(value, bool) or not isinstance(value, want)
+    """True unless ``value`` is a ``want``; NaN and the infinities, which
+    ``json`` reads from ``NaN`` and ``Infinity``, are no numbers here."""
+    return (isinstance(value, bool) or not isinstance(value, want)
+            or (isinstance(value, float) and not math.isfinite(value)))
 
 
 def check_types(cls, d: dict, prefix: str = "") -> None:
@@ -291,6 +295,13 @@ def run_galton(config: GaltonExperimentConfig,
     cap_us = seconds_to_us(config.duration_cap_s)
     node_order = [SCRIPT, DISPATCHER] + physics_ids
     series = {n: NodeSeries() for n in node_order}
+    # a node's traffic is what its links carried: sent on its outgoing
+    # links, delivered on its incoming ones; the script's received count
+    # is exported as 0
+    links = network.links()
+    outgoing = {n: [link for link in links if link.from_node == n] for n in node_order}
+    incoming = {n: [link for link in links if link.to_node == n] for n in node_order}
+    incoming[SCRIPT] = []
     times_us: list[int] = []
     peak_balls = 0
     hit_cap = False
@@ -307,20 +318,16 @@ def run_galton(config: GaltonExperimentConfig,
                 s.balls_in_scene.append(script.replica.live_count())
                 s.load_proxy.append(None)
                 s.mean_interval_s.append(None)
-                s.msgs_sent.append(script.msgs_sent)
-                s.msgs_recv.append(0)
             elif n == DISPATCHER:
                 s.balls_in_scene.append(None)
                 s.load_proxy.append(None)
                 s.mean_interval_s.append(None)
-                s.msgs_sent.append(dispatcher.msgs_sent)
-                s.msgs_recv.append(dispatcher.msgs_recv)
             else:
                 actor = physics[n]
                 s.balls_in_scene.append(actor.active_count)
                 s.load_proxy.append(actor.load_proxy)
-                s.msgs_sent.append(actor.msgs_sent)
-                s.msgs_recv.append(actor.msgs_recv)
+            s.msgs_sent.append(sum(link.sent_count for link in outgoing[n]))
+            s.msgs_recv.append(sum(link.delivered_count for link in incoming[n]))
         falling = sum(a.active_count for a in physics.values())
         peak_balls = max(peak_balls, falling)
         if not ledger.conservation_holds(falling):
@@ -350,7 +357,7 @@ def run_galton(config: GaltonExperimentConfig,
                                                           times_us, n)
     end_time_s = t / 1e6
     expected = theoretical_distribution(geometry).expected
-    histogram = BucketHistogram(ledger.histogram.copy())
+    histogram = BucketHistogram(ledger.histogram)
     intervals = np.array([c[1] for c in ledger.collections], dtype=float)
     interval_mean_s = float(intervals.mean() / 1e6) if len(intervals) else float("nan")
     rmse_th = rmse(histogram, expected)

@@ -282,14 +282,15 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
                 network.add_link(a, b, config.link_latency_s, config.link_byte_rate)
 
     client = _Client(engine, network, config)
-    sim = _SpaceServer(engine, network, config)
-    central = _Server(CENTRAL, engine, network, config.central_serve_cost,
-                      config.central_delay_s)
-    servers: dict[str, object] = {SIM: sim, CENTRAL: central}
+    servers: dict[str, object] = {
+        SIM: _SpaceServer(engine, network, config),
+        CENTRAL: _Server(CENTRAL, engine, network, config.central_serve_cost,
+                         config.central_delay_s),
+    }
     if config.topology == TOPOLOGY_DEDICATED:
-        inventory = _Server(INVENTORY, engine, network,
-                            config.inventory_serve_cost, config.inventory_delay_s)
-        servers[INVENTORY] = inventory
+        servers[INVENTORY] = _Server(INVENTORY, engine, network,
+                                     config.inventory_serve_cost,
+                                     config.inventory_delay_s)
     network.register_handler(CLIENT, client.on_message)
     for node, actor in servers.items():
         network.register_handler(node, actor.on_message)
@@ -297,13 +298,9 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
     client.start()
     engine.run_until(seconds_to_us(config.run_length_s))
 
-    units = {SIM: sim.units, CENTRAL: central.units}
-    totals = {SIM: sim.total_requests, CENTRAL: central.total_requests}
-    inv = {SIM: sim.inventory_requests, CENTRAL: central.inventory_requests}
-    if config.topology == TOPOLOGY_DEDICATED:
-        units[INVENTORY] = servers[INVENTORY].units
-        totals[INVENTORY] = servers[INVENTORY].total_requests
-        inv[INVENTORY] = servers[INVENTORY].inventory_requests
+    units, totals, inv = (
+        {node: getattr(server, name) for node, server in servers.items()}
+        for name in ("units", "total_requests", "inventory_requests"))
     completed = (client.inventory_done_s is not None
                  and client.assets_done_s is not None)
     return LoginRunResult(units, totals, inv, client.inventory_done_s,

@@ -112,22 +112,6 @@ class PartitionMap:
         grid[:, cut:] = far[0]
         return cls(region, grid, {near[0]: near[1], far[0]: far[1]})
 
-    @classmethod
-    def from_rects(cls, region: RegionSpec,
-                   rects: list[tuple[int, int, int, int, int]],
-                   partitions: dict[int, str]) -> "PartitionMap":
-        """Build from (i0, j0, i1, j1, partition_id) microcell rectangles.
-
-        Rectangles are half-open in cell units and applied in order; every
-        cell must end up assigned.
-        """
-        grid = np.full((region.nx, region.ny), -1, dtype=np.int32)
-        for i0, j0, i1, j1, pid in rects:
-            grid[i0:i1, j0:j1] = pid
-        if (grid < 0).any():
-            raise ValueError("rectangles do not cover the region")
-        return cls(region, grid, partitions)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -163,10 +147,6 @@ def detect_crossing(prev: tuple[float, float], nxt: tuple[float, float],
 # migration handshake
 # ----------------------------------------------------------------------
 
-IN_FLIGHT = "in_flight"
-APPLIED = "applied"
-
-
 @dataclass(slots=True)
 class MigrationRecord:
     entity: int
@@ -175,7 +155,6 @@ class MigrationRecord:
     initiated_at_us: int
     token: int
     completed_at_us: Optional[int] = None
-    state: str = IN_FLIGHT
 
 
 class TransferMessage(NamedTuple):
@@ -224,7 +203,6 @@ class MigrationTracker:
             raise UnknownMigration((ack.entity, ack.token))
         del self._in_flight[ack.entity]
         record.completed_at_us = now_us
-        record.state = APPLIED
         return record
 
     def in_flight_count(self) -> int:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,9 @@ class TestSearch:
         assert len(result.probes) == 10
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def login_cfg(**kw):
     defaults = dict(topology=TOPOLOGY_PROXIED,
                     inventory_folders=LIGHT_INVENTORY[0],
@@ -305,6 +310,16 @@ class TestLogin:
         path = tmp_path / "login.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert LoginExperimentConfig.from_file(path) == cfg
+
+    @pytest.mark.parametrize("name,digest", [
+        ("login_proxied_heavy", "a6bbfcdc4777517f"),
+        ("login_dedicated_heavy", "fc73882e57f76b13"),
+    ])
+    def test_heavy_reports_are_pinned(self, tmp_path, name, digest):
+        cfg = LoginExperimentConfig.from_file(CONFIGS / f"{name}.json")
+        path = tmp_path / "login_report.json"
+        run_login(cfg).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
     def test_invalid_config(self):
         with pytest.raises(ConfigInvalid):
@@ -373,6 +388,21 @@ STRICT_CASES = [
     ("string login repeats", "login", login_dict(repeats="5"), "repeats"),
     ("bool login delay", "login", login_dict(central_delay_s=True),
      "central_delay_s"),
+    ("NaN byte rate", "galton", galton_dict(link_byte_rate=float("nan")),
+     "link_byte_rate"),
+    ("infinite byte rate", "galton", galton_dict(link_byte_rate=float("inf")),
+     "link_byte_rate"),
+    ("NaN latency", "galton", galton_dict(link_latency_s=float("nan")),
+     "link_latency_s"),
+    ("infinite period", "galton", galton_dict(period_t_s=float("inf")), "period_t_s"),
+    ("infinite duration cap", "galton", galton_dict(duration_cap_s=float("inf")),
+     "duration_cap_s"),
+    ("NaN override byte rate", "galton", galton_dict(link_overrides={
+        "dispatcher->physics": {"byte_rate": float("nan")}}), "byte_rate"),
+    ("infinite override byte rate", "galton", galton_dict(link_overrides={
+        "dispatcher->physics": {"byte_rate": float("inf")}}), "byte_rate"),
+    ("NaN login byte rate", "login", login_dict(link_byte_rate=float("nan")),
+     "link_byte_rate"),
 ]
 
 
@@ -420,6 +450,19 @@ class TestStrictConfig:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error: ") and "byte_rate" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cli_rejects_non_finite_numbers(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        # json writes and reads NaN and Infinity unquoted
+        cfg_path.write_text(json.dumps(galton_dict(period_t_s=float("inf"))))
+        assert "Infinity" in cfg_path.read_text()
+        out = tmp_path / "out"
+        rc = cli.main(["run-galton", "--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and "period_t_s" in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
 

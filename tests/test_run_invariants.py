@@ -4,13 +4,15 @@ Each example runs ``run_galton`` on a small geometry, in topology A or B
 with either split, with or without link jitter and a slow link class.  The run's own audits
 (conservation and ghost count, checked at every sample tick) must never
 fire, the run must drain, every link must deliver in send order, the
-histogram must account for every created ball, and a re-run must export
-the same bytes.  After the run the remaining events are processed, so
+histogram must account for every created ball, each node's last message
+counts must equal what its links carried, and a re-run must export the
+same bytes.  After the run the remaining events are processed, so
 that every message in flight arrives; then no migration may be left open.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from collections import defaultdict
 from contextlib import ExitStack
@@ -102,6 +104,16 @@ def test_small_runs_keep_every_invariant(config):
         export(run_galton(config), second)
         for name in EXPORTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        link_totals = json.loads((first / "report.json").read_text())["link_totals"]
+
+    for node, series in report.nodes.items():
+        sent = sum(t["sent_count"] for link_id, t in link_totals.items()
+                   if link_id.split("->")[0] == node)
+        received = sum(t["delivered_count"] for link_id, t in link_totals.items()
+                       if link_id.split("->")[1] == node)
+        assert series.msgs_sent[-1] == sent, node
+        # the script's received count is exported as 0
+        assert series.msgs_recv[-1] == (0 if node == "script" else received), node
 
     assert not report.hit_cap and report.audit_ok
     assert report.collected_total + report.discarded == report.created_total
