@@ -10,45 +10,3 @@ non-functional metrics.
 """
 
 __version__ = "0.1.0"
-
-from . import actors, engine, netsim, partition, scene, stats
-from .engine import Engine, NodeClock, RandomStream, SchedulingInPast
-from .scene import (
-    ApplyResult,
-    DuplicateCreate,
-    PropertyUpdate,
-    SceneReplica,
-    UnknownEntity,
-    digest,
-)
-from .partition import (
-    AlreadyMigrating,
-    MigrationRecord,
-    MigrationTracker,
-    OutOfRegion,
-    PartitionMap,
-    RegionSpec,
-    UnknownMigration,
-    detect_crossing,
-)
-from .netsim import Link, Message, Network, QueueSample
-from .actors import (
-    Ball,
-    DispatcherActor,
-    GaltonGeometry,
-    PhysicsActor,
-    RunLedger,
-    ScriptActor,
-    descend_one_level,
-)
-from .stats import (
-    BucketHistogram,
-    EmpiricalBaseline,
-    RegressionSpec,
-    Verdict,
-    binomial_pmf,
-    capture_baseline,
-    check_regression,
-    rmse,
-    theoretical_distribution,
-)

@@ -241,13 +241,12 @@ class ScriptActor:
         self.remaining = geometry.balls_per_dropper
 
     def start(self) -> None:
-        self.engine.schedule(self.engine.now_us, self.node_id, "drop", self._fire)
+        self.engine.schedule(self.engine.now_us, self._fire)
 
     def _fire(self) -> None:
         self.dropper_tick(self.engine.now_us)
         if self.remaining > 0:
-            self.engine.schedule(self.engine.now_us + self.period_us,
-                                 self.node_id, "drop", self._fire)
+            self.engine.schedule(self.engine.now_us + self.period_us, self._fire)
 
     def dropper_tick(self, now_us: int) -> list[Message]:
         """Emit one creation per dropper, until the droppers run dry."""
@@ -339,8 +338,8 @@ class PhysicsActor:
         """Partition id per (box, row, column - col_lo), -1 off the region.
 
         A ball's position depends only on its box, row and column, so the
-        owners are looked up once here, from the same float expression the
-        scalar ``ball_x_m`` and ``box_center_y_m`` use.  The columns run
+        owners are looked up once here, through ``ball_x_m`` and
+        ``box_center_y_m`` over broadcast arrays.  The columns run
         from ``col_lo``, where every row is left of the region, to the first
         column where every row is right of it; lookups clip a column into
         that range, so any column beyond it reads -1 too.
@@ -352,9 +351,8 @@ class PhysicsActor:
         cols = np.arange(col_lo, 2 * geom.bucket_count - n + 1, dtype=np.float64)
         rows = np.arange(geom.rows_per_box, dtype=np.float64)
         boxes = np.arange(geom.boxes, dtype=np.float64)
-        x = ((cols[None, :] + n + 1) / 2.0
-             + rows[:, None] * geom.row_offset_buckets) * geom.bucket_width_m(region)
-        y = (boxes + 0.5) * region.depth_m / geom.boxes
+        x = geom.ball_x_m(region, rows[:, None], cols[None, :])
+        y = geom.box_center_y_m(region, boxes)
         shape = (geom.boxes, geom.rows_per_box, len(cols))
         xs = np.broadcast_to(x, shape)
         ys = np.broadcast_to(y[:, None, None], shape)
@@ -468,13 +466,12 @@ class PhysicsActor:
             return
         self._ticking = True
         next_tick = (self.engine.now_us // self.tick_us + 1) * self.tick_us
-        self.engine.schedule(next_tick, self.node_id, "tick", self._tick)
+        self.engine.schedule(next_tick, self._tick)
 
     def _tick(self) -> None:
         self.physics_tick(self.engine.now_us)
         if self._n > 0:
-            self.engine.schedule(self.engine.now_us + self.tick_us,
-                                 self.node_id, "tick", self._tick)
+            self.engine.schedule(self.engine.now_us + self.tick_us, self._tick)
         else:
             self._ticking = False
 
@@ -492,7 +489,7 @@ class PhysicsActor:
         if load > self.peak_load:
             self.peak_load = load
         if n == 0:
-            return {"stepped": 0, "collected": 0, "migrated": 0, "load": load}
+            return {"stepped": 0}
         k = min(n, self.capacity)
         self.steps_executed += k
         w = self._window(k)
@@ -503,7 +500,6 @@ class PhysicsActor:
         level_us = self._level_us
         multi = len(self.pmap.partitions) > 1
         keep = np.ones(k, dtype=bool)
-        collected = migrated = 0
         prog += self.tick_us
         crossed = np.nonzero(prog >= level_us)[0]
         while crossed.size:
@@ -519,7 +515,6 @@ class PhysicsActor:
             landed = level[crossed] >= n_levels
             for ball in w[crossed[landed]].tolist():
                 self._collect(ball, now_us)
-            collected += np.count_nonzero(landed)
             off = ~landed & (own_now < 0)
             for ball in w[crossed[off]].tolist():
                 self._discard(ball)
@@ -529,14 +524,12 @@ class PhysicsActor:
                 for ball, to_partition in zip(w[crossed[moved]].tolist(),
                                               own_now[moved].tolist()):
                     self._migrate_out(ball, to_partition, now_us)
-                migrated += np.count_nonzero(moved)
                 gone |= moved
             keep[crossed[gone]] = False
             staying = crossed[~gone]
             crossed = staying[prog[staying] >= level_us]
         self._append_rows(w, keep)
-        return {"stepped": k, "collected": collected, "migrated": migrated,
-                "load": load}
+        return {"stepped": k}
 
     def _collect(self, ball: list[int], now_us: int) -> None:
         """Ball landed: record its bucket, or discard it off the histogram."""
@@ -599,16 +592,13 @@ class PhysicsActor:
 class DispatcherActor:
     """Stateless relay between the script node and the physics nodes."""
 
-    def __init__(self, node_id: str, engine: Engine, network: Network,
-                 pmap: PartitionMap, geometry: GaltonGeometry,
-                 subscribers: dict[str, list[str]], ledger: RunLedger):
+    def __init__(self, node_id: str, network: Network, pmap: PartitionMap,
+                 geometry: GaltonGeometry, subscribers: dict[str, list[str]]):
         self.node_id = node_id
-        self.engine = engine
         self.network = network
         self.pmap = pmap
         self.geometry = geometry
         self.subscribers = {kind: list(nodes) for kind, nodes in subscribers.items()}
-        self.ledger = ledger
 
     def on_message(self, msg: Message) -> None:
         self.dispatcher_relay(msg)

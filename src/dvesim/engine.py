@@ -50,7 +50,6 @@ class NodeClock:
 @dataclass
 class EngineStats:
     events_processed: int = 0
-    end_time_us: int = 0
 
 
 class RandomStream:
@@ -86,19 +85,17 @@ class Engine:
     reproducible event for event.
     """
 
-    def __init__(self, seed: int = 0, epsilon_max_s: float = 0.05,
-                 keep_event_log: bool = False):
+    def __init__(self, seed: int = 0, epsilon_max_s: float = 0.05):
         self.seed = seed
         self.epsilon_max_us = seconds_to_us(epsilon_max_s)
         self._now_us = 0
         self._seq = itertools.count()
-        #: (fire_at_us, seq, action, target, kind); seq is unique, so
-        #: entries compare on (fire_at_us, seq) only
-        self._heap: list[tuple[int, int, Callable[[], None], str, str]] = []
+        #: (fire_at_us, seq, action); seq is unique, so entries compare on
+        #: (fire_at_us, seq) only
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._streams: dict[str, RandomStream] = {}
         self._clocks: dict[str, NodeClock] = {}
         self.stats = EngineStats()
-        self.event_log: Optional[list[tuple[int, int, str, str]]] = [] if keep_event_log else None
 
     # ------------------------------------------------------------------
     # time
@@ -116,14 +113,13 @@ class Engine:
     # scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, fire_at_us: int, target: str, kind: str,
-                 action: Callable[[], None]) -> None:
+    def schedule(self, fire_at_us: int, action: Callable[[], None]) -> None:
         """Queue an action at an absolute virtual time (>= now)."""
         if fire_at_us < self._now_us:
             raise SchedulingInPast(
                 f"cannot schedule at {fire_at_us} us; engine time is {self._now_us} us"
             )
-        heapq.heappush(self._heap, (fire_at_us, next(self._seq), action, target, kind))
+        heapq.heappush(self._heap, (fire_at_us, next(self._seq), action))
 
     def run_until(self, t_end_us: int) -> EngineStats:
         """Process every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -135,31 +131,16 @@ class Engine:
             raise SchedulingInPast(
                 f"run_until target {t_end_us} us is before engine time {self._now_us} us"
             )
-        heap, log, stats = self._heap, self.event_log, self.stats
+        heap, stats = self._heap, self.stats
         while heap and heap[0][0] <= t_end_us:
-            fire_at_us, seq, action, target, kind = heapq.heappop(heap)
+            fire_at_us, _, action = heapq.heappop(heap)
             self._now_us = fire_at_us
-            if log is not None:
-                log.append((fire_at_us, seq, target, kind))
             action()
             stats.events_processed += 1
-        stats.end_time_us = self._now_us
         return stats
 
     def pending(self) -> int:
         return len(self._heap)
-
-    def write_event_log(self, path) -> None:
-        """Dump the ordered event log as newline-delimited records.
-
-        One record per processed event: time_us, seq, target, kind.  The
-        engine must have been built with keep_event_log=True.
-        """
-        if self.event_log is None:
-            raise ValueError("engine was not built with keep_event_log=True")
-        with open(path, "w") as f:
-            for t_us, seq, target, kind in self.event_log:
-                f.write(f"{t_us}\t{seq}\t{target}\t{kind}\n")
 
     # ------------------------------------------------------------------
     # clocks

@@ -276,9 +276,8 @@ def run_galton(config: GaltonExperimentConfig,
 
     script = ScriptActor(SCRIPT, engine, network, DISPATCHER, geometry,
                          config.period_t_s, ledger)
-    dispatcher = DispatcherActor(DISPATCHER, engine, network, pmap, geometry,
-                                 subscribers={"delete": [SCRIPT], "update": [SCRIPT]},
-                                 ledger=ledger)
+    dispatcher = DispatcherActor(DISPATCHER, network, pmap, geometry,
+                                 subscribers={"delete": [SCRIPT], "update": [SCRIPT]})
     physics = {}
     for pid, node in sorted(pmap.partitions.items()):
         physics[node] = PhysicsActor(node, pid, pmap, geometry,
@@ -356,7 +355,7 @@ def run_galton(config: GaltonExperimentConfig,
         series[n].mean_interval_s = window_interval_means(ledger.collections,
                                                           times_us, n)
     end_time_s = t / 1e6
-    expected = theoretical_distribution(geometry).expected
+    expected = theoretical_distribution(geometry)
     histogram = BucketHistogram(ledger.histogram)
     intervals = np.array([c[1] for c in ledger.collections], dtype=float)
     interval_mean_s = float(intervals.mean() / 1e6) if len(intervals) else float("nan")

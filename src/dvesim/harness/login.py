@@ -138,7 +138,7 @@ class _Server:
         reply_to = req.via if req.via is not None else req.origin
         response = _Response(req.category, req.index, req.origin)
         self.engine.schedule(
-            self.engine.now_us + self.serve_delay_us, self.node_id, "serve",
+            self.engine.now_us + self.serve_delay_us,
             lambda: self.network.send(self.node_id, reply_to, "response", response),
         )
 
@@ -178,7 +178,7 @@ class _SpaceServer:
             self.units += self.config.per_asset_cost
         forwarded = _Request(req.category, req.index, req.origin, self.node_id)
         self.engine.schedule(
-            self.engine.now_us + self.proxy_delay_us, self.node_id, "proxy",
+            self.engine.now_us + self.proxy_delay_us,
             lambda: self.network.send(self.node_id, CENTRAL, "request", forwarded),
         )
 
@@ -198,7 +198,7 @@ class _Client:
         self.assets_done_s: Optional[float] = None
 
     def start(self) -> None:
-        self.engine.schedule(0, self.node_id, "login", self._send_auth)
+        self.engine.schedule(0, self._send_auth)
 
     def _send_auth(self) -> None:
         # the only direct client contact with the central server

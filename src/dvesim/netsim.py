@@ -65,7 +65,6 @@ class Link:
         self.from_node = from_node
         self.to_node = to_node
         self.latency_us = latency_us
-        self.byte_rate = byte_rate
         self._rate = int(byte_rate)
         self.jitter_us = jitter_us
         self._queue: deque[QueuedMessage] = deque()
@@ -142,7 +141,6 @@ class Network:
         self._routes: dict[tuple[str, str],
                            tuple[Link, Callable[[], None], Optional[RandomStream]]] = {}
         self._handlers: dict[str, Callable[[Message], None]] = {}
-        self._deliver_kinds: dict[str, str] = {}
         self.samples: list[QueueSample] = []
 
     def add_link(self, from_node: str, to_node: str, latency_s: float,
@@ -184,10 +182,7 @@ class Network:
         engine = self.engine
         qm = link.enqueue(msg, engine.now_us,
                           jitter.uniform() if jitter is not None else 0.0)
-        label = self._deliver_kinds.get(kind)
-        if label is None:
-            label = self._deliver_kinds[kind] = f"deliver:{kind}"
-        engine.schedule(qm.deliver_at_us, dst, label, action)
+        engine.schedule(qm.deliver_at_us, action)
         return msg
 
     def _deliver(self, link: Link) -> None:

@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Any, Iterator, NamedTuple
+from typing import Any, NamedTuple
 
 EXISTENCE = "existence"
 
@@ -56,25 +56,6 @@ class PropertyUpdate(NamedTuple):
         return (self.ts_us, self.origin, self.seq)
 
 
-def creation_updates(entity: int, initial: dict[str, Any], ts_us: int,
-                     origin: str, seq_counter: Iterator[int]) -> list[PropertyUpdate]:
-    """Build the update set that creates an entity with initial properties.
-
-    The existence update comes first so FIFO transports deliver it before
-    the property updates it gates.
-    """
-    updates = [PropertyUpdate(entity, EXISTENCE, True, ts_us, origin, next(seq_counter))]
-    for name in sorted(initial):
-        updates.append(PropertyUpdate(entity, name, initial[name], ts_us, origin,
-                                      next(seq_counter)))
-    return updates
-
-
-def deletion_update(entity: int, ts_us: int, origin: str,
-                    seq_counter: Iterator[int]) -> PropertyUpdate:
-    return PropertyUpdate(entity, EXISTENCE, False, ts_us, origin, next(seq_counter))
-
-
 @dataclass(slots=True)
 class _EntityRecord:
     alive: bool
@@ -92,21 +73,7 @@ class SceneReplica:
         self.node_id = node_id
         self._entities: dict[int, _EntityRecord] = {}
         self._live = 0
-        self._seq = 0
-
-    # ------------------------------------------------------------------
-    # local origination helpers
-    # ------------------------------------------------------------------
-
-    def next_seq(self) -> int:
-        """Per-origin monotone sequence number for locally created updates."""
-        s = self._seq
-        self._seq += 1
-        return s
-
-    def seq_counter(self) -> Iterator[int]:
-        while True:
-            yield self.next_seq()
+        self._seq = 0  # seq of the next locally originated update
 
     # ------------------------------------------------------------------
     # replication
@@ -153,12 +120,18 @@ class SceneReplica:
         """Create an entity locally; returns the updates to replicate.
 
         Unlike replicated application, a local create of an id that is
-        already live is a caller error.
+        already live is a caller error.  The existence update comes first,
+        so FIFO transports deliver it before the property updates it gates;
+        the properties follow in name order, on consecutive seq numbers.
         """
         rec = self._entities.get(entity)
         if rec is not None and rec.alive:
             raise DuplicateCreate(entity)
-        updates = creation_updates(entity, initial, ts_us, origin, self.seq_counter())
+        seq = self._seq
+        updates = [PropertyUpdate(entity, EXISTENCE, True, ts_us, origin, seq)]
+        updates += [PropertyUpdate(entity, name, initial[name], ts_us, origin, seq + i)
+                    for i, name in enumerate(sorted(initial), 1)]
+        self._seq = seq + len(updates)
         for u in updates:
             self.apply_update(u)
         return updates
@@ -167,7 +140,8 @@ class SceneReplica:
         """Delete a known entity locally; returns the update to replicate."""
         if entity not in self._entities:
             raise UnknownEntity(entity)
-        u = deletion_update(entity, ts_us, origin, self.seq_counter())
+        u = PropertyUpdate(entity, EXISTENCE, False, ts_us, origin, self._seq)
+        self._seq += 1
         self.apply_update(u)
         return u
 

@@ -92,38 +92,19 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ExpectedDistribution:
-    """Combined expected bucket counts for the multi-row pegboard.
+def theoretical_distribution(geometry: "GaltonGeometry") -> np.ndarray:
+    """Expected bucket counts for a geometry's full drop schedule.
 
     Each dropper row lands on a pure Binomial(n, 1/2) over n+1 buckets; the
     rows are offset sideways, so the combined expectation is the sum of
     shifted copies, one per row, scaled to the balls that row drops.
     """
-
-    expected: np.ndarray
-    per_row: tuple[np.ndarray, ...]
-    offsets: tuple[int, ...]
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self.expected)
-
-
-def theoretical_distribution(geometry: "GaltonGeometry") -> ExpectedDistribution:
-    """Expected bucket counts for a geometry's full drop schedule."""
-    pmf = binomial_pmf(geometry.n_levels, 0.5)
-    per_row = []
-    offsets = []
+    row_vec = geometry.balls_per_row * binomial_pmf(geometry.n_levels, 0.5)
     expected = np.zeros(geometry.bucket_count)
-    balls_per_row = geometry.balls_per_row
     for row in range(geometry.rows_per_box):
         offset = row * geometry.row_offset_buckets
-        row_vec = balls_per_row * pmf
-        expected[offset:offset + len(pmf)] += row_vec
-        per_row.append(row_vec)
-        offsets.append(offset)
-    return ExpectedDistribution(expected, tuple(per_row), tuple(offsets))
+        expected[offset:offset + len(row_vec)] += row_vec
+    return expected
 
 
 @dataclass

@@ -110,9 +110,8 @@ def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
     network.add_link("dispatcher", "physics-1", 0.001, 1e9)
     actor = PhysicsActor("physics-1", 1, pmap, geometry, capacity, tick_len_s,
                          engine, network, "dispatcher", ledger)
-    dispatcher = DispatcherActor("dispatcher", engine, network, pmap, geometry,
-                                 subscribers={"delete": [], "update": []},
-                                 ledger=ledger)
+    dispatcher = DispatcherActor("dispatcher", network, pmap, geometry,
+                                 subscribers={"delete": [], "update": []})
     network.register_handler("physics-1", actor.on_message)
     network.register_handler("dispatcher", dispatcher.on_message)
     return engine, actor, ledger
@@ -315,8 +314,7 @@ class TestBallRing:
         # moved, so the table grows from an offset head and later wraps
         schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
         for t_s, count in schedule:
-            engine.schedule(seconds_to_us(t_s), "test", "inject",
-                            lambda count=count: inject(count))
+            engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(3600.0))
         total = sum(count for _, count in schedule)
         assert total > _BLOCK
@@ -442,12 +440,11 @@ class TestDispatcher:
         network = Network(engine)
         region = RegionSpec()
         pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"), (2, "physics-2"))
-        ledger = RunLedger(geo.bucket_count)
         for node in ("script", "physics-1", "physics-2", "extra"):
             network.add_link("dispatcher", node, 0.001, 1e9)
             network.add_link(node, "dispatcher", 0.001, 1e9)
-        dispatcher = DispatcherActor("dispatcher", engine, network, pmap, geo,
-                                     subscribers=subscribers, ledger=ledger)
+        dispatcher = DispatcherActor("dispatcher", network, pmap, geo,
+                                     subscribers=subscribers)
         return engine, network, dispatcher
 
     def test_create_routes_to_owning_partition(self):
@@ -493,9 +490,8 @@ class TestDispatcher:
         t = 0
         for i in range(200):
             t += int(rng.uniform() * 5000)
-            engine.schedule(t, "script", "send",
-                            lambda i=i: network.send("script", "dispatcher",
-                                                     "update", i))
+            engine.schedule(t, lambda i=i: network.send("script", "dispatcher",
+                                                        "update", i))
             sent.append(i)
         engine.run_until(seconds_to_us(10.0))
         assert arrivals == sent

@@ -6,24 +6,24 @@ from dvesim.engine import Engine, SchedulingInPast, seconds_to_us
 def test_schedule_at_current_time_is_accepted():
     eng = Engine(seed=1)
     fired = []
-    eng.schedule(0, "a", "x", lambda: fired.append(0))
+    eng.schedule(0, lambda: fired.append(0))
     eng.run_until(0)
     assert fired == [0]
 
 
 def test_schedule_in_past_rejected():
     eng = Engine(seed=1)
-    eng.schedule(seconds_to_us(6.0), "a", "x", lambda: None)
+    eng.schedule(seconds_to_us(6.0), lambda: None)
     eng.run_until(seconds_to_us(6.0))
     with pytest.raises(SchedulingInPast):
-        eng.schedule(seconds_to_us(5.0), "a", "x", lambda: None)
+        eng.schedule(seconds_to_us(5.0), lambda: None)
 
 
 def test_same_time_events_fire_in_scheduling_order():
     eng = Engine(seed=1)
     fired = []
-    eng.schedule(seconds_to_us(3.0), "a", "x", lambda: fired.append(7))
-    eng.schedule(seconds_to_us(3.0), "a", "x", lambda: fired.append(8))
+    eng.schedule(seconds_to_us(3.0), lambda: fired.append(7))
+    eng.schedule(seconds_to_us(3.0), lambda: fired.append(8))
     eng.run_until(seconds_to_us(3.0))
     assert fired == [7, 8]
 
@@ -38,7 +38,7 @@ def test_run_until_stops_at_bound():
     eng = Engine(seed=1)
     fired = []
     for t in (1.0, 2.0, 3.0):
-        eng.schedule(seconds_to_us(t), "a", "x", lambda t=t: fired.append(t))
+        eng.schedule(seconds_to_us(t), lambda t=t: fired.append(t))
     stats = eng.run_until(seconds_to_us(2.0))
     assert fired == [1.0, 2.0]
     assert stats.events_processed == 2
@@ -47,35 +47,27 @@ def test_run_until_stops_at_bound():
 
 def test_deterministic_event_log():
     def build():
-        eng = Engine(seed=9, keep_event_log=True)
+        eng = Engine(seed=9)
         stream = eng.stream("noise")
+        fired = []
         for i in range(50):
             at = seconds_to_us(stream.uniform() * 10)
-            eng.schedule(at, f"n{i % 3}", "k", lambda: None)
+            eng.schedule(at, lambda i=i: fired.append((eng.now_us, i)))
         stats = eng.run_until(seconds_to_us(10.0))
-        return eng.event_log, (stats.events_processed, stats.end_time_us)
+        return fired, stats.events_processed, eng.now_us
 
-    assert build() == build()
-
-
-def test_event_log_file_dump(tmp_path):
-    eng = Engine(seed=9, keep_event_log=True)
-    eng.schedule(100, "a", "ping", lambda: None)
-    eng.schedule(200, "b", "pong", lambda: None)
-    eng.run_until(1000)
-    path = tmp_path / "events.log"
-    eng.write_event_log(path)
-    lines = path.read_text().splitlines()
-    assert lines == ["100\t0\ta\tping", "200\t1\tb\tpong"]
-    with pytest.raises(ValueError):
-        Engine(seed=1).write_event_log(path)
+    fired, processed, now_us = build()
+    assert processed == len(fired) == 50
+    assert fired == sorted(fired)
+    assert now_us == fired[-1][0]
+    assert build() == (fired, processed, now_us)
 
 
 def test_local_now_applies_offset():
     eng = Engine(seed=1)
     a = eng.clock("a", offset_us=0)
     b = eng.clock("b", offset_us=50_000)
-    eng.schedule(seconds_to_us(100.0), "a", "x", lambda: None)
+    eng.schedule(seconds_to_us(100.0), lambda: None)
     eng.run_until(seconds_to_us(100.0))
     assert eng.local_now_us(a) == seconds_to_us(100.0)
     assert eng.local_now_us(b) == seconds_to_us(100.05)

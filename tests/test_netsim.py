@@ -44,8 +44,8 @@ def test_queue_growth_matches_closed_form():
     T = 10.0
     for i in range(int(send_rate * T)):
         at = seconds_to_us(i / send_rate)
-        engine.schedule(at, "a", "send",
-                        lambda: network.send("a", "b", "request", None, size_bytes=size))
+        engine.schedule(at, lambda: network.send("a", "b", "request", None,
+                                                 size_bytes=size))
     network.register_handler("b", lambda m: None)
     engine.run_until(seconds_to_us(T))
     depth = network.link("a", "b").depth
@@ -80,7 +80,7 @@ def test_bandwidth_accounting():
     engine, network = make_net(latency_s=0.0, byte_rate=50_000.0)
     network.register_handler("b", lambda m: None)
     for i in range(200):
-        engine.schedule(seconds_to_us(i * 0.001), "a", "send",
+        engine.schedule(seconds_to_us(i * 0.001),
                         lambda: network.send("a", "b", "request", None, size_bytes=512))
     window = 1.0
     engine.run_until(seconds_to_us(window))
@@ -123,7 +123,7 @@ def test_jitter_delays_within_bounds():
     base = seconds_to_us(0.001) + link.transmission_us(128)
     for i in range(20):
         # spaced sends: the link is idle each time
-        engine.schedule(seconds_to_us(float(i)), "a", "send",
+        engine.schedule(seconds_to_us(float(i)),
                         lambda: network.send("a", "b", "request", None))
     engine.run_until(seconds_to_us(30.0))
     deltas = [t - seconds_to_us(float(i)) - base for i, t in enumerate(arrivals)]

@@ -108,6 +108,16 @@ class TestEntityLifecycle:
         with pytest.raises(UnknownEntity):
             r.delete_entity(42, ts_us=1, origin="node-a")
 
+    def test_local_updates_are_stamped_in_order_on_consecutive_seqs(self):
+        r = SceneReplica("r")
+        created = r.create_entity(1, {"b": 2, "a": 1}, ts_us=5, origin="o")
+        assert created == [upd(1, EXISTENCE, True, 5, "o", 0),
+                           upd(1, "a", 1, 5, "o", 1),
+                           upd(1, "b", 2, 5, "o", 2)]
+        assert r.delete_entity(1, ts_us=7, origin="o") == upd(1, EXISTENCE, False, 7, "o", 3)
+        assert r.create_entity(1, {}, ts_us=9, origin="o") == [
+            upd(1, EXISTENCE, True, 9, "o", 4)]
+
 
 class TestDigest:
     def test_empty_replicas_equal(self):

@@ -79,22 +79,25 @@ class TestBinomialPmf:
 
 class TestTheoreticalDistribution:
     def test_paper_geometry(self):
-        dist = theoretical_distribution(GaltonGeometry())
-        assert dist.bucket_count == 96
-        assert dist.expected.sum() == pytest.approx(37_800, rel=1e-9)
-        assert len(dist.per_row) == 3
-        assert all(len(v) == 94 for v in dist.per_row)
-        assert dist.offsets == (0, 1, 2)
+        geo = GaltonGeometry()
+        expected = theoretical_distribution(geo)
+        assert len(expected) == 96
+        assert expected.sum() == pytest.approx(37_800, rel=1e-9)
+        row_vec = geo.balls_per_row * binomial_pmf(93, 0.5)
+        shifted = np.zeros((3, 96))
+        for offset in range(3):
+            shifted[offset, offset:offset + 94] = row_vec
+        assert np.array_equal(expected, shifted.sum(axis=0))
 
     def test_single_row_is_pure_binomial(self):
         geo = GaltonGeometry(rows_per_box=1)
-        dist = theoretical_distribution(geo)
-        assert dist.bucket_count == 94
-        per_ball = dist.expected / dist.expected.sum()
+        expected = theoretical_distribution(geo)
+        assert len(expected) == 94
+        per_ball = expected / expected.sum()
         assert np.allclose(per_ball, binomial_pmf(93, 0.5))
 
     def test_symmetric_about_center(self):
-        expected = theoretical_distribution(GaltonGeometry()).expected
+        expected = theoretical_distribution(GaltonGeometry())
         assert np.allclose(expected, expected[::-1], rtol=1e-12)
 
 
@@ -173,7 +176,7 @@ class TestLawOfLargeNumbers:
         rng = np.random.default_rng(7)
 
         def per_ball_rmse(balls_per_row):
-            expected = theoretical_distribution(geo).expected * (
+            expected = theoretical_distribution(geo) * (
                 balls_per_row / geo.balls_per_row)
             counts = np.zeros(96)
             for row in range(3):
