@@ -416,7 +416,28 @@ class PhysicsActor:
     # ---- messaging ----------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind == "create":
+        kind = msg.kind
+        if kind == "ack":
+            env: AckEnvelope = msg.payload
+            self.tracker.complete_migration(env.ack, self.engine.now_us)
+            self._ghosts.discard(env.ack.entity)
+            self.ledger.migrations_completed += 1
+        elif kind == "migrate":
+            transfer: TransferMessage = msg.payload
+            if transfer.to_partition != self.partition_id:
+                raise UnroutableMessage(
+                    f"transfer for partition {transfer.to_partition} at {self.node_id}"
+                )
+            row, origin = transfer.state
+            self._register_scene_entity(transfer.entity, row[_SCENE_TS], origin,
+                                        row[_SCENE_SEQ])
+            self._append_ball(*row)
+            self.ledger.transfers_delivered += 1
+            ack = MigrationTracker.acknowledge(transfer)
+            self.network.send(self.node_id, self.dispatcher_id, "ack",
+                              AckEnvelope(ack, transfer.from_partition))
+            self._ensure_ticking()
+        elif kind == "create":
             spawn: BallSpawn = msg.payload
             self._register_scene_entity(spawn.entity, spawn.scene_ts_us,
                                         spawn.scene_origin, spawn.scene_seq)
@@ -424,32 +445,10 @@ class PhysicsActor:
                               spawn.created_at_us, spawn.scene_ts_us, spawn.scene_seq)
             self.ledger.creates_delivered += 1
             self._ensure_ticking()
-        elif msg.kind == "migrate":
-            transfer: TransferMessage = msg.payload
-            st = transfer.state
-            if transfer.to_partition != self.partition_id:
-                raise UnroutableMessage(
-                    f"transfer for partition {transfer.to_partition} at {self.node_id}"
-                )
-            self._register_scene_entity(transfer.entity, st["scene_ts_us"],
-                                        st["scene_origin"], st["scene_seq"])
-            self._append_ball(transfer.entity, st["box"], st["row"], st["level"],
-                              st["column"], st["progress_us"], st["created_at_us"],
-                              st["scene_ts_us"], st["scene_seq"])
-            self.ledger.transfers_delivered += 1
-            ack = MigrationTracker.acknowledge(transfer)
-            self.network.send(self.node_id, self.dispatcher_id, "ack",
-                              AckEnvelope(ack, transfer.from_partition))
-            self._ensure_ticking()
-        elif msg.kind == "ack":
-            env: AckEnvelope = msg.payload
-            self.tracker.complete_migration(env.ack, self.engine.now_us)
-            self._ghosts.discard(env.ack.entity)
-            self.ledger.migrations_completed += 1
-        elif msg.kind in ("delete", "update"):
+        elif kind in ("delete", "update"):
             self.replica.apply_update(msg.payload)
         else:
-            raise UnroutableMessage(msg.kind)
+            raise UnroutableMessage(kind)
 
     def _register_scene_entity(self, entity: int, ts_us: int, origin: str,
                                seq: int) -> None:
@@ -554,16 +553,11 @@ class PhysicsActor:
         self.network.send(self.node_id, self.dispatcher_id, "delete", update)
 
     def _migrate_out(self, ball: list[int], to_partition: int, now_us: int) -> None:
-        entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
-        state = {
-            "box": box, "row": row, "level": level, "column": column,
-            "progress_us": progress, "created_at_us": created,
-            "scene_ts_us": scene_ts,
-            "scene_origin": self._scene_origin or "script",
-            "scene_seq": scene_seq,
-        }
-        transfers = self.tracker.begin_migration(entity, self.partition_id,
-                                                 to_partition, now_us, state)
+        """Ghost the ball and ship its table row, with its scene origin."""
+        entity = ball[_ID]
+        transfers = self.tracker.begin_migration(
+            entity, self.partition_id, to_partition, now_us,
+            (ball, self._scene_origin or "script"))
         self._ghosts.add(entity)
         for t in transfers:
             self.network.send(self.node_id, self.dispatcher_id, "migrate", t)
@@ -599,33 +593,35 @@ class DispatcherActor:
         self.pmap = pmap
         self.geometry = geometry
         self.subscribers = {kind: list(nodes) for kind, nodes in subscribers.items()}
-
-    def on_message(self, msg: Message) -> None:
-        self.dispatcher_relay(msg)
+        #: partition id -> owning node
+        self._nodes = pmap.partitions
 
     def dispatcher_relay(self, msg: Message) -> list[Message]:
-        """Forward a message per the routing table; never filters or coalesces."""
-        if msg.kind == "create":
+        """Forward a message per the routing table; never filters or coalesces.
+
+        This is the dispatcher node's message handler."""
+        kind = msg.kind
+        if kind == "migrate":
+            transfer: TransferMessage = msg.payload
+            node = self._nodes[transfer.to_partition]
+            out = [self.network.send(self.node_id, node, kind, transfer)]
+        elif kind == "ack":
+            env: AckEnvelope = msg.payload
+            node = self._nodes[env.from_partition]
+            out = [self.network.send(self.node_id, node, kind, env)]
+        elif kind == "create":
             spawn: BallSpawn = msg.payload
             region = self.pmap.region
             x = self.geometry.drop_x_m(region, spawn.row)
             y = self.geometry.box_center_y_m(region, spawn.box)
-            node = self.pmap.owner_node(self.pmap.owner_of(x, y))
-            out = [self.network.send(self.node_id, node, "create", spawn)]
-        elif msg.kind == "migrate":
-            transfer: TransferMessage = msg.payload
-            node = self.pmap.owner_node(transfer.to_partition)
-            out = [self.network.send(self.node_id, node, "migrate", transfer)]
-        elif msg.kind == "ack":
-            env: AckEnvelope = msg.payload
-            node = self.pmap.owner_node(env.from_partition)
-            out = [self.network.send(self.node_id, node, "ack", env)]
-        elif msg.kind in ("delete", "update"):
-            targets = self.subscribers.get(msg.kind)
+            node = self._nodes[self.pmap.owner_of(x, y)]
+            out = [self.network.send(self.node_id, node, kind, spawn)]
+        elif kind in ("delete", "update"):
+            targets = self.subscribers.get(kind)
             if targets is None:
-                raise UnroutableMessage(msg.kind)
-            out = [self.network.send(self.node_id, node, msg.kind, msg.payload)
+                raise UnroutableMessage(kind)
+            out = [self.network.send(self.node_id, node, kind, msg.payload)
                    for node in targets if node != msg.src]
         else:
-            raise UnroutableMessage(msg.kind)
+            raise UnroutableMessage(kind)
         return out

@@ -62,8 +62,6 @@ class RandomStream:
     """
 
     def __init__(self, stream_id: str, seed: int):
-        self.stream_id = stream_id
-        self.seed = seed
         key = int.from_bytes(hashlib.sha256(stream_id.encode()).digest()[:8], "big")
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key))))
 
@@ -88,7 +86,8 @@ class Engine:
     def __init__(self, seed: int = 0, epsilon_max_s: float = 0.05):
         self.seed = seed
         self.epsilon_max_us = seconds_to_us(epsilon_max_s)
-        self._now_us = 0
+        #: virtual time of the event being processed; only run_until moves it
+        self.now_us = 0
         self._seq = itertools.count()
         #: (fire_at_us, seq, action); seq is unique, so entries compare on
         #: (fire_at_us, seq) only
@@ -102,12 +101,8 @@ class Engine:
     # ------------------------------------------------------------------
 
     @property
-    def now_us(self) -> int:
-        return self._now_us
-
-    @property
     def now_s(self) -> float:
-        return us_to_seconds(self._now_us)
+        return us_to_seconds(self.now_us)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -115,9 +110,9 @@ class Engine:
 
     def schedule(self, fire_at_us: int, action: Callable[[], None]) -> None:
         """Queue an action at an absolute virtual time (>= now)."""
-        if fire_at_us < self._now_us:
+        if fire_at_us < self.now_us:
             raise SchedulingInPast(
-                f"cannot schedule at {fire_at_us} us; engine time is {self._now_us} us"
+                f"cannot schedule at {fire_at_us} us; engine time is {self.now_us} us"
             )
         heapq.heappush(self._heap, (fire_at_us, next(self._seq), action))
 
@@ -127,17 +122,19 @@ class Engine:
         Engine time advances only on events: after the call it equals the
         time of the last processed event (and never exceeds t_end).
         """
-        if t_end_us < self._now_us:
+        if t_end_us < self.now_us:
             raise SchedulingInPast(
-                f"run_until target {t_end_us} us is before engine time {self._now_us} us"
+                f"run_until target {t_end_us} us is before engine time {self.now_us} us"
             )
-        heap, stats = self._heap, self.stats
+        heap, pop = self._heap, heapq.heappop
+        fired = 0
         while heap and heap[0][0] <= t_end_us:
-            fire_at_us, _, action = heapq.heappop(heap)
-            self._now_us = fire_at_us
+            fire_at_us, _, action = pop(heap)
+            self.now_us = fire_at_us
             action()
-            stats.events_processed += 1
-        return stats
+            fired += 1
+        self.stats.events_processed += fired
+        return self.stats
 
     def pending(self) -> int:
         return len(self._heap)
@@ -169,7 +166,7 @@ class Engine:
 
     def local_now_us(self, clock: NodeClock) -> int:
         """The node's wall-clock reading at the current instant."""
-        return self._now_us + clock.offset_us
+        return self.now_us + clock.offset_us
 
     # ------------------------------------------------------------------
     # randomness

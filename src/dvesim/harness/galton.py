@@ -284,7 +284,7 @@ def run_galton(config: GaltonExperimentConfig,
                                      config.effective_capacity, config.tick_len_s,
                                      engine, network, DISPATCHER, ledger)
     network.register_handler(SCRIPT, script.on_message)
-    network.register_handler(DISPATCHER, dispatcher.on_message)
+    network.register_handler(DISPATCHER, dispatcher.dispatcher_relay)
     for node, actor in physics.items():
         network.register_handler(node, actor.on_message)
 

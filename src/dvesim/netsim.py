@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, NamedTuple, Optional
 
 from .engine import Engine, RandomStream, seconds_to_us
@@ -44,6 +45,11 @@ class QueuedMessage(NamedTuple):
     deliver_at_us: int
 
 
+#: a NamedTuple from a tuple of its fields, without the Python-level
+#: ``__new__`` frame that calling the class adds to every send
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True)
 class QueueSample:
     link_id: str
@@ -57,8 +63,8 @@ class Link:
 
     def __init__(self, from_node: str, to_node: str, latency_us: int,
                  byte_rate: float, jitter_us: int = 0):
-        if latency_us < 0:
-            raise ValueError("latency must be >= 0")
+        if latency_us < 0 or jitter_us < 0:
+            raise ValueError("latency and jitter must be >= 0")
         if byte_rate < 1:
             raise ValueError("byte rate must be >= 1 B/s")
         self.link_id = f"{from_node}->{to_node}"
@@ -68,36 +74,13 @@ class Link:
         self._rate = int(byte_rate)
         self.jitter_us = jitter_us
         self._queue: deque[QueuedMessage] = deque()
+        #: when the serializer finishes the last message sent
         self._busy_until_us = 0
         self.sent_count = 0
         self.sent_bytes = 0
         #: bytes of the messages queued now, kept as a running sum
         self.bytes_pending = 0
         self._last_sample_us: Optional[int] = None
-
-    def transmission_us(self, size_bytes: int) -> int:
-        # ceil so accounted bandwidth never exceeds the configured rate
-        return -(-size_bytes * 1_000_000 // self._rate)
-
-    def enqueue(self, message: Message, now_us: int, jitter_draw: float = 0.0) -> QueuedMessage:
-        """Append a message; returns it with its delivery time fixed.
-
-        Delivery happens after the link finishes serializing everything
-        ahead of it (back-to-back sends share the serializer) plus the
-        propagation latency.
-        """
-        size = message.size_bytes
-        start = now_us if now_us > self._busy_until_us else self._busy_until_us
-        self._busy_until_us = start + self.transmission_us(size)
-        deliver = self._busy_until_us + self.latency_us
-        if self.jitter_us:
-            deliver += int(round(jitter_draw * self.jitter_us))
-        qm = QueuedMessage(message, now_us, deliver)
-        self._queue.append(qm)
-        self.sent_count += 1
-        self.sent_bytes += size
-        self.bytes_pending += size
-        return qm
 
     def pop_due(self, now_us: int) -> list[QueuedMessage]:
         """Remove and return the queue head(s) whose delivery time arrived."""
@@ -169,7 +152,10 @@ class Network:
 
     def send(self, src: str, dst: str, kind: str, payload: Any,
              size_bytes: Optional[int] = None) -> Message:
-        """Queue a message on the src->dst link and schedule its delivery."""
+        """Queue a message on the src->dst link and schedule its delivery.
+
+        It waits for the messages ahead of it to serialize, then takes its
+        own serialization, the latency and the jitter draw, if any."""
         route = self._routes.get((src, dst))
         if route is None:
             raise KeyError(f"no link {src}->{dst}")
@@ -178,22 +164,37 @@ class Network:
             size_bytes = self.message_sizes[kind]
         if size_bytes <= 0:
             raise ValueError("message size must be positive")
-        msg = Message(kind, src, dst, size_bytes, payload)
+        msg = _new_tuple(Message, (kind, src, dst, size_bytes, payload))
         engine = self.engine
-        qm = link.enqueue(msg, engine.now_us,
-                          jitter.uniform() if jitter is not None else 0.0)
-        engine.schedule(qm.deliver_at_us, action)
+        now_us = engine.now_us
+        start = link._busy_until_us
+        if now_us > start:
+            start = now_us
+        # ceil so accounted bandwidth never exceeds the configured rate
+        link._busy_until_us = busy = start - (-size_bytes * 1_000_000 // link._rate)
+        deliver_at_us = busy + link.latency_us
+        if jitter is not None:
+            deliver_at_us += int(round(jitter.uniform() * link.jitter_us))
+        link._queue.append(_new_tuple(QueuedMessage, (msg, now_us, deliver_at_us)))
+        link.sent_count += 1
+        link.sent_bytes += size_bytes
+        link.bytes_pending += size_bytes
+        # Pushed straight onto the engine heap, past Engine.schedule's check:
+        # delivery is never before now, since serializing even one byte
+        # takes at least 1 us and latency and jitter are never negative.
+        heappush(engine._heap, (deliver_at_us, next(engine._seq), action))
         return msg
 
     def _deliver(self, link: Link) -> None:
         handler = self._handlers.get(link.to_node)
-        due = self.deliver_due(link)
+        due = link.pop_due(self.engine.now_us)
         if handler is not None:
-            for _, message in due:
-                handler(message)
+            for qm in due:
+                handler(qm.message)
 
     def deliver_due(self, link: Link) -> list[tuple[str, Message]]:
-        """Pop exactly the messages whose delivery time has arrived, in order."""
+        """Pop the messages whose delivery time has arrived, in order
+        (``_deliver`` does not use this: it pops the link itself)."""
         due = link.pop_due(self.engine.now_us)
         return [(qm.message.dst, qm.message) for qm in due]
 

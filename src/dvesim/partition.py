@@ -120,9 +120,6 @@ class PartitionMap:
         i, j = self.region.microcell_of(x_m, y_m)
         return int(self._assignment[i, j])
 
-    def owner_node(self, partition_id: int) -> str:
-        return self.partitions[partition_id]
-
     def owners_xy(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup; every position must be in the region."""
         if ((xs < 0) | (xs >= self.region.width_m)).any() or \
@@ -164,7 +161,7 @@ class TransferMessage(NamedTuple):
     from_partition: int
     to_partition: int
     token: int
-    state: dict[str, Any]
+    state: Any
 
 
 class MigrationAck(NamedTuple):
@@ -180,7 +177,7 @@ class MigrationTracker:
         self._tokens = itertools.count()
 
     def begin_migration(self, entity: int, from_partition: int, to_partition: int,
-                        now_us: int, state: dict[str, Any]) -> list[TransferMessage]:
+                        now_us: int, state: Any) -> list[TransferMessage]:
         """Start the handshake; returns the messages to put on the wire.
         They carry ``state`` itself, which the caller must not change after."""
         if entity in self._in_flight:

@@ -51,10 +51,6 @@ class PropertyUpdate(NamedTuple):
     origin: str
     seq: int
 
-    @property
-    def stamp(self) -> Stamp:
-        return (self.ts_us, self.origin, self.seq)
-
 
 @dataclass(slots=True)
 class _EntityRecord:
@@ -82,7 +78,7 @@ class SceneReplica:
     def apply_update(self, u: PropertyUpdate) -> ApplyResult:
         """Apply one replicated update under the last-writer-wins rule."""
         rec = self._entities.get(u.entity)
-        stamp = u.stamp
+        stamp = (u.ts_us, u.origin, u.seq)
         if u.property == EXISTENCE:
             if rec is None:
                 if not u.value:
@@ -149,22 +145,8 @@ class SceneReplica:
     # queries
     # ------------------------------------------------------------------
 
-    def is_live(self, entity: int) -> bool:
-        rec = self._entities.get(entity)
-        return rec is not None and rec.alive
-
     def live_count(self) -> int:
         return self._live
-
-    def get(self, entity: int, prop: str, default: Any = None) -> Any:
-        """Visible value of a property, or default if absent or invisible."""
-        rec = self._entities.get(entity)
-        if rec is None or not rec.alive:
-            return default
-        entry = rec.props.get(prop)
-        if entry is None or entry[1] < rec.existence_stamp:
-            return default
-        return entry[0]
 
 
 def digest(replica: SceneReplica) -> str:

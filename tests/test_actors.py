@@ -113,7 +113,7 @@ def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
     dispatcher = DispatcherActor("dispatcher", network, pmap, geometry,
                                  subscribers={"delete": [], "update": []})
     network.register_handler("physics-1", actor.on_message)
-    network.register_handler("dispatcher", dispatcher.on_message)
+    network.register_handler("dispatcher", dispatcher.dispatcher_relay)
     return engine, actor, ledger
 
 
@@ -296,7 +296,12 @@ class TestBallRing:
             if len(actor._balls) != size and head != 0:
                 seen["grew_offset"] = True
 
-        tick = actor.physics_tick
+        tick, retire = actor.physics_tick, actor._retire
+        retired = set()
+
+        def recorded_retire(entity):
+            retired.add(entity)
+            retire(entity)
 
         def checked_tick(now_us):
             k = min(len(reference), self.CAPACITY)
@@ -305,11 +310,12 @@ class TestBallRing:
             if actor._head + k > len(actor._balls):
                 seen["wrapped"] += 1
             result = tick(now_us)
-            reference.extend(e for e in served if actor.replica.is_live(e))
+            reference.extend(e for e in served if e not in retired)
             seen["ticks"] += 1
             return result
 
         monkeypatch.setattr(actor, "physics_tick", checked_tick)
+        monkeypatch.setattr(actor, "_retire", recorded_retire)
         # arrivals land while earlier balls are mid-descent and the head has
         # moved, so the table grows from an offset head and later wraps
         schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
@@ -482,7 +488,7 @@ class TestDispatcher:
 
     def test_relay_preserves_per_source_ordering(self):
         engine, network, dispatcher = self.wire({"update": ["physics-1"]})
-        network.register_handler("dispatcher", dispatcher.on_message)
+        network.register_handler("dispatcher", dispatcher.dispatcher_relay)
         arrivals = []
         network.register_handler("physics-1", lambda m: arrivals.append(m.payload))
         rng = Engine(seed=9).stream("traffic")

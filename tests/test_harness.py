@@ -148,6 +148,20 @@ class TestExport:
         reimported = read_histogram_csv(d1 / "histogram.csv")
         assert reimported.counts.tolist() == report.histogram.counts.tolist()
 
+    def test_jittered_center_split_export_is_pinned(self, tmp_path):
+        # no canonical config has link jitter; this run pins the jitter
+        # draw and the same-link reordering it causes (151 messages fall
+        # due before the one queued ahead of them), with 72 migrations
+        report = run_galton(tiny_config(topology="B", split="center_x",
+                                        link_jitter_s=0.02))
+        export(report, tmp_path)
+        h = hashlib.sha256()
+        for name in ("metrics.csv", "queues.csv", "histogram.csv", "report.json"):
+            h.update((tmp_path / name).read_bytes())
+        assert report.migrations_total == 72
+        assert h.hexdigest() == (
+            "8b316f37111569c88d39a4ff9fe7e2b795846b738e0861a323606a83c44b1d8c")
+
     def test_histogram_covers_every_bucket(self, tmp_path):
         report = run_galton(tiny_config())
         export(report, tmp_path)

@@ -1,9 +1,17 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvesim.engine import Engine, seconds_to_us
 from dvesim.netsim import DEFAULT_MESSAGE_SIZES, Link, Network
+
+
+def serialization_us(size_bytes, byte_rate):
+    """Time to put a message on the wire, rounded up to whole microseconds."""
+    return math.ceil(Fraction(size_bytes * 1_000_000, int(byte_rate)))
 
 
 def make_net(latency_s=0.001, byte_rate=125_000.0):
@@ -63,9 +71,29 @@ def test_deliver_due_returns_in_enqueue_order():
     link = network.link("a", "b")
     for i in range(3):
         network.send("a", "b", "request", i)
-    engine._now_us = seconds_to_us(1.0)  # past all delivery times
+    engine.now_us = seconds_to_us(1.0)  # past all delivery times
     out = network.deliver_due(link)
     assert [m.payload for _, m in out] == [0, 1, 2]
+
+
+def test_same_instant_events_fire_in_scheduling_order():
+    # two links whose messages fall due at the same microsecond, and an
+    # engine action at that instant: all handled in the order scheduled
+    engine = Engine(seed=1)
+    network = Network(engine)
+    network.add_link("a", "c", 0.0015, 1e6)
+    network.add_link("b", "c", 0.002, 2e6)
+    handled = []
+    network.register_handler("c", lambda m: handled.append(m.payload))
+    due_us = seconds_to_us(0.0015) + 1000  # 1,000 bytes at 1 MB/s
+    assert due_us == seconds_to_us(0.002) + 500  # 1,000 bytes at 2 MB/s
+    network.send("b", "c", "request", "b1", size_bytes=1000)
+    engine.schedule(due_us, lambda: handled.append("action"))
+    network.send("a", "c", "request", "a1", size_bytes=1000)
+    network.send("b", "c", "request", "b2", size_bytes=1)
+    engine.run_until(due_us)
+    assert handled == ["b1", "action", "a1"]
+    assert engine.now_us == due_us and network.link("b", "c").depth == 1
 
 
 def test_work_conservation_after_send():
@@ -107,6 +135,13 @@ def test_link_rejects_rates_below_one_byte_per_second(byte_rate):
         Link("a", "b", 0, byte_rate)
 
 
+@pytest.mark.parametrize("latency_us,jitter_us", [(-1, 0), (0, -1)])
+def test_link_rejects_negative_latency_and_jitter(latency_us, jitter_us):
+    # send pushes deliveries onto the engine heap unchecked: never into the past
+    with pytest.raises(ValueError, match="latency and jitter"):
+        Link("a", "b", latency_us, 1e3, jitter_us)
+
+
 def test_unknown_link_rejected():
     engine, network = make_net()
     with pytest.raises(KeyError):
@@ -120,7 +155,7 @@ def test_jitter_delays_within_bounds():
     link = network.link("a", "b")
     arrivals = []
     network.register_handler("b", lambda m: arrivals.append(engine.now_us))
-    base = seconds_to_us(0.001) + link.transmission_us(128)
+    base = seconds_to_us(0.001) + serialization_us(128, 1e9)
     for i in range(20):
         # spaced sends: the link is idle each time
         engine.schedule(seconds_to_us(float(i)),
@@ -151,11 +186,11 @@ def test_delivery_never_beats_latency_plus_serialization(sizes, gaps_ms, latency
     t = 0
     for size, gap in zip(sizes, gaps_ms):
         t += gap * 1000
-        engine._now_us = t
+        engine.now_us = t
         msg = network.send("a", "b", "request", None, size_bytes=size)
         qm = link._queue[-1]
         assert qm.message is msg
-        min_delivery = t + link.transmission_us(size) + link.latency_us
+        min_delivery = t + serialization_us(size, byte_rate) + link.latency_us
         assert qm.deliver_at_us >= min_delivery
     # FIFO: delivery times never reorder
     times = [qm.deliver_at_us for qm in link._queue]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from dvesim.actors import GaltonGeometry, PhysicsActor
 from dvesim.harness import GaltonExperimentConfig, export, run_galton
-from dvesim.netsim import Link
+from dvesim.netsim import Link, Network
 
 EXPORTS = ("metrics.csv", "queues.csv", "histogram.csv", "report.json")
 
@@ -63,20 +63,23 @@ class _Observed:
         self.physics: list[PhysicsActor] = []
         self.sent: dict[str, list] = defaultdict(list)
         self.delivered: dict[str, list] = defaultdict(list)
+        #: per link that carried anything, (sent, delivered) when the run
+        #: returned its report
+        self.at_report: dict[str, tuple[int, int]] = {}
 
 
 def _observed_run(config: GaltonExperimentConfig, out: Path):
     seen = _Observed()
-    actor_init, enqueue, pop_due = (PhysicsActor.__init__, Link.enqueue,
-                                    Link.pop_due)
+    actor_init, send, pop_due = PhysicsActor.__init__, Network.send, Link.pop_due
 
     def record_actor(self, *args, **kwargs):
         actor_init(self, *args, **kwargs)
         seen.physics.append(self)
 
-    def record_send(self, message, *args):
-        seen.sent[self.link_id].append(message)
-        return enqueue(self, message, *args)
+    def record_send(self, src, dst, *args, **kwargs):
+        message = send(self, src, dst, *args, **kwargs)
+        seen.sent[f"{src}->{dst}"].append(message)
+        return message
 
     def record_delivery(self, now_us):
         due = pop_due(self, now_us)
@@ -85,9 +88,11 @@ def _observed_run(config: GaltonExperimentConfig, out: Path):
 
     with ExitStack() as patches:
         patches.enter_context(mock.patch.object(PhysicsActor, "__init__", record_actor))
-        patches.enter_context(mock.patch.object(Link, "enqueue", record_send))
+        patches.enter_context(mock.patch.object(Network, "send", record_send))
         patches.enter_context(mock.patch.object(Link, "pop_due", record_delivery))
         report = run_galton(config)
+        seen.at_report = {link_id: (len(seen.sent[link_id]), len(seen.delivered[link_id]))
+                          for link_id in set(seen.sent) | set(seen.delivered)}
         export(report, out)
         engine = seen.physics[0].engine
         engine.run_until(engine.now_us + 10**12)
@@ -120,6 +125,10 @@ def test_small_runs_keep_every_invariant(config):
     assert report.created_total == config.geometry.total_balls
     assert int(report.histogram.counts.sum()) + report.discarded == report.created_total
 
+    # the links' own counts are what was observed, so an observation that
+    # misses sends or deliveries fails here, not vacuously in the FIFO check
+    assert seen.at_report == {link_id: (t["sent_count"], t["delivered_count"])
+                              for link_id, t in link_totals.items() if t["sent_count"]}
     for link_id, sent in seen.sent.items():
         delivered = seen.delivered[link_id]
         assert len(delivered) == len(sent), link_id

@@ -20,6 +20,20 @@ def upd(entity, prop, value, ts, origin="node-a", seq=0):
     return PropertyUpdate(entity, prop, value, ts, origin, seq)
 
 
+#: the existence update that creating entity 1 at ts 1 on a fresh replica
+#: stamps, as the ``replica`` fixture does
+CREATED = upd(1, EXISTENCE, True, ts=1, seq=0)
+
+
+def assert_visible(replica, *winners):
+    """The replica shows exactly what a fresh one given only the winning
+    updates shows: nothing more, nothing less."""
+    reference = SceneReplica("reference")
+    for u in winners:
+        reference.apply_update(u)
+    assert digest(replica) == digest(reference)
+
+
 @pytest.fixture
 def replica():
     r = SceneReplica("r")
@@ -32,19 +46,20 @@ class TestApplyUpdate:
         replica.apply_update(upd(1, "position", 10, ts=3, seq=10))
         result = replica.apply_update(upd(1, "position", 20, ts=5, seq=11))
         assert result is ApplyResult.ACCEPTED
-        assert replica.get(1, "position") == 20
+        assert_visible(replica, CREATED, upd(1, "position", 20, ts=5, seq=11))
 
     def test_lower_timestamp_superseded(self, replica):
         replica.apply_update(upd(1, "position", 10, ts=5, seq=10))
         result = replica.apply_update(upd(1, "position", 99, ts=3, seq=11))
         assert result is ApplyResult.SUPERSEDED
-        assert replica.get(1, "position") == 10
+        assert_visible(replica, CREATED, upd(1, "position", 10, ts=5, seq=10))
 
     def test_timestamp_tie_broken_by_origin(self, replica):
         replica.apply_update(upd(1, "position", 10, ts=5, origin="node-b", seq=0))
         result = replica.apply_update(upd(1, "position", 20, ts=5, origin="node-c", seq=0))
         assert result is ApplyResult.ACCEPTED
-        assert replica.get(1, "position") == 20
+        assert_visible(replica, CREATED,
+                       upd(1, "position", 20, ts=5, origin="node-c", seq=0))
 
     def test_unknown_entity_raises(self, replica):
         with pytest.raises(UnknownEntity):
@@ -62,8 +77,7 @@ class TestEntityLifecycle:
     def test_create_makes_properties_readable(self):
         r = SceneReplica("r")
         r.create_entity(1, {"position": 5}, ts_us=1, origin="node-a")
-        assert r.is_live(1)
-        assert r.get(1, "position") == 5
+        assert_visible(r, CREATED, upd(1, "position", 5, ts=1, seq=1))
 
     def test_duplicate_create_rejected(self, replica):
         with pytest.raises(DuplicateCreate):
@@ -74,21 +88,22 @@ class TestEntityLifecycle:
         r = SceneReplica("r")
         r.create_entity(1, {}, ts_us=1, origin="node-a")
         r.delete_entity(1, ts_us=5, origin="node-a")
-        assert not r.is_live(1)
+        assert_visible(r)
         r.create_entity(1, {"position": 3}, ts_us=7, origin="node-a")
-        assert r.is_live(1)
-        assert r.get(1, "position") == 3
+        assert_visible(r, upd(1, EXISTENCE, True, ts=7, seq=2),
+                       upd(1, "position", 3, ts=7, seq=3))
 
     def test_delete_with_higher_ts_wins(self, replica):
         replica.delete_entity(1, ts_us=9, origin="node-a")
-        assert not replica.is_live(1)
+        assert_visible(replica)
 
     def test_stale_delete_superseded(self, replica):
         # existence was re-stamped at ts=8; a ts=4 delete is stale
         replica.apply_update(upd(1, EXISTENCE, True, ts=8, seq=50))
         result = replica.apply_update(upd(1, EXISTENCE, False, ts=4, seq=51))
         assert result is ApplyResult.SUPERSEDED
-        assert replica.is_live(1)
+        # alive, and the position written at ts=1 predates the re-stamp
+        assert_visible(replica, upd(1, EXISTENCE, True, ts=8, seq=50))
 
     def test_stale_property_update_blocked_by_tombstone(self, replica):
         # hand-enumerated: delete@9, then a position write stamped 4 arrives
@@ -182,7 +197,8 @@ class TestEntityRecords:
         r.create_entity(1, {}, ts_us=1, origin="node-a")
         r.create_entity(2, {}, ts_us=1, origin="node-a")
         assert r.apply_update(upd(1, "position", 5, ts=2)) is ApplyResult.ACCEPTED
-        assert r.get(1, "position") == 5 and r.get(2, "position") is None
+        assert_visible(r, CREATED, upd(2, EXISTENCE, True, ts=1, seq=1),
+                       upd(1, "position", 5, ts=2))
         assert len(r._entities[2].props) == 0
 
 
