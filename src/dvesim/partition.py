@@ -186,12 +186,12 @@ class MigrationTracker:
         self._in_flight[entity] = MigrationRecord(
             entity, from_partition, to_partition, now_us, token
         )
-        return [TransferMessage(entity, from_partition, to_partition, token, state)]
+        return [tuple.__new__(TransferMessage, (entity, from_partition, to_partition, token, state))]
 
     @staticmethod
     def acknowledge(transfer: TransferMessage) -> MigrationAck:
         """Ack built by the gaining side once it simulates the entity."""
-        return MigrationAck(transfer.entity, transfer.token)
+        return tuple.__new__(MigrationAck, (transfer.entity, transfer.token))
 
     def complete_migration(self, ack: MigrationAck, now_us: int) -> MigrationRecord:
         """Settle the record on ack arrival and return it; duplicate acks are unknown."""

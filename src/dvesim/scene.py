@@ -124,7 +124,7 @@ class SceneReplica:
         if rec is not None and rec.alive:
             raise DuplicateCreate(entity)
         seq = self._seq
-        updates = [PropertyUpdate(entity, EXISTENCE, True, ts_us, origin, seq)]
+        updates = [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, ts_us, origin, seq))]
         updates += [PropertyUpdate(entity, name, initial[name], ts_us, origin, seq + i)
                     for i, name in enumerate(sorted(initial), 1)]
         self._seq = seq + len(updates)
@@ -136,7 +136,7 @@ class SceneReplica:
         """Delete a known entity locally; returns the update to replicate."""
         if entity not in self._entities:
             raise UnknownEntity(entity)
-        u = PropertyUpdate(entity, EXISTENCE, False, ts_us, origin, self._seq)
+        u = tuple.__new__(PropertyUpdate, (entity, EXISTENCE, False, ts_us, origin, self._seq))
         self._seq += 1
         self.apply_update(u)
         return u

@@ -6,6 +6,7 @@ from scipy import stats as scipy_stats
 
 from dvesim.actors import (
     _BLOCK,
+    _FIELDS,
     _ID,
     Ball,
     DispatcherActor,
@@ -173,6 +174,7 @@ class TestPhysicsTickOracle:
     replays the node's descent stream: each tick it serves the first
     min(n, capacity) balls in order, draws in index order, removes landed
     and migrated balls and rotates the served survivors to the back.
+    Balls that arrive between ticks join the back before the next tick.
     """
 
     GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
@@ -180,6 +182,11 @@ class TestPhysicsTickOracle:
     CAPACITY = 100
     TICK_S = 0.1
     SEED = 23
+    #: (t_s, count) of later arrivals per initial population.  1,000 balls
+    #: over capacity 100 plus 24 arrivals fill the 1,024-row table, so the
+    #: served window wraps, and served in place it overlaps the back where
+    #: the survivors go; the next 40 grow the table from an offset head.
+    ARRIVALS = {1000: ((0.25, 24), (3.05, 40))}
 
     def scalar_model(self, n_balls, node, pmap):
         """Ordered (t_us, bucket) collections and (entity, t_us) migrations."""
@@ -191,11 +198,19 @@ class TestPhysicsTickOracle:
         level_us = geo.level_time_us
         y = geo.box_center_y_m(region, 0)
         balls = [Ball(id=i + 1, box=0, row=0) for i in range(n_balls)]
+        arrivals = [(seconds_to_us(t_s), count)
+                    for t_s, count in self.ARRIVALS.get(n_balls, ())]
         progress = {b.id: 0 for b in balls}
         collections, migrations = [], []
         now = 0
-        while balls:
+        while balls or arrivals:
             now += tick_us
+            while arrivals and arrivals[0][0] < now:
+                _, count = arrivals.pop(0)
+                for _ in range(count):
+                    ball = Ball(id=len(progress) + 1, box=0, row=0)
+                    balls.append(ball)
+                    progress[ball.id] = 0
             served = balls[:self.CAPACITY]
             gone = set()
             for b in served:
@@ -240,13 +255,21 @@ class TestPhysicsTickOracle:
             return begin(entity, from_partition, to_partition, now_us, state)
 
         monkeypatch.setattr(actor.tracker, "begin_migration", record)
-        for i in range(n_balls):
-            actor.inject_ball(Ball(id=i + 1, box=0, row=0), scene_seq=i)
+        entities = iter(range(1, 10**6))
+
+        def inject(count):
+            for _ in range(count):
+                entity = next(entities)
+                actor.inject_ball(Ball(id=entity, box=0, row=0), scene_seq=entity - 1)
+
+        inject(n_balls)
+        for t_s, count in self.ARRIVALS.get(n_balls, ()):
+            engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(600.0))
         assert actor.active_count == 0
         return [(c[0], c[3]) for c in ledger.collections], migrations
 
-    @pytest.mark.parametrize("n_balls", [50, 250, _BLOCK + 76])
+    @pytest.mark.parametrize("n_balls", [50, 250, _BLOCK + 76, 1000])
     @pytest.mark.parametrize("split", [False, True])
     def test_matches_scalar_model(self, n_balls, split, monkeypatch):
         region = RegionSpec()
@@ -262,15 +285,18 @@ class TestPhysicsTickOracle:
                                                                monkeypatch)
         assert got_collections == want_collections
         assert got_migrations == want_migrations
-        assert len(want_collections) + len(want_migrations) == n_balls
+        total = n_balls + sum(count for _, count in self.ARRIVALS.get(n_balls, ()))
+        assert len(want_collections) + len(want_migrations) == total
         assert bool(want_migrations) == split
 
 
 def ring_ids(actor, count):
-    """Entity ids of the first ``count`` balls in the actor's service order."""
-    table = actor._balls
-    rows = (actor._head + np.arange(count)) % len(table)
-    return table[rows, _ID].tolist()
+    """Entity ids of the first ``count`` balls in the actor's service order:
+    the seated rows, then the arrivals that the next tick seats."""
+    table = actor._balls.view(np.int64).reshape(-1, _FIELDS)
+    rows = (actor._head + np.arange(actor._n)) % len(table)
+    arrivals = actor._arrivals[_ID::_FIELDS]
+    return (table[rows, _ID].tolist() + arrivals)[:count]
 
 
 class TestBallRing:
@@ -288,13 +314,10 @@ class TestBallRing:
         next_id = iter(range(1, 10**6))
 
         def inject(count):
-            head, size = actor._head, len(actor._balls)
             for _ in range(count):
                 entity = next(next_id)
                 actor.inject_ball(Ball(id=entity, box=0, row=0), scene_seq=entity)
                 reference.append(entity)
-            if len(actor._balls) != size and head != 0:
-                seen["grew_offset"] = True
 
         tick, retire = actor.physics_tick, actor._retire
         retired = set()
@@ -307,9 +330,13 @@ class TestBallRing:
             k = min(len(reference), self.CAPACITY)
             served = [reference.popleft() for _ in range(k)]
             assert ring_ids(actor, actor.active_count) == served + list(reference)
-            if actor._head + k > len(actor._balls):
-                seen["wrapped"] += 1
+            # the tick seats the arrivals first, growing a full table
+            head, size = actor._head, len(actor._balls)
             result = tick(now_us)
+            if len(actor._balls) != size:
+                seen["grew_offset"] |= head != 0
+            elif head + k > size:
+                seen["wrapped"] += 1
             reference.extend(e for e in served if e not in retired)
             seen["ticks"] += 1
             return result
@@ -330,6 +357,14 @@ class TestBallRing:
         assert seen["ticks"] == actor.ticks
 
 
+def layout_map(layout, region):
+    """A one- or two-partition map of the region, split at its middle."""
+    if layout == "single":
+        return PartitionMap.single(region, 1, "physics-1")
+    split = PartitionMap.split_x if layout == "split_x" else PartitionMap.split_y
+    return split(region, 128.0, (1, "physics-1"), (2, "physics-2"))
+
+
 class TestOwnerTable:
     GEO = GaltonGeometry()
 
@@ -337,14 +372,7 @@ class TestOwnerTable:
     def test_table_equals_owners_xy(self, layout):
         geo = self.GEO
         region = RegionSpec()
-        if layout == "single":
-            pmap = PartitionMap.single(region, 1, "physics-1")
-        elif layout == "split_x":
-            pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"),
-                                        (2, "physics-2"))
-        else:
-            pmap = PartitionMap.split_y(region, 128.0, (1, "physics-1"),
-                                        (2, "physics-2"))
+        pmap = layout_map(layout, region)
         engine = Engine(seed=1)
         actor = PhysicsActor("physics-1", 1, pmap, geo, 10, 0.1, engine,
                              Network(engine), "dispatcher", RunLedger(geo.bucket_count))
@@ -366,6 +394,18 @@ class TestOwnerTable:
         assert got.tolist() == want
         assert set(want) == set(pmap.partitions) | {-1}
 
+    @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
+    def test_create_routes_equal_owner_of(self, layout):
+        geo = self.GEO
+        region = RegionSpec()
+        pmap = layout_map(layout, region)
+        dispatcher = DispatcherActor("dispatcher", Network(Engine(seed=1)), pmap, geo,
+                                     subscribers={})
+        want = {(box, row): pmap.partitions[pmap.owner_of(geo.drop_x_m(region, row),
+                                                          geo.box_center_y_m(region, box))]
+                for box in range(geo.boxes) for row in range(geo.rows_per_box)}
+        assert dispatcher._create_nodes == want
+
     def test_column_off_the_board_is_discarded(self):
         geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
                              balls_per_dropper=1, nominal_descent_s=1.0)
@@ -381,6 +421,21 @@ class TestOwnerTable:
         engine, actor, ledger = wire_physics(geo, capacity=10)
         with pytest.raises(ValueError):
             actor.inject_ball(Ball(id=1, box=0, row=1))
+
+    def test_ball_in_another_partition_is_refused(self):
+        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                             balls_per_dropper=1, nominal_descent_s=1.0)
+        region = RegionSpec()
+        engine = Engine(seed=1)
+        actor = PhysicsActor("physics-1", 1, layout_map("split_x", region), geo, 10, 0.1,
+                             engine, Network(engine), "dispatcher",
+                             RunLedger(geo.bucket_count))
+        # column 0 drops at x = 128 m, on the split, which belongs to partition 2
+        with pytest.raises(ValueError):
+            actor.inject_ball(Ball(id=1, box=0, row=0))
+        actor.inject_ball(Ball(id=2, box=0, row=0, column=-1))
+        actor.inject_ball(Ball(id=3, box=0, row=0, column=10_000))
+        assert actor.active_count == 2
 
 
 def wire_run(geometry, topology, period_s, capacity, seed=1):
