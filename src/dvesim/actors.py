@@ -278,28 +278,32 @@ class ScriptActor:
 # physics node
 # ----------------------------------------------------------------------
 
-#: columns of the ball table, one row per ball
-_FIELDS = 9
+#: fields of a ball's full row, the row a transfer ships
 (_ID, _BOX, _ROW, _LEVEL, _COLUMN, _PROGRESS, _CREATED, _SCENE_TS,
- _SCENE_SEQ) = range(_FIELDS)
-#: one table row as one opaque record, so that numpy moves a row in one copy:
-#: a boolean mask over 1,064 rows takes 26-29 µs on the (n, 9) int64 table
-#: and 3-5 µs on records (2-core x86-64 VM, numpy 2.4.6)
-_RECORD = np.dtype((np.void, _FIELDS * 8))
-#: rows of a new ball table; a full table at least doubles
+ _SCENE_SEQ) = range(9)
+#: fields of a hot row, all that a tick reads and moves
+_HOT_FIELDS = 4
+_HOT_PROGRESS, _HOT_LEVEL, _HOT_KEY, _HOT_SLOT = range(_HOT_FIELDS)
+#: a hot row as one record, moved in one copy: a mask over 6,000 rows takes
+#: 137 µs on (n, 4) int64 and 12 µs on records (2-core x86-64, numpy 2.4.6)
+_HOT = np.dtype((np.void, _HOT_FIELDS * 8))
+#: fields of a slab row: id, box, row, created_at_us, scene_ts_us, scene_seq
+_COLD_FIELDS = 6
+#: rows of a new hot ring and of a new slab; a full one at least doubles
 _BLOCK = 1024
 
 
 class PhysicsActor:
     """Capacity-limited descent simulation for one partition.
 
-    Ball state lives in one table used as a ring: rows in service order
-    start at ``_head``, and arrivals join the back when the next tick
-    starts.  Each tick serves the first ``min(population, capacity)``
-    balls and moves the survivors to the back, so under overload every ball
-    is served at the same fractional rate and the mean descent time
-    stretches by population/capacity.  Balls whose step crosses the
-    partition boundary are ghosted and shipped to the gaining node.
+    A hot ring holds a 32-byte row per ball in service order from ``_head``;
+    a slab holds the rest at a slot that stays put until the ball leaves.
+    Arrivals join the ring's back when the next tick starts.  Each tick
+    serves the first ``min(population, capacity)`` balls and moves the
+    survivors to the back, so under overload every ball is served at the
+    same fractional rate and the mean descent time stretches by
+    population/capacity.  Balls whose step crosses the partition boundary
+    are ghosted and shipped to the gaining node.
     """
 
     def __init__(self, node_id: str, partition_id: int, pmap: PartitionMap,
@@ -324,14 +328,19 @@ class PhysicsActor:
         self.clock = engine.clock(node_id)
         self.tracker = MigrationTracker()
         self._stream = engine.stream(f"{node_id}:descent")
-        self._level_us = geometry.level_time_us
-        self._owners, self._col_lo = self._owner_table()
-        self._col_hi = self._owners.shape[2] - 1
-        self._balls = np.zeros(_BLOCK, dtype=_RECORD)
+        self._level_us = level_us = geometry.level_time_us
+        self._owners, self._lanes, self._col_lo, self._col_hi = self._owner_table()
+        #: a hot row's change as it crosses a level, stepping left or right
+        self._steps = np.array([[-level_us, 1, -1, 0], [-level_us, 1, 1, 0]])
+        self._ring = np.zeros(_BLOCK, dtype=_HOT)
         self._head = 0
         self._n = 0
-        #: rows of the balls that arrived since the last tick, flattened
+        self._slab = np.zeros((_BLOCK, _COLD_FIELDS), dtype=np.int64)
+        #: slab slots that no ball holds, handed out from the end
+        self._free = list(range(_BLOCK - 1, -1, -1))
+        #: hot and slab rows of the balls that arrived since the last tick
         self._arrivals: list[int] = []
+        self._cold: list[int] = []
         self._scene_origin: Optional[str] = None
         self._ghosts: set[int] = set()
         self._ticking = False
@@ -339,21 +348,22 @@ class PhysicsActor:
         self.steps_executed = 0
         self.peak_load = 0.0
 
-    def _owner_table(self) -> tuple[np.ndarray, int]:
-        """Partition id per (box, row, column - col_lo), -1 off the region.
+    def _owner_table(self) -> tuple[np.ndarray, list[list[int]], int, int]:
+        """Flat owner table (-1 off the region), lane offsets, clip bounds.
 
         A ball's position depends only on its box, row and column, so the
         owners are looked up once here, through ``ball_x_m`` and
-        ``box_center_y_m`` over broadcast arrays.  The columns run
-        from ``col_lo``, where every row is left of the region, to the first
-        column where every row is right of it; lookups clip a column into
-        that range, so any column beyond it reads -1 too.
+        ``box_center_y_m`` over broadcast arrays.  A ball's key is its
+        (box, row) lane's offset plus its column.  Each lane pads the board
+        with off-region columns, so that a seated ball's step never leaves
+        it, and seating clips a column into the pad, where both next columns
+        lie off the region and off the histogram.
         """
         geom = self.geometry
         region = self.pmap.region
         n = geom.n_levels
-        col_lo = -n - 2 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
-        cols = np.arange(col_lo, 2 * geom.bucket_count - n + 1, dtype=np.float64)
+        col_lo = -n - 4 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
+        cols = np.arange(col_lo, 2 * geom.bucket_count - n + 3, dtype=np.float64)
         rows = np.arange(geom.rows_per_box, dtype=np.float64)
         boxes = np.arange(geom.boxes, dtype=np.float64)
         x = geom.ball_x_m(region, rows[:, None], cols[None, :])
@@ -364,33 +374,32 @@ class PhysicsActor:
         inside = (xs >= 0.0) & (xs < region.width_m)
         table = np.full(shape, -1, dtype=np.int64)
         table[inside] = self.pmap.owners_xy(xs[inside], ys[inside])
-        return table, col_lo
+        lanes = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
+        return table.ravel(), lanes.tolist(), col_lo + 1, col_lo + len(cols) - 2
 
-    def _owner_at(self, boxes: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-        """Owner per ball, from the table; -1 off the region."""
-        index = np.minimum(np.maximum(cols - self._col_lo, 0), self._col_hi)
-        return self._owners[boxes, rows, index]
+    def _clip(self, column: int) -> int:
+        """The column at which a ball is seated, inside its lane."""
+        return min(max(column, self._col_lo), self._col_hi)
 
     # ---- ball table --------------------------------------------------
 
     def _push(self, records: np.ndarray) -> None:
-        """Write records after the last ball in service order, growing a
-        table they do not fit."""
-        table, n = self._balls, self._n
-        if n + len(records) > len(table):
-            table = np.zeros(max(2 * len(table), n + len(records)), dtype=_RECORD)
-            table[:len(self._balls)] = np.roll(self._balls, -self._head)
-            self._balls, self._head = table, 0
-        start = (self._head + n) % len(table)
-        first = min(len(records), len(table) - start)
-        table[start:start + first] = records[:first]
-        table[:len(records) - first] = records[first:]
+        """Write hot rows after the last ball in service order, growing a
+        ring they do not fit."""
+        ring, n = self._ring, self._n
+        if n + len(records) > len(ring):
+            ring = np.zeros(max(2 * len(ring), n + len(records)), dtype=_HOT)
+            ring[:len(self._ring)] = np.roll(self._ring, -self._head)
+            self._ring, self._head = ring, 0
+        start = (self._head + n) % len(ring)
+        first = min(len(records), len(ring) - start)
+        ring[start:start + first] = records[:first]
+        ring[:len(records) - first] = records[first:]
         self._n += len(records)
 
     @property
     def active_count(self) -> int:
-        return self._n + len(self._arrivals) // _FIELDS
+        return self._n + len(self._arrivals) // _HOT_FIELDS
 
     @property
     def ghost_count(self) -> int:
@@ -433,13 +442,19 @@ class PhysicsActor:
         else:
             raise UnroutableMessage(kind)
 
-    def _arrive(self, row: Sequence[int], origin: str) -> None:
-        """Register a ball in the scene; buffer its row for the next tick."""
+    def _arrive(self, ball: Sequence[int], origin: str) -> None:
+        """Register a ball in the scene; buffer its rows, at a free slot."""
+        entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
         if self._scene_origin is None:
             self._scene_origin = origin
         self.replica.apply_update(tuple.__new__(PropertyUpdate, (
-            row[_ID], EXISTENCE, True, row[_SCENE_TS], origin, row[_SCENE_SEQ])))
-        self._arrivals += row
+            entity, EXISTENCE, True, scene_ts, origin, scene_seq)))
+        if not self._free:
+            self._free += range(2 * len(self._slab) - 1, len(self._slab) - 1, -1)
+            self._slab = np.resize(self._slab, (2 * len(self._slab), _COLD_FIELDS))
+        slot = self._free.pop()
+        self._arrivals += (progress, level, self._lanes[box][row] + column, slot)
+        self._cold += (entity, box, row, created, scene_ts, scene_seq)
 
     # ---- ticking -------------------------------------------------------
 
@@ -466,9 +481,12 @@ class PhysicsActor:
         progress; that queueing is the overload dilation.
         """
         if self._arrivals:
-            # seat the balls that arrived since the last tick, in one write
-            self._push(np.array(self._arrivals, dtype=np.int64).view(_RECORD))
-            self._arrivals = []
+            # seat the arrivals: one slab write and one ring push
+            hot = np.array(self._arrivals, dtype=np.int64)
+            self._slab[hot[_HOT_SLOT::_HOT_FIELDS]] = np.array(
+                self._cold, dtype=np.int64).reshape(-1, _COLD_FIELDS)
+            self._push(hot.view(_HOT))
+            self._arrivals, self._cold = [], []
         n = self._n
         self.ticks += 1
         load = n / self.capacity
@@ -478,12 +496,12 @@ class PhysicsActor:
             return {"stepped": 0}
         k = min(n, self.capacity)
         self.steps_executed += k
-        table, head = self._balls, self._head
+        ring, head = self._ring, self._head
         end = head + k
-        in_place = end <= len(table)
-        served = (table[head:end] if in_place
-                  else np.concatenate((table[head:], table[:end - len(table)])))
-        progress = served.view(np.int64).reshape(k, _FIELDS)[:, _PROGRESS]
+        in_place = end <= len(ring)
+        served = (ring[head:end] if in_place
+                  else np.concatenate((ring[head:], ring[:end - len(ring)])))
+        progress = served.view(np.int64).reshape(k, _HOT_FIELDS)[:, _HOT_PROGRESS]
         n_levels = self.geometry.n_levels
         level_us = self._level_us
         keep = np.ones(k, dtype=bool)
@@ -491,31 +509,19 @@ class PhysicsActor:
         crossed = np.nonzero(progress >= level_us)[0]
         while crossed.size:
             balls = served[crossed]
-            c = balls.view(np.int64).reshape(-1, _FIELDS)
-            c[:, _PROGRESS] -= level_us
-            c[:, _LEVEL] += 1
-            draws = self._stream.uniform_many(crossed.size)
-            c[:, _COLUMN] += np.where(draws < 0.5, -1, 1)
+            c = balls.view(np.int64).reshape(-1, _HOT_FIELDS)
+            c += self._steps.take(self._stream.uniform_many(crossed.size) >= 0.5, axis=0)
             served[crossed] = balls
             # a seated ball lies in this partition, so any other owner
             # means it left: off the region (-1) or into a neighbour
-            owner = self._owner_at(c[:, _BOX], c[:, _ROW], c[:, _COLUMN])
-            landed = c[:, _LEVEL] >= n_levels
-            left = ~landed & (owner != self.partition_id)
-            for ball in c[landed].tolist():
-                self._collect(ball, now_us)
-            if left.any():
-                off = left & (owner < 0)
-                for ball in c[off].tolist():
-                    self._discard(ball)
-                moved = left & ~off
-                for ball, to_partition in zip(c[moved].tolist(), owner[moved].tolist()):
-                    self._migrate_out(ball, to_partition, now_us)
-            gone = landed | left
-            keep[crossed[gone]] = False
-            crossed = crossed[~gone & (c[:, _PROGRESS] >= level_us)]
+            owner = self._owners[c[:, _HOT_KEY]]
+            gone = (c[:, _HOT_LEVEL] >= n_levels) | (owner != self.partition_id)
+            if gone.any():
+                self._leave(c[gone], owner[gone].tolist(), now_us)
+                keep[crossed[gone]] = False
+            crossed = crossed[~gone & (c[:, _HOT_PROGRESS] >= level_us)]
         if k < n:
-            self._head, self._n = end % len(table), n - k
+            self._head, self._n = end % len(ring), n - k
         elif in_place and keep.all():
             return {"stepped": k}
         else:
@@ -525,6 +531,25 @@ class PhysicsActor:
         # the mask gathers a copy, so the survivors may overwrite the window
         self._push(served[keep])
         return {"stepped": k}
+
+    def _leave(self, hot: np.ndarray, owners: list[int], now_us: int) -> None:
+        """Free the leaving balls' slots and rebuild their full rows; collect
+        the landed ones, then discard those off the region, then migrate the
+        rest, each group in service order."""
+        slots = hot[:, _HOT_SLOT]
+        self._free += slots.tolist()
+        lanes, n_levels = self._lanes, self.geometry.n_levels
+        leavers = [(0 if level >= n_levels else 1 if owner < 0 else 2, owner,
+                    [eid, box, row, level, key - lanes[box][row], prog, created, ts, seq])
+                   for (prog, level, key, _), (eid, box, row, created, ts, seq), owner
+                   in zip(hot.tolist(), self._slab[slots].tolist(), owners)]
+        for group, owner, ball in sorted(leavers, key=lambda leaver: leaver[0]):
+            if group == 0:
+                self._collect(ball, now_us)
+            elif group == 1:
+                self._discard(ball)
+            else:
+                self._migrate_out(ball, owner, now_us)
 
     def _collect(self, ball: list[int], now_us: int) -> None:
         """Ball landed: record its bucket, or discard it off the histogram."""
@@ -549,7 +574,7 @@ class PhysicsActor:
         self.network.send(self.node_id, self.dispatcher_id, "delete", update)
 
     def _migrate_out(self, ball: list[int], to_partition: int, now_us: int) -> None:
-        """Ghost the ball and ship its table row, with its scene origin."""
+        """Ghost the ball and ship its full row, with its scene origin."""
         entity = ball[_ID]
         transfers = self.tracker.begin_migration(
             entity, self.partition_id, to_partition, now_us,
@@ -568,10 +593,11 @@ class PhysicsActor:
         geom = self.geometry
         if not (0 <= ball.box < geom.boxes and 0 <= ball.row < geom.rows_per_box):
             raise ValueError(f"ball {ball.id} has no box {ball.box} row {ball.row}")
-        owner = self._owner_at(ball.box, ball.row, ball.column)
+        column = self._clip(ball.column)
+        owner = self._owners[self._lanes[ball.box][ball.row] + column]
         if owner >= 0 and owner != self.partition_id:
             raise ValueError(f"ball {ball.id} lies in partition {owner}")
-        self._arrive((ball.id, ball.box, ball.row, ball.level, ball.column,
+        self._arrive((ball.id, ball.box, ball.row, ball.level, column,
                       0, ball.created_at_us, scene_ts_us, scene_seq), origin)
         self.ledger.created += 1
         self.ledger.creates_delivered += 1

@@ -120,6 +120,9 @@ class Network:
         self.message_sizes = dict(DEFAULT_MESSAGE_SIZES)
         if message_sizes:
             self.message_sizes.update(message_sizes)
+        for kind, size in self.message_sizes.items():
+            if size <= 0:
+                raise ValueError(f"message size of {kind!r} must be positive")
         #: (src, dst) -> (link, its delivery action, its jitter stream or None)
         self._routes: dict[tuple[str, str],
                            tuple[Link, Callable[[], None], Optional[RandomStream]]] = {}
@@ -162,7 +165,7 @@ class Network:
         link, action, jitter = route
         if size_bytes is None:
             size_bytes = self.message_sizes[kind]
-        if size_bytes <= 0:
+        elif size_bytes <= 0:
             raise ValueError("message size must be positive")
         msg = _new_tuple(Message, (kind, src, dst, size_bytes, payload))
         engine = self.engine

@@ -6,8 +6,9 @@ from scipy import stats as scipy_stats
 
 from dvesim.actors import (
     _BLOCK,
-    _FIELDS,
-    _ID,
+    _COLD_FIELDS,
+    _HOT_FIELDS,
+    _HOT_SLOT,
     Ball,
     DispatcherActor,
     GaltonGeometry,
@@ -172,106 +173,150 @@ class TestPhysicsTickOracle:
 
     The model is built from Ball, descend_one_level and detect_crossing and
     replays the node's descent stream: each tick it serves the first
-    min(n, capacity) balls in order, draws in index order, removes landed
-    and migrated balls and rotates the served survivors to the back.
-    Balls that arrive between ticks join the back before the next tick.
+    min(n, capacity) balls in order, draws in index order, removes landed,
+    off-region and migrated balls and rotates the served survivors to the
+    back.  Balls that arrive between ticks join the back before the next
+    tick.  Both record what the node sends: for each round of crossings, a
+    delete per landed ball, then a delete per ball off the region, then a
+    transfer per migrating ball, each in service order.
     """
 
     GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
                          balls_per_dropper=1, nominal_descent_s=10.0)
+    #: two boxes of two rows: the balls take turns over the four lanes of the
+    #: owner table and start spread over their partition's columns, edges
+    #: included, so that some step off the region
+    LANES = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=2, droppers_per_row=1,
+                           balls_per_dropper=1, nominal_descent_s=10.0)
     CAPACITY = 100
     TICK_S = 0.1
     SEED = 23
     #: (t_s, count) of later arrivals per initial population.  1,000 balls
-    #: over capacity 100 plus 24 arrivals fill the 1,024-row table, so the
+    #: over capacity 100 plus 24 arrivals fill the 1,024-row ring, so the
     #: served window wraps, and served in place it overlaps the back where
-    #: the survivors go; the next 40 grow the table from an offset head.
+    #: the survivors go; the next 40 grow the ring from an offset head.
     ARRIVALS = {1000: ((0.25, 24), (3.05, 40))}
 
-    def scalar_model(self, n_balls, node, pmap):
-        """Ordered (t_us, bucket) collections and (entity, t_us) migrations."""
-        geo = self.GEO
+    def place(self, geo, pmap, partition_id, entity):
+        """(box, row, column) at which a ball starts, in the partition."""
+        if geo is self.GEO:
+            return 0, 0, 0
         region = pmap.region
-        multi = len(pmap.partitions) > 1
+        box, row = divmod((entity - 1) % 4, 2)
+        y = geo.box_center_y_m(region, box)
+        columns = [c for c in range(-2 * geo.n_levels, 2 * geo.n_levels)
+                   if 0 <= geo.ball_x_m(region, row, c) < region.width_m
+                   and pmap.owner_of(geo.ball_x_m(region, row, c), y) == partition_id]
+        return box, row, columns[(entity - 1) // 4 % len(columns)]
+
+    def scalar_model(self, geo, n_balls, node, pmap):
+        """Ordered (t_us, bucket) collections, (entity, t_us) migrations and
+        (t_us, kind, entity) sends."""
+        region = pmap.region
+        partition_id = next(p for p, n in pmap.partitions.items() if n == node)
         stream = RandomStream(f"{node}:descent", self.SEED)
         tick_us = seconds_to_us(self.TICK_S)
         level_us = geo.level_time_us
-        y = geo.box_center_y_m(region, 0)
-        balls = [Ball(id=i + 1, box=0, row=0) for i in range(n_balls)]
+
+        def ball(entity):
+            box, row, column = self.place(geo, pmap, partition_id, entity)
+            return Ball(id=entity, box=box, row=row, column=column)
+
+        def position(b):
+            return geo.ball_x_m(region, b.row, b.column), geo.box_center_y_m(region, b.box)
+
+        balls = [ball(i + 1) for i in range(n_balls)]
         arrivals = [(seconds_to_us(t_s), count)
                     for t_s, count in self.ARRIVALS.get(n_balls, ())]
         progress = {b.id: 0 for b in balls}
-        collections, migrations = [], []
+        collections, migrations, sends = [], [], []
         now = 0
         while balls or arrivals:
             now += tick_us
             while arrivals and arrivals[0][0] < now:
                 _, count = arrivals.pop(0)
                 for _ in range(count):
-                    ball = Ball(id=len(progress) + 1, box=0, row=0)
-                    balls.append(ball)
-                    progress[ball.id] = 0
+                    b = ball(len(progress) + 1)
+                    balls.append(b)
+                    progress[b.id] = 0
             served = balls[:self.CAPACITY]
             gone = set()
             for b in served:
                 progress[b.id] += tick_us
             crossed = [b for b in served if progress[b.id] >= level_us]
             while crossed:
-                prev_x = {}
+                prev = {}
                 for b in crossed:
                     progress[b.id] -= level_us
-                    prev_x[b.id] = geo.ball_x_m(region, b.row, b.column)
+                    prev[b.id] = position(b)
                     descend_one_level(b, stream)
-                for b in crossed:
-                    if b.level >= geo.n_levels:
-                        collections.append((now, geo.final_bucket(b.column, b.row)))
-                        gone.add(b.id)
-                if multi:
-                    for b in crossed:
-                        x = geo.ball_x_m(region, b.row, b.column)
-                        if b.id not in gone and detect_crossing((prev_x[b.id], y),
-                                                                (x, y), pmap):
-                            migrations.append((b.id, now))
-                            gone.add(b.id)
+                landed = [b for b in crossed if b.level >= geo.n_levels]
+                off = [b for b in crossed if b.level < geo.n_levels
+                       and not 0 <= position(b)[0] < region.width_m]
+                moved = [b for b in crossed if b.level < geo.n_levels and b not in off
+                         and detect_crossing(prev[b.id], position(b), pmap)]
+                for b in landed:
+                    bucket = geo.final_bucket(b.column, b.row)
+                    if 0 <= bucket < geo.bucket_count:
+                        collections.append((now, bucket))
+                sends += [(now, "delete", b.id) for b in landed + off]
+                sends += [(now, "migrate", b.id) for b in moved]
+                migrations += [(b.id, now) for b in moved]
+                gone.update(b.id for b in landed + off + moved)
                 crossed = [b for b in crossed
                            if b.id not in gone and progress[b.id] >= level_us]
             balls = balls[self.CAPACITY:] + [b for b in served if b.id not in gone]
-        return collections, migrations
+        return collections, migrations, sends
 
-    def vectorized_run(self, n_balls, node, pmap, monkeypatch):
+    def vectorized_run(self, geo, n_balls, node, pmap, monkeypatch):
         """The actor on a sink dispatcher: what it sends is never answered."""
         engine = Engine(seed=self.SEED)
         network = Network(engine)
         network.add_link(node, "dispatcher", 0.001, 1e9)
-        ledger = RunLedger(self.GEO.bucket_count)
+        ledger = RunLedger(geo.bucket_count)
         partition_id = next(p for p, n in pmap.partitions.items() if n == node)
-        actor = PhysicsActor(node, partition_id, pmap, self.GEO, self.CAPACITY,
+        actor = PhysicsActor(node, partition_id, pmap, geo, self.CAPACITY,
                              self.TICK_S, engine, network, "dispatcher", ledger)
-        migrations = []
-        begin = actor.tracker.begin_migration
+        migrations, sends = [], []
+        begin, send = actor.tracker.begin_migration, network.send
 
         def record(entity, from_partition, to_partition, now_us, state):
             migrations.append((entity, now_us))
             return begin(entity, from_partition, to_partition, now_us, state)
 
+        def record_send(src, dst, kind, payload, size_bytes=None):
+            sends.append((engine.now_us, kind, payload.entity))
+            return send(src, dst, kind, payload, size_bytes)
+
         monkeypatch.setattr(actor.tracker, "begin_migration", record)
+        monkeypatch.setattr(network, "send", record_send)
         entities = iter(range(1, 10**6))
 
         def inject(count):
             for _ in range(count):
                 entity = next(entities)
-                actor.inject_ball(Ball(id=entity, box=0, row=0), scene_seq=entity - 1)
+                box, row, column = self.place(geo, pmap, partition_id, entity)
+                actor.inject_ball(Ball(id=entity, box=box, row=row, column=column),
+                                  scene_seq=entity - 1)
 
         inject(n_balls)
         for t_s, count in self.ARRIVALS.get(n_balls, ()):
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(600.0))
         assert actor.active_count == 0
-        return [(c[0], c[3]) for c in ledger.collections], migrations
+        return [(c[0], c[3]) for c in ledger.collections], migrations, sends
 
     @pytest.mark.parametrize("n_balls", [50, 250, _BLOCK + 76, 1000])
     @pytest.mark.parametrize("split", [False, True])
     def test_matches_scalar_model(self, n_balls, split, monkeypatch):
+        self.check(self.GEO, n_balls, split, monkeypatch)
+
+    @pytest.mark.parametrize("n_balls", [250, 1000])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_four_lanes_match_scalar_model(self, n_balls, split, monkeypatch):
+        self.check(self.LANES, n_balls, split, monkeypatch)
+
+    def check(self, geo, n_balls, split, monkeypatch):
         region = RegionSpec()
         if split:
             pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"),
@@ -280,28 +325,39 @@ class TestPhysicsTickOracle:
         else:
             pmap = PartitionMap.single(region, 1, "physics-1")
             node = "physics-1"
-        want_collections, want_migrations = self.scalar_model(n_balls, node, pmap)
-        got_collections, got_migrations = self.vectorized_run(n_balls, node, pmap,
-                                                               monkeypatch)
+        want_collections, want_migrations, want_sends = self.scalar_model(
+            geo, n_balls, node, pmap)
+        got_collections, got_migrations, got_sends = self.vectorized_run(
+            geo, n_balls, node, pmap, monkeypatch)
         assert got_collections == want_collections
         assert got_migrations == want_migrations
+        assert got_sends == want_sends
         total = n_balls + sum(count for _, count in self.ARRIVALS.get(n_balls, ()))
-        assert len(want_collections) + len(want_migrations) == total
+        assert sorted(entity for _, _, entity in want_sends) == list(range(1, total + 1))
         assert bool(want_migrations) == split
+        discards = len(want_sends) - len(want_collections) - len(want_migrations)
+        assert (discards > 0) == (geo is self.LANES)
+
+
+def seated_slots(actor):
+    """Slab slots of the seated balls, in service order."""
+    ring = actor._ring.view(np.int64).reshape(-1, _HOT_FIELDS)
+    rows = (actor._head + np.arange(actor._n)) % len(ring)
+    return ring[rows, _HOT_SLOT]
 
 
 def ring_ids(actor, count):
     """Entity ids of the first ``count`` balls in the actor's service order:
-    the seated rows, then the arrivals that the next tick seats."""
-    table = actor._balls.view(np.int64).reshape(-1, _FIELDS)
-    rows = (actor._head + np.arange(actor._n)) % len(table)
-    arrivals = actor._arrivals[_ID::_FIELDS]
-    return (table[rows, _ID].tolist() + arrivals)[:count]
+    the seated balls, through their slab slots, then the arrivals that the
+    next tick seats."""
+    seated = actor._slab[seated_slots(actor), 0].tolist()
+    return (seated + actor._cold[0::_COLD_FIELDS])[:count]
 
 
 class TestBallRing:
-    """The ball table's service order against a deque that rotates served
-    survivors to the back and appends arrivals."""
+    """The hot ring's service order against a deque that rotates served
+    survivors to the back and appends arrivals, and the slab's slots
+    against the balls that hold them."""
 
     GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
                          balls_per_dropper=1, nominal_descent_s=1.0)
@@ -330,21 +386,29 @@ class TestBallRing:
             k = min(len(reference), self.CAPACITY)
             served = [reference.popleft() for _ in range(k)]
             assert ring_ids(actor, actor.active_count) == served + list(reference)
-            # the tick seats the arrivals first, growing a full table
-            head, size = actor._head, len(actor._balls)
+            # the tick seats the arrivals first, growing a full ring
+            head, size = actor._head, len(actor._ring)
             result = tick(now_us)
-            if len(actor._balls) != size:
+            if len(actor._ring) != size:
                 seen["grew_offset"] |= head != 0
             elif head + k > size:
                 seen["wrapped"] += 1
             reference.extend(e for e in served if e not in retired)
             seen["ticks"] += 1
+            # every slot is held by one seated ball, by one buffered
+            # arrival or is free, never two of these
+            seated = seated_slots(actor).tolist()
+            buffered = actor._arrivals[_HOT_SLOT::_HOT_FIELDS]
+            assert len(set(seated)) == len(seated)
+            assert not set(seated) & set(actor._free)
+            assert sorted(seated + buffered + actor._free) == list(range(len(actor._slab)))
             return result
 
         monkeypatch.setattr(actor, "physics_tick", checked_tick)
         monkeypatch.setattr(actor, "_retire", recorded_retire)
         # arrivals land while earlier balls are mid-descent and the head has
-        # moved, so the table grows from an offset head and later wraps
+        # moved, so the ring grows from an offset head and later wraps, and
+        # the slab grows while its first slots are held
         schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
         for t_s, count in schedule:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
@@ -353,7 +417,7 @@ class TestBallRing:
         assert total > _BLOCK
         assert ledger.collected + ledger.discarded == total
         assert actor.active_count == 0 and not reference
-        assert seen["grew_offset"] and seen["wrapped"] > 0
+        assert seen["grew_offset"] and seen["wrapped"] > 0 and len(actor._slab) > _BLOCK
         assert seen["ticks"] == actor.ticks
 
 
@@ -376,23 +440,34 @@ class TestOwnerTable:
         engine = Engine(seed=1)
         actor = PhysicsActor("physics-1", 1, pmap, geo, 10, 0.1, engine,
                              Network(engine), "dispatcher", RunLedger(geo.bucket_count))
-        # every column of the board, and far past both ends of the table
-        columns = range(actor._col_lo - 50, actor._col_hi + actor._col_lo + 50)
-        want, boxes, rows, cols = [], [], [], []
+        # every column of the board, and far past both ends of the lanes,
+        # which seating clips into the lanes' pads
+        columns = range(actor._col_lo - 50, actor._col_hi + 51)
+        want, keys, lanes = [], [], []
         for box in range(geo.boxes):
             for row in range(geo.rows_per_box):
-                for column in columns:
+                offset = actor._lanes[box][row]
+                lane = [offset + actor._clip(column) for column in columns]
+                for column, key in zip(columns, lane):
                     x = geo.ball_x_m(region, row, column)
                     y = geo.box_center_y_m(region, box)
                     inside = 0.0 <= x < region.width_m
                     want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
                                 if inside else -1)
-                    boxes.append(box)
-                    rows.append(row)
-                    cols.append(column)
-        got = actor._owner_at(np.array(boxes), np.array(rows), np.array(cols))
-        assert got.tolist() == want
+                    if inside:
+                        # a seated ball's step needs no clip: both next
+                        # columns have keys one apart from its own
+                        assert offset + actor._clip(column - 1) == key - 1
+                        assert offset + actor._clip(column + 1) == key + 1
+                # a column clipped into a pad has only off-region neighbours
+                for clipped in (lane[0], lane[-1]):
+                    assert actor._owners[[clipped - 1, clipped + 1]].tolist() == [-1, -1]
+                keys += lane
+                lanes.append(set(lane))
+        assert actor._owners[keys].tolist() == want
         assert set(want) == set(pmap.partitions) | {-1}
+        # each (box, row) has a lane of its own
+        assert sum(len(lane) for lane in lanes) == len(set().union(*lanes))
 
     @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
     def test_create_routes_equal_owner_of(self, layout):
@@ -414,6 +489,19 @@ class TestOwnerTable:
         actor.inject_ball(Ball(id=2, box=0, row=0, column=-10_000))
         engine.run_until(seconds_to_us(5.0))
         assert ledger.discarded == 2 and actor.active_count == 0
+
+    def test_column_off_the_board_about_to_land_is_discarded(self):
+        # seating clips the column into the pad: its last step must take it
+        # neither back onto the board nor into a bucket, in any row
+        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=3, droppers_per_row=1,
+                             balls_per_dropper=1, nominal_descent_s=1.0)
+        engine, actor, ledger = wire_physics(geo, capacity=10)
+        for entity, row in enumerate((0, 0, 1, 1, 2, 2), start=1):
+            actor.inject_ball(Ball(id=entity, box=0, row=row, level=geo.n_levels - 1,
+                                   column=10_000 if entity % 2 else -10_000))
+        engine.run_until(seconds_to_us(5.0))
+        assert ledger.discarded == 6 and ledger.collected == 0
+        assert actor.active_count == 0
 
     def test_ball_outside_the_geometry_is_refused(self):
         geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,

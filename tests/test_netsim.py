@@ -142,6 +142,15 @@ def test_link_rejects_negative_latency_and_jitter(latency_us, jitter_us):
         Link("a", "b", latency_us, 1e3, jitter_us)
 
 
+@pytest.mark.parametrize("size", [0, -64])
+def test_non_positive_message_sizes_fail_when_the_network_is_built(size):
+    with pytest.raises(ValueError, match="'ack' must be positive"):
+        Network(Engine(seed=1), {"ack": size})
+    engine, network = make_net()
+    with pytest.raises(ValueError, match="must be positive"):
+        network.send("a", "b", "request", None, size_bytes=size)
+
+
 def test_unknown_link_rejected():
     engine, network = make_net()
     with pytest.raises(KeyError):
