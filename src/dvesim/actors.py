@@ -255,13 +255,14 @@ class ScriptActor:
             return msgs
         self.remaining -= 1
         ts = self.engine.local_now_us(self.clock)
+        node, dispatcher = self.node_id, self.dispatcher_id
+        create, send, entities = self.replica.create_entity, self.network.send, self._entities
         for box, row, _ in self.droppers:
-            entity = next(self._entities)
-            u = self.replica.create_entity(entity, {}, ts, self.node_id)[0]
-            spawn = tuple.__new__(BallSpawn, (entity, box, row, now_us, u.ts_us, u.origin, u.seq))
-            msgs.append(self.network.send(self.node_id, self.dispatcher_id,
-                                          "create", spawn))
-            self.ledger.created += 1
+            entity = next(entities)
+            seq = create(entity, {}, ts, node)[0].seq
+            msgs.append(send(node, dispatcher, "create", tuple.__new__(
+                BallSpawn, (entity, box, row, now_us, ts, node, seq))))
+        self.ledger.created += len(msgs)
         return msgs
 
     def on_message(self, msg: Message) -> None:
@@ -330,6 +331,9 @@ class PhysicsActor:
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = level_us = geometry.level_time_us
         self._owners, self._lanes, self._col_lo, self._col_hi = self._owner_table()
+        #: a seated ball lies in this partition, so a step onto a key owned
+        #: elsewhere leaves it: off the region (-1) or into a neighbour
+        self._away = self._owners != partition_id
         #: a hot row's change as it crosses a level, stepping left or right
         self._steps = np.array([[-level_us, 1, -1, 0], [-level_us, 1, 1, 0]])
         self._ring = np.zeros(_BLOCK, dtype=_HOT)
@@ -504,32 +508,37 @@ class PhysicsActor:
         progress = served.view(np.int64).reshape(k, _HOT_FIELDS)[:, _HOT_PROGRESS]
         n_levels = self.geometry.n_levels
         level_us = self._level_us
-        keep = np.ones(k, dtype=bool)
+        keep = None  # which served balls stay, built once the first one leaves
         progress += self.tick_us
-        crossed = np.nonzero(progress >= level_us)[0]
+        crossed = np.flatnonzero(progress >= level_us)
         while crossed.size:
-            balls = served[crossed]
+            balls = served.take(crossed)
             c = balls.view(np.int64).reshape(-1, _HOT_FIELDS)
             c += self._steps.take(self._stream.uniform_many(crossed.size) >= 0.5, axis=0)
-            served[crossed] = balls
-            # a seated ball lies in this partition, so any other owner
-            # means it left: off the region (-1) or into a neighbour
-            owner = self._owners[c[:, _HOT_KEY]]
-            gone = (c[:, _HOT_LEVEL] >= n_levels) | (owner != self.partition_id)
+            served.put(crossed, balls)
+            gone = self._away.take(c[:, _HOT_KEY]) | (c[:, _HOT_LEVEL] >= n_levels)
             if gone.any():
-                self._leave(c[gone], owner[gone].tolist(), now_us)
+                left = c[gone]
+                self._leave(left, self._owners.take(left[:, _HOT_KEY]).tolist(), now_us)
+                if keep is None:
+                    keep = np.ones(k, dtype=bool)
                 keep[crossed[gone]] = False
-            crossed = crossed[~gone & (c[:, _HOT_PROGRESS] >= level_us)]
+                crossed = crossed[~gone & (c[:, _HOT_PROGRESS] >= level_us)]
+            else:
+                crossed = crossed[c[:, _HOT_PROGRESS] >= level_us]
         if k < n:
             self._head, self._n = end % len(ring), n - k
-        elif in_place and keep.all():
+        elif in_place and keep is None:
             return {"stepped": k}
         else:
             # every ball was served: the survivors compact to the window's
             # start, or to row 0 from a wrapped window's copy
             self._head, self._n = head if in_place else 0, 0
-        # the mask gathers a copy, so the survivors may overwrite the window
-        self._push(served[keep])
+        # with nobody gone the survivors are the window itself, which the
+        # push may overlap: numpy copies an overlapping slice as if through a
+        # buffer, and the push's first part never writes what its second
+        # reads.  A mask gathers a copy.
+        self._push(served if keep is None else served[keep])
         return {"stepped": k}
 
     def _leave(self, hot: np.ndarray, owners: list[int], now_us: int) -> None:

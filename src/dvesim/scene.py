@@ -17,17 +17,13 @@ it.  Tombstones are kept for the whole run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import Any, NamedTuple
 
 EXISTENCE = "existence"
 
 #: (timestamp_us, origin node id, per-origin sequence number)
 Stamp = tuple[int, str, int]
-
-_NO_PROPS: Any = MappingProxyType({})
 
 
 class UnknownEntity(KeyError):
@@ -52,22 +48,18 @@ class PropertyUpdate(NamedTuple):
     seq: int
 
 
-@dataclass(slots=True)
-class _EntityRecord:
-    alive: bool
-    existence_stamp: Stamp
-    # property name -> (value, stamp); may hold entries older than the
-    # current incarnation, which stay invisible until out-stamped.  Shared
-    # and read-only _NO_PROPS until the first one: most entities get none.
-    props: dict[str, tuple[Any, Stamp]]
-
-
 class SceneReplica:
     """One node's copy of the scene, converging under last-writer-wins."""
 
     def __init__(self, node_id: str):
         self.node_id = node_id
-        self._entities: dict[int, _EntityRecord] = {}
+        #: entity -> (alive, existence stamp), a tuple of atomic values that
+        #: the cyclic collector untracks
+        self._entities: dict[int, tuple[bool, Stamp]] = {}
+        #: entity -> property name -> (value, stamp), only for an entity that
+        #: got a property update: most get none.  It may hold entries older
+        #: than the current incarnation, which stay invisible until out-stamped.
+        self._props: dict[int, dict[str, tuple[Any, Stamp]]] = {}
         self._live = 0
         self._seq = 0  # seq of the next locally originated update
 
@@ -83,28 +75,25 @@ class SceneReplica:
             if rec is None:
                 if not u.value:
                     raise UnknownEntity(u.entity)
-                self._entities[u.entity] = _EntityRecord(True, stamp, _NO_PROPS)
+                self._entities[u.entity] = (True, stamp)
                 self._live += 1
                 return ApplyResult.ACCEPTED
-            if stamp <= rec.existence_stamp:
+            if stamp <= rec[1]:
                 return ApplyResult.SUPERSEDED
             alive = bool(u.value)
-            if alive != rec.alive:
+            if alive != rec[0]:
                 self._live += 1 if alive else -1
-                rec.alive = alive
-            rec.existence_stamp = stamp
+            self._entities[u.entity] = (alive, stamp)
             return ApplyResult.ACCEPTED
         if rec is None:
             raise UnknownEntity(u.entity)
-        current = rec.props.get(u.property)
-        floor = rec.existence_stamp
+        current = self._props.get(u.entity, {}).get(u.property)
+        floor = rec[1]
         if current is not None and current[1] > floor:
             floor = current[1]
         if stamp <= floor:
             return ApplyResult.SUPERSEDED
-        if rec.props is _NO_PROPS:
-            rec.props = {}
-        rec.props[u.property] = (u.value, stamp)
+        self._props.setdefault(u.entity, {})[u.property] = (u.value, stamp)
         return ApplyResult.ACCEPTED
 
     # ------------------------------------------------------------------
@@ -121,10 +110,16 @@ class SceneReplica:
         the properties follow in name order, on consecutive seq numbers.
         """
         rec = self._entities.get(entity)
-        if rec is not None and rec.alive:
+        if rec is not None and rec[0]:
             raise DuplicateCreate(entity)
         seq = self._seq
         updates = [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, ts_us, origin, seq))]
+        if rec is None and not initial:
+            # a first incarnation without properties: write its record directly
+            self._entities[entity] = (True, (ts_us, origin, seq))
+            self._live += 1
+            self._seq = seq + 1
+            return updates
         updates += [PropertyUpdate(entity, name, initial[name], ts_us, origin, seq + i)
                     for i, name in enumerate(sorted(initial), 1)]
         self._seq = seq + len(updates)
@@ -157,13 +152,14 @@ def digest(replica: SceneReplica) -> str:
     """
     h = hashlib.sha256()
     for entity in sorted(replica._entities):
-        rec = replica._entities[entity]
-        if not rec.alive:
+        alive, floor = replica._entities[entity]
+        if not alive:
             continue
-        h.update(f"E{entity}:{rec.existence_stamp!r}\n".encode())
-        for name in sorted(rec.props):
-            value, stamp = rec.props[name]
-            if stamp < rec.existence_stamp:
+        h.update(f"E{entity}:{floor!r}\n".encode())
+        props = replica._props.get(entity, {})
+        for name in sorted(props):
+            value, stamp = props[name]
+            if stamp < floor:
                 continue
             h.update(f"P{entity}.{name}={value!r}@{stamp!r}\n".encode())
     return h.hexdigest()

@@ -1,12 +1,16 @@
-"""Shared test machinery: randomized LWW delivery schedules."""
+"""Shared test machinery: randomized LWW delivery schedules and a plain
+last-writer-wins model of the scene."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 from dvesim.scene import (
     EXISTENCE,
+    ApplyResult,
+    DuplicateCreate,
     PropertyUpdate,
     SceneReplica,
     UnknownEntity,
@@ -78,3 +82,69 @@ def run_lww_trial(rng: random.Random) -> tuple[str, str]:
     deliver_schedule(r1, updates, rng)
     deliver_schedule(r2, updates, rng)
     return digest(r1), digest(r2)
+
+
+class LwwModel:
+    """The scene as two plain dicts of last-writer-wins registers: each
+    entity's existence ``(stamp, alive)`` and each ``(entity, property)``'s
+    ``(stamp, value)``.  A property is visible while its entity is alive
+    and its stamp is not older than the entity's existence stamp."""
+
+    def __init__(self):
+        self.stamps: dict = {}
+        self.registers: dict = {}
+        self.seq = 0
+
+    def apply_update(self, u: PropertyUpdate) -> ApplyResult:
+        stamp = (u.ts_us, u.origin, u.seq)
+        if u.entity not in self.stamps:
+            if u.property != EXISTENCE or not u.value:
+                raise UnknownEntity(u.entity)
+            self.stamps[u.entity] = (stamp, True)
+            return ApplyResult.ACCEPTED
+        floor = self.stamps[u.entity][0]
+        if u.property == EXISTENCE:
+            if stamp <= floor:
+                return ApplyResult.SUPERSEDED
+            self.stamps[u.entity] = (stamp, bool(u.value))
+            return ApplyResult.ACCEPTED
+        key = (u.entity, u.property)
+        if stamp <= floor or (key in self.registers and stamp <= self.registers[key][0]):
+            return ApplyResult.SUPERSEDED
+        self.registers[key] = (stamp, u.value)
+        return ApplyResult.ACCEPTED
+
+    def create_entity(self, entity, initial, ts_us, origin) -> list[PropertyUpdate]:
+        if self.stamps.get(entity, (None, False))[1]:
+            raise DuplicateCreate(entity)
+        names = [EXISTENCE] + sorted(initial)
+        updates = [PropertyUpdate(entity, name, True if name == EXISTENCE else initial[name],
+                                  ts_us, origin, self.seq + i)
+                   for i, name in enumerate(names)]
+        self.seq += len(updates)
+        for u in updates:
+            self.apply_update(u)
+        return updates
+
+    def delete_entity(self, entity, ts_us, origin) -> PropertyUpdate:
+        if entity not in self.stamps:
+            raise UnknownEntity(entity)
+        u = PropertyUpdate(entity, EXISTENCE, False, ts_us, origin, self.seq)
+        self.seq += 1
+        self.apply_update(u)
+        return u
+
+    def live_count(self) -> int:
+        return sum(alive for _, alive in self.stamps.values())
+
+    def digest(self) -> str:
+        """The visible state in ``scene.digest``'s format."""
+        h = hashlib.sha256()
+        for entity, (floor, alive) in sorted(self.stamps.items()):
+            if not alive:
+                continue
+            h.update(f"E{entity}:{floor!r}\n".encode())
+            for (e, name), (stamp, value) in sorted(self.registers.items()):
+                if e == entity and stamp >= floor:
+                    h.update(f"P{entity}.{name}={value!r}@{stamp!r}\n".encode())
+        return h.hexdigest()

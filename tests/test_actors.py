@@ -363,10 +363,13 @@ class TestBallRing:
                          balls_per_dropper=1, nominal_descent_s=1.0)
     CAPACITY = 7
 
-    def test_service_order_matches_deque(self, monkeypatch):
+    def drain(self, monkeypatch, schedule):
+        """Inject ``(t_s, count)`` balls, drain them and check every tick
+        against the deque; returns what the ticks did to the ring."""
         engine, actor, ledger = wire_physics(self.GEO, capacity=self.CAPACITY, seed=8)
         reference = deque()
-        seen = {"ticks": 0, "wrapped": 0, "grew_offset": False}
+        seen = {"ticks": 0, "wrapped": 0, "grew_offset": False,
+                "unmasked_aliased": 0, "unmasked_wrapped": 0}
         next_id = iter(range(1, 10**6))
 
         def inject(count):
@@ -385,14 +388,21 @@ class TestBallRing:
         def checked_tick(now_us):
             k = min(len(reference), self.CAPACITY)
             served = [reference.popleft() for _ in range(k)]
+            n = k + len(reference)
             assert ring_ids(actor, actor.active_count) == served + list(reference)
             # the tick seats the arrivals first, growing a full ring
-            head, size = actor._head, len(actor._ring)
+            head, size, gone = actor._head, len(actor._ring), len(retired)
             result = tick(now_us)
             if len(actor._ring) != size:
                 seen["grew_offset"] |= head != 0
             elif head + k > size:
                 seen["wrapped"] += 1
+            # nobody left, so the survivors are pushed from the window itself
+            if len(retired) == gone and k < n and len(actor._ring) == size:
+                if head + k > size:
+                    seen["unmasked_wrapped"] += 1
+                elif n + k > size:
+                    seen["unmasked_aliased"] += 1
             reference.extend(e for e in served if e not in retired)
             seen["ticks"] += 1
             # every slot is held by one seated ball, by one buffered
@@ -406,19 +416,32 @@ class TestBallRing:
 
         monkeypatch.setattr(actor, "physics_tick", checked_tick)
         monkeypatch.setattr(actor, "_retire", recorded_retire)
-        # arrivals land while earlier balls are mid-descent and the head has
-        # moved, so the ring grows from an offset head and later wraps, and
-        # the slab grows while its first slots are held
-        schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
         for t_s, count in schedule:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(3600.0))
         total = sum(count for _, count in schedule)
-        assert total > _BLOCK
         assert ledger.collected + ledger.discarded == total
         assert actor.active_count == 0 and not reference
-        assert seen["grew_offset"] and seen["wrapped"] > 0 and len(actor._slab) > _BLOCK
         assert seen["ticks"] == actor.ticks
+        return seen, actor
+
+    def test_service_order_matches_deque(self, monkeypatch):
+        # arrivals land while earlier balls are mid-descent and the head has
+        # moved, so the ring grows from an offset head and later wraps, and
+        # the slab grows while its first slots are held
+        schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
+        seen, actor = self.drain(monkeypatch, schedule)
+        assert sum(count for _, count in schedule) > _BLOCK
+        assert seen["grew_offset"] and seen["wrapped"] > 0 and len(actor._slab) > _BLOCK
+
+    @pytest.mark.parametrize("balls, case", [(_BLOCK - 4, "unmasked_aliased"),
+                                             (700, "unmasked_wrapped")])
+    def test_unmasked_rotation_matches_deque(self, monkeypatch, balls, case):
+        # one burst, so no ball lands for the first ~balls / capacity ticks
+        # while the head walks round the ring: with n + k past the ring's
+        # length the window and the back it is pushed to share rows
+        seen, actor = self.drain(monkeypatch, [(0.0, balls)])
+        assert len(actor._ring) == _BLOCK and seen[case] > 0
 
 
 def layout_map(layout, region):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from dvesim.scene import (
     UnknownEntity,
     digest,
 )
-from helpers import run_lww_trial
+from helpers import LwwModel, run_lww_trial
 
 
 def upd(entity, prop, value, ts, origin="node-a", seq=0):
@@ -176,10 +177,10 @@ class TestConvergence:
         for i in range(500):
             u = upd(1, "position", i, ts=rng.randint(0, 100), origin="node-b", seq=i)
             r.apply_update(u)
-            rec = r._entities[1].props.get("position")
-            if rec is not None:
-                assert rec[1] >= last
-                last = rec[1]
+            register = r._props.get(1, {}).get("position")
+            if register is not None:
+                assert register[1] >= last
+                last = register[1]
 
 
 class TestEntityRecords:
@@ -188,9 +189,9 @@ class TestEntityRecords:
         for entity in (1, 2):
             r.create_entity(entity, {}, ts_us=entity, origin="node-a")
             r.delete_entity(entity, ts_us=10 + entity, origin="node-a")
-        first, second = r._entities[1], r._entities[2]
-        assert first.props is second.props and len(first.props) == 0
-        assert not hasattr(first, "__dict__")
+        # each record is an exact tuple, with no props entry beside it
+        for entity in (1, 2):
+            assert type(r._entities[entity]) is tuple and entity not in r._props
 
     def test_first_property_update_gives_the_entity_its_own_props(self):
         r = SceneReplica("r")
@@ -199,7 +200,7 @@ class TestEntityRecords:
         assert r.apply_update(upd(1, "position", 5, ts=2)) is ApplyResult.ACCEPTED
         assert_visible(r, CREATED, upd(2, EXISTENCE, True, ts=1, seq=1),
                        upd(1, "position", 5, ts=2))
-        assert len(r._entities[2].props) == 0
+        assert list(r._props) == [1] and list(r._props[1]) == ["position"]
 
 
 @st.composite
@@ -230,4 +231,71 @@ def test_live_count_matches_a_scan_of_the_records(deliveries):
             r.apply_update(u)
         except UnknownEntity:
             pass
-        assert r.live_count() == sum(rec.alive for rec in r._entities.values())
+        assert r.live_count() == sum(alive for alive, _ in r._entities.values())
+
+
+@st.composite
+def local_and_replicated_ops(draw):
+    """Creates with and without properties, re-creations after deletes,
+    deletes, and replicated updates: fresh, stale, or replays of the
+    updates that earlier local operations returned."""
+    entity = st.integers(min_value=1, max_value=4)
+    ts = st.integers(min_value=0, max_value=12)
+    origin = st.sampled_from(["node-a", "node-b"])
+    op = st.one_of(
+        st.tuples(st.just("create"), entity,
+                  st.dictionaries(st.sampled_from(["color", "position"]),
+                                  st.integers(0, 3), max_size=2), ts, origin),
+        st.tuples(st.just("delete"), entity, ts, origin),
+        st.tuples(st.just("apply"), st.builds(
+            PropertyUpdate, entity=entity,
+            property=st.sampled_from([EXISTENCE, "color", "position"]),
+            value=st.booleans(), ts_us=ts, origin=origin,
+            seq=st.integers(min_value=0, max_value=6))),
+        st.tuples(st.just("replay"), st.integers(min_value=0)),
+    )
+    return draw(st.lists(op, max_size=40))
+
+
+def outcome(call, *args):
+    """What a call returned, or the type of what it raised."""
+    try:
+        return call(*args)
+    except (UnknownEntity, DuplicateCreate) as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=local_and_replicated_ops())
+def test_replica_matches_the_lww_model(ops):
+    replica, model = SceneReplica("r"), LwwModel()
+    sent = []  # every update a local operation returned, to replay
+    for name, *args in ops:
+        if name == "replay":
+            if not sent:
+                continue
+            name, args = "apply", [sent[args[0] % len(sent)]]
+        method = {"create": "create_entity", "delete": "delete_entity",
+                  "apply": "apply_update"}[name]
+        got = outcome(getattr(replica, method), *args)
+        assert got == outcome(getattr(model, method), *args)
+        if name == "create" and isinstance(got, list):
+            sent += got
+        elif name == "delete" and isinstance(got, PropertyUpdate):
+            sent.append(got)
+        assert replica.live_count() == model.live_count()
+        assert digest(replica) == model.digest()
+
+
+def test_records_of_created_and_deleted_entities_are_untracked():
+    r = SceneReplica("r")
+    for entity in range(1, 1001):
+        r.create_entity(entity, {}, ts_us=entity, origin="node-a")
+        r.delete_entity(entity, ts_us=entity + 1, origin="node-a")
+    # a tuple is untracked once a collection sees that it holds no tracked
+    # object.  A full collection checks the youngest generation's tuples
+    # before the middle one's, so a record built after its stamp tuple was
+    # promoted stays tracked until the next collection.
+    gc.collect()
+    gc.collect()
+    assert not any(gc.is_tracked(rec) for rec in r._entities.values())
