@@ -165,10 +165,6 @@ class RunLedger:
     collections: list[tuple[int, int, str, int]] = field(default_factory=list)
     migrated_entities: set[int] = field(default_factory=set)
 
-    def transfer_sent(self, entity: int) -> None:
-        self.transfers_sent += 1
-        self.migrated_entities.add(entity)
-
     @property
     def collected(self) -> int:
         return len(self.collections)
@@ -279,9 +275,9 @@ class ScriptActor:
 # physics node
 # ----------------------------------------------------------------------
 
-#: fields of a ball's full row, the row a transfer ships
-(_ID, _BOX, _ROW, _LEVEL, _COLUMN, _PROGRESS, _CREATED, _SCENE_TS,
- _SCENE_SEQ) = range(9)
+# A transfer ships a ball's full 9-field row: id, box, row, level, column,
+# progress, created_at_us, scene_ts_us, scene_seq.
+
 #: fields of a hot row, all that a tick reads and moves
 _HOT_FIELDS = 4
 _HOT_PROGRESS, _HOT_LEVEL, _HOT_KEY, _HOT_SLOT = range(_HOT_FIELDS)
@@ -290,6 +286,9 @@ _HOT_PROGRESS, _HOT_LEVEL, _HOT_KEY, _HOT_SLOT = range(_HOT_FIELDS)
 _HOT = np.dtype((np.void, _HOT_FIELDS * 8))
 #: fields of a slab row: id, box, row, created_at_us, scene_ts_us, scene_seq
 _COLD_FIELDS = 6
+#: an arrival's buffered row: its hot row, then its slab row
+_ARRIVAL_FIELDS = _HOT_FIELDS + _COLD_FIELDS
+_ARRIVAL = np.dtype([("hot", _HOT), ("cold", (np.void, _COLD_FIELDS * 8))])
 #: rows of a new hot ring and of a new slab; a full one at least doubles
 _BLOCK = 1024
 
@@ -333,7 +332,7 @@ class PhysicsActor:
         self._owners, self._lanes, self._col_lo, self._col_hi = self._owner_table()
         #: a seated ball lies in this partition, so a step onto a key owned
         #: elsewhere leaves it: off the region (-1) or into a neighbour
-        self._away = self._owners != partition_id
+        self._away = np.array(self._owners) != partition_id
         #: a hot row's change as it crosses a level, stepping left or right
         self._steps = np.array([[-level_us, 1, -1, 0], [-level_us, 1, 1, 0]])
         self._ring = np.zeros(_BLOCK, dtype=_HOT)
@@ -342,17 +341,15 @@ class PhysicsActor:
         self._slab = np.zeros((_BLOCK, _COLD_FIELDS), dtype=np.int64)
         #: slab slots that no ball holds, handed out from the end
         self._free = list(range(_BLOCK - 1, -1, -1))
-        #: hot and slab rows of the balls that arrived since the last tick
+        #: the rows of the balls that arrived since the last tick, flat
         self._arrivals: list[int] = []
-        self._cold: list[int] = []
         self._scene_origin: Optional[str] = None
-        self._ghosts: set[int] = set()
         self._ticking = False
         self.ticks = 0
         self.steps_executed = 0
         self.peak_load = 0.0
 
-    def _owner_table(self) -> tuple[np.ndarray, list[list[int]], int, int]:
+    def _owner_table(self) -> tuple[list[int], list[list[int]], int, int]:
         """Flat owner table (-1 off the region), lane offsets, clip bounds.
 
         A ball's position depends only on its box, row and column, so the
@@ -379,7 +376,7 @@ class PhysicsActor:
         table = np.full(shape, -1, dtype=np.int64)
         table[inside] = self.pmap.owners_xy(xs[inside], ys[inside])
         lanes = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
-        return table.ravel(), lanes.tolist(), col_lo + 1, col_lo + len(cols) - 2
+        return table.ravel().tolist(), lanes.tolist(), col_lo + 1, col_lo + len(cols) - 2
 
     def _clip(self, column: int) -> int:
         """The column at which a ball is seated, inside its lane."""
@@ -398,16 +395,18 @@ class PhysicsActor:
         start = (self._head + n) % len(ring)
         first = min(len(records), len(ring) - start)
         ring[start:start + first] = records[:first]
-        ring[:len(records) - first] = records[first:]
+        if first < len(records):
+            ring[:len(records) - first] = records[first:]
         self._n += len(records)
 
     @property
     def active_count(self) -> int:
-        return self._n + len(self._arrivals) // _HOT_FIELDS
+        return self._n + len(self._arrivals) // _ARRIVAL_FIELDS
 
     @property
     def ghost_count(self) -> int:
-        return len(self._ghosts)
+        """Balls shipped out whose transfer is not yet acknowledged."""
+        return self.tracker.in_flight_count()
 
     @property
     def load_proxy(self) -> float:
@@ -420,7 +419,6 @@ class PhysicsActor:
         if kind == "ack":
             env: AckEnvelope = msg.payload
             self.tracker.complete_migration(env.ack, self.engine.now_us)
-            self._ghosts.discard(env.ack.entity)
             self.ledger.migrations_completed += 1
         elif kind == "migrate":
             transfer: TransferMessage = msg.payload
@@ -433,21 +431,23 @@ class PhysicsActor:
             ack = MigrationTracker.acknowledge(transfer)
             self.network.send(self.node_id, self.dispatcher_id, "ack",
                               tuple.__new__(AckEnvelope, (ack, transfer.from_partition)))
-            self._ensure_ticking()
+            if not self._ticking:
+                self._start_ticking()
         elif kind == "create":
             spawn: BallSpawn = msg.payload
             self._arrive((spawn.entity, spawn.box, spawn.row, 0, 0, 0,
                           spawn.created_at_us, spawn.scene_ts_us, spawn.scene_seq),
                          spawn.scene_origin)
             self.ledger.creates_delivered += 1
-            self._ensure_ticking()
+            if not self._ticking:
+                self._start_ticking()
         elif kind in ("delete", "update"):
             self.replica.apply_update(msg.payload)
         else:
             raise UnroutableMessage(kind)
 
     def _arrive(self, ball: Sequence[int], origin: str) -> None:
-        """Register a ball in the scene; buffer its rows, at a free slot."""
+        """Register a ball in the scene; buffer its row, at a free slot."""
         entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
         if self._scene_origin is None:
             self._scene_origin = origin
@@ -457,14 +457,13 @@ class PhysicsActor:
             self._free += range(2 * len(self._slab) - 1, len(self._slab) - 1, -1)
             self._slab = np.resize(self._slab, (2 * len(self._slab), _COLD_FIELDS))
         slot = self._free.pop()
-        self._arrivals += (progress, level, self._lanes[box][row] + column, slot)
-        self._cold += (entity, box, row, created, scene_ts, scene_seq)
+        self._arrivals += (progress, level, self._lanes[box][row] + column, slot,
+                           entity, box, row, created, scene_ts, scene_seq)
 
     # ---- ticking -------------------------------------------------------
 
-    def _ensure_ticking(self) -> None:
-        if self._ticking:
-            return
+    def _start_ticking(self) -> None:
+        """Schedule the next tick; the caller checks that none is pending."""
         self._ticking = True
         next_tick = (self.engine.now_us // self.tick_us + 1) * self.tick_us
         self.engine.schedule(next_tick, self._tick)
@@ -486,11 +485,11 @@ class PhysicsActor:
         """
         if self._arrivals:
             # seat the arrivals: one slab write and one ring push
-            hot = np.array(self._arrivals, dtype=np.int64)
-            self._slab[hot[_HOT_SLOT::_HOT_FIELDS]] = np.array(
-                self._cold, dtype=np.int64).reshape(-1, _COLD_FIELDS)
-            self._push(hot.view(_HOT))
-            self._arrivals, self._cold = [], []
+            rows = np.array(self._arrivals, dtype=np.int64)
+            self._slab[rows[_HOT_SLOT::_ARRIVAL_FIELDS]] = rows.reshape(
+                -1, _ARRIVAL_FIELDS)[:, _HOT_FIELDS:]
+            self._push(rows.view(_ARRIVAL)["hot"])
+            self._arrivals = []
         n = self._n
         self.ticks += 1
         load = n / self.capacity
@@ -505,30 +504,28 @@ class PhysicsActor:
         in_place = end <= len(ring)
         served = (ring[head:end] if in_place
                   else np.concatenate((ring[head:], ring[:end - len(ring)])))
-        progress = served.view(np.int64).reshape(k, _HOT_FIELDS)[:, _HOT_PROGRESS]
+        progress = served.view(np.int64)[_HOT_PROGRESS::_HOT_FIELDS]
         n_levels = self.geometry.n_levels
         level_us = self._level_us
-        keep = None  # which served balls stay, built once the first one leaves
+        anyone_left = False
         progress += self.tick_us
-        crossed = np.flatnonzero(progress >= level_us)
+        crossed = (progress >= level_us).nonzero()[0]
         while crossed.size:
             balls = served.take(crossed)
             c = balls.view(np.int64).reshape(-1, _HOT_FIELDS)
             c += self._steps.take(self._stream.uniform_many(crossed.size) >= 0.5, axis=0)
+            left = (self._away.take(c[:, _HOT_KEY]) | (c[:, _HOT_LEVEL] >= n_levels)).nonzero()[0]
+            if left.size:
+                self._leave(c.take(left, axis=0), now_us)
+                # a leaver's progress becomes -1, below any seated ball's: it
+                # crosses no more, and the survivors' mask drops it
+                c[left, _HOT_PROGRESS] = -1
+                anyone_left = True
             served.put(crossed, balls)
-            gone = self._away.take(c[:, _HOT_KEY]) | (c[:, _HOT_LEVEL] >= n_levels)
-            if gone.any():
-                left = c[gone]
-                self._leave(left, self._owners.take(left[:, _HOT_KEY]).tolist(), now_us)
-                if keep is None:
-                    keep = np.ones(k, dtype=bool)
-                keep[crossed[gone]] = False
-                crossed = crossed[~gone & (c[:, _HOT_PROGRESS] >= level_us)]
-            else:
-                crossed = crossed[c[:, _HOT_PROGRESS] >= level_us]
+            crossed = crossed[c[:, _HOT_PROGRESS] >= level_us]
         if k < n:
             self._head, self._n = end % len(ring), n - k
-        elif in_place and keep is None:
+        elif in_place and not anyone_left:
             return {"stepped": k}
         else:
             # every ball was served: the survivors compact to the window's
@@ -538,60 +535,53 @@ class PhysicsActor:
         # push may overlap: numpy copies an overlapping slice as if through a
         # buffer, and the push's first part never writes what its second
         # reads.  A mask gathers a copy.
-        self._push(served if keep is None else served[keep])
+        self._push(served[progress >= 0] if anyone_left else served)
         return {"stepped": k}
 
-    def _leave(self, hot: np.ndarray, owners: list[int], now_us: int) -> None:
-        """Free the leaving balls' slots and rebuild their full rows; collect
-        the landed ones, then discard those off the region, then migrate the
-        rest, each group in service order."""
-        slots = hot[:, _HOT_SLOT]
-        self._free += slots.tolist()
-        lanes, n_levels = self._lanes, self.geometry.n_levels
-        leavers = [(0 if level >= n_levels else 1 if owner < 0 else 2, owner,
-                    [eid, box, row, level, key - lanes[box][row], prog, created, ts, seq])
-                   for (prog, level, key, _), (eid, box, row, created, ts, seq), owner
-                   in zip(hot.tolist(), self._slab[slots].tolist(), owners)]
-        for group, owner, ball in sorted(leavers, key=lambda leaver: leaver[0]):
-            if group == 0:
-                self._collect(ball, now_us)
-            elif group == 1:
-                self._discard(ball)
+    def _leave(self, hot: np.ndarray, now_us: int) -> None:
+        """Free the leaving balls' slots; collect the landed ones, then
+        discard those off the region, then ghost the rest and ship each one's
+        full row with its scene origin, each group in service order.  A ball
+        that lands off the histogram, or leaves the region, is dropped from
+        the results; either way it is deleted from the scene."""
+        owners, lanes, n_levels = self._owners, self._lanes, self.geometry.n_levels
+        free = self._free
+        landed, off, migrating = [], [], []
+        for (prog, level, key, slot), (eid, box, row, created, scene_ts, scene_seq) in zip(
+                hot.tolist(), self._slab[hot[:, _HOT_SLOT]].tolist()):
+            free.append(slot)
+            owner = owners[key]
+            if level >= n_levels:
+                landed.append((eid, row, key - lanes[box][row], created))
+            elif owner < 0:
+                off.append(eid)
             else:
-                self._migrate_out(ball, owner, now_us)
-
-    def _collect(self, ball: list[int], now_us: int) -> None:
-        """Ball landed: record its bucket, or discard it off the histogram."""
-        bucket = self.geometry.final_bucket(ball[_COLUMN], ball[_ROW])
-        if not 0 <= bucket < self.geometry.bucket_count:
-            self._discard(ball)
-            return
-        self.ledger.collections.append(
-            (now_us, now_us - ball[_CREATED], self.node_id, bucket))
-        self._retire(ball[_ID])
-
-    def _discard(self, ball: list[int]) -> None:
-        """Ball left the region: drop it from the results and the scene."""
-        self.ledger.discarded += 1
-        self._retire(ball[_ID])
-
-    def _retire(self, entity: int) -> None:
-        """Delete a collected or discarded ball from the scene and tell the
-        dispatcher."""
-        ts = self.engine.local_now_us(self.clock)
-        update = self.replica.delete_entity(entity, ts, self.node_id)
-        self.network.send(self.node_id, self.dispatcher_id, "delete", update)
-
-    def _migrate_out(self, ball: list[int], to_partition: int, now_us: int) -> None:
-        """Ghost the ball and ship its full row, with its scene origin."""
-        entity = ball[_ID]
-        transfers = self.tracker.begin_migration(
-            entity, self.partition_id, to_partition, now_us,
-            (ball, self._scene_origin or "script"))
-        self._ghosts.add(entity)
-        for t in transfers:
-            self.network.send(self.node_id, self.dispatcher_id, "migrate", t)
-            self.ledger.transfer_sent(entity)
+                migrating.append((eid, owner, [eid, box, row, level, key - lanes[box][row],
+                                               prog, created, scene_ts, scene_seq]))
+        node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
+        ledger = self.ledger
+        if landed or off:
+            ts = self.engine.local_now_us(self.clock)
+            delete = self.replica.delete_entity
+            final_bucket, buckets = self.geometry.final_bucket, self.geometry.bucket_count
+            for eid, row, column, created in landed:
+                bucket = final_bucket(column, row)
+                if 0 <= bucket < buckets:
+                    ledger.collections.append((now_us, now_us - created, node, bucket))
+                else:
+                    ledger.discarded += 1
+                send(node, dispatcher, "delete", delete(eid, ts, node))
+            ledger.discarded += len(off)
+            for eid in off:
+                send(node, dispatcher, "delete", delete(eid, ts, node))
+        if migrating:
+            begin, partition = self.tracker.begin_migration, self.partition_id
+            origin = self._scene_origin or "script"
+            ledger.transfers_sent += len(migrating)
+            ledger.migrated_entities.update(eid for eid, _, _ in migrating)
+            for eid, owner, ball in migrating:
+                (transfer,) = begin(eid, partition, owner, now_us, (ball, origin))
+                send(node, dispatcher, "migrate", transfer)
 
     # ---- test hooks -----------------------------------------------------
 
@@ -610,7 +600,8 @@ class PhysicsActor:
                       0, ball.created_at_us, scene_ts_us, scene_seq), origin)
         self.ledger.created += 1
         self.ledger.creates_delivered += 1
-        self._ensure_ticking()
+        if not self._ticking:
+            self._start_ticking()
 
 
 # ----------------------------------------------------------------------

@@ -32,15 +32,13 @@ DEFAULT_MESSAGE_SIZES: dict[str, int] = {
 
 
 class Message(NamedTuple):
+    """One message, built once by ``Network.send`` and queued on its link."""
+
     kind: str
     src: str
     dst: str
     size_bytes: int
     payload: Any
-
-
-class QueuedMessage(NamedTuple):
-    message: Message
     enqueued_at_us: int
     deliver_at_us: int
 
@@ -73,23 +71,22 @@ class Link:
         self.latency_us = latency_us
         self._rate = int(byte_rate)
         self.jitter_us = jitter_us
-        self._queue: deque[QueuedMessage] = deque()
+        self._queue: deque[Message] = deque()
         #: when the serializer finishes the last message sent
         self._busy_until_us = 0
         self.sent_count = 0
         self.sent_bytes = 0
-        #: bytes of the messages queued now, kept as a running sum
-        self.bytes_pending = 0
+        self.delivered_bytes = 0
         self._last_sample_us: Optional[int] = None
 
-    def pop_due(self, now_us: int) -> list[QueuedMessage]:
+    def pop_due(self, now_us: int) -> list[Message]:
         """Remove and return the queue head(s) whose delivery time arrived."""
-        out: list[QueuedMessage] = []
+        out: list[Message] = []
         queue = self._queue
         while queue and queue[0].deliver_at_us <= now_us:
-            qm = queue.popleft()
-            self.bytes_pending -= qm.message.size_bytes
-            out.append(qm)
+            msg = queue.popleft()
+            self.delivered_bytes += msg.size_bytes
+            out.append(msg)
         return out
 
     @property
@@ -101,8 +98,9 @@ class Link:
         return self.sent_count - len(self._queue)
 
     @property
-    def delivered_bytes(self) -> int:
-        return self.sent_bytes - self.bytes_pending
+    def bytes_pending(self) -> int:
+        """Bytes of the messages queued now."""
+        return self.sent_bytes - self.delivered_bytes
 
     def sample(self, t_us: int) -> QueueSample:
         if self._last_sample_us is not None and t_us <= self._last_sample_us:
@@ -117,6 +115,8 @@ class Network:
     def __init__(self, engine: Engine,
                  message_sizes: Optional[dict[str, int]] = None):
         self.engine = engine
+        #: the engine's event heap and seq counter, which send pushes onto
+        self._heap, self._seq = engine._heap, engine._seq
         self.message_sizes = dict(DEFAULT_MESSAGE_SIZES)
         if message_sizes:
             self.message_sizes.update(message_sizes)
@@ -135,7 +135,7 @@ class Network:
                     seconds_to_us(jitter_s))
         jitter = (self.engine.stream(f"net-jitter:{link.link_id}")
                   if link.jitter_us else None)
-        self._routes[(from_node, to_node)] = (link, partial(self._deliver, link), jitter)
+        self._routes[(from_node, to_node)] = (link, partial(self.deliver_due, link), jitter)
         return link
 
     def link(self, from_node: str, to_node: str) -> Link:
@@ -159,17 +159,15 @@ class Network:
 
         It waits for the messages ahead of it to serialize, then takes its
         own serialization, the latency and the jitter draw, if any."""
-        route = self._routes.get((src, dst))
-        if route is None:
-            raise KeyError(f"no link {src}->{dst}")
-        link, action, jitter = route
+        try:
+            link, action, jitter = self._routes[src, dst]
+        except KeyError:
+            raise KeyError(f"no link {src}->{dst}") from None
         if size_bytes is None:
             size_bytes = self.message_sizes[kind]
         elif size_bytes <= 0:
             raise ValueError("message size must be positive")
-        msg = _new_tuple(Message, (kind, src, dst, size_bytes, payload))
-        engine = self.engine
-        now_us = engine.now_us
+        now_us = self.engine.now_us
         start = link._busy_until_us
         if now_us > start:
             start = now_us
@@ -178,28 +176,26 @@ class Network:
         deliver_at_us = busy + link.latency_us
         if jitter is not None:
             deliver_at_us += int(round(jitter.uniform() * link.jitter_us))
-        link._queue.append(_new_tuple(QueuedMessage, (msg, now_us, deliver_at_us)))
+        msg = _new_tuple(Message, (kind, src, dst, size_bytes, payload, now_us, deliver_at_us))
+        link._queue.append(msg)
         link.sent_count += 1
         link.sent_bytes += size_bytes
-        link.bytes_pending += size_bytes
         # Pushed straight onto the engine heap, past Engine.schedule's check:
         # delivery is never before now, since serializing even one byte
         # takes at least 1 us and latency and jitter are never negative.
-        heappush(engine._heap, (deliver_at_us, next(engine._seq), action))
+        heappush(self._heap, (deliver_at_us, next(self._seq), action))
         return msg
 
-    def _deliver(self, link: Link) -> None:
+    def deliver_due(self, link: Link) -> list[Message]:
+        """Pop the link's messages whose delivery time has arrived and hand
+        each, in order, to the receiving node's handler; returns them.  This
+        is the action of every delivery event that ``send`` schedules."""
+        due = link.pop_due(self.engine.now_us)
         handler = self._handlers.get(link.to_node)
-        due = link.pop_due(self.engine.now_us)
         if handler is not None:
-            for qm in due:
-                handler(qm.message)
-
-    def deliver_due(self, link: Link) -> list[tuple[str, Message]]:
-        """Pop the messages whose delivery time has arrived, in order
-        (``_deliver`` does not use this: it pops the link itself)."""
-        due = link.pop_due(self.engine.now_us)
-        return [(qm.message.dst, qm.message) for qm in due]
+            for msg in due:
+                handler(msg)
+        return due
 
     # ------------------------------------------------------------------
     # instrumentation

@@ -144,14 +144,15 @@ def detect_crossing(prev: tuple[float, float], nxt: tuple[float, float],
 # migration handshake
 # ----------------------------------------------------------------------
 
-@dataclass(slots=True)
-class MigrationRecord:
+class MigrationRecord(NamedTuple):
+    """A settled handshake, as ``complete_migration`` returns it."""
+
     entity: int
     from_partition: int
     to_partition: int
     initiated_at_us: int
     token: int
-    completed_at_us: Optional[int] = None
+    completed_at_us: int
 
 
 class TransferMessage(NamedTuple):
@@ -173,7 +174,8 @@ class MigrationTracker:
     """Bookkeeping for one node's outbound migrations."""
 
     def __init__(self):
-        self._in_flight: dict[int, MigrationRecord] = {}
+        #: entity -> (from_partition, to_partition, initiated_at_us, token)
+        self._in_flight: dict[int, tuple[int, int, int, int]] = {}
         self._tokens = itertools.count()
 
     def begin_migration(self, entity: int, from_partition: int, to_partition: int,
@@ -183,9 +185,7 @@ class MigrationTracker:
         if entity in self._in_flight:
             raise AlreadyMigrating(entity)
         token = next(self._tokens)
-        self._in_flight[entity] = MigrationRecord(
-            entity, from_partition, to_partition, now_us, token
-        )
+        self._in_flight[entity] = (from_partition, to_partition, now_us, token)
         return [tuple.__new__(TransferMessage, (entity, from_partition, to_partition, token, state))]
 
     @staticmethod
@@ -194,13 +194,14 @@ class MigrationTracker:
         return tuple.__new__(MigrationAck, (transfer.entity, transfer.token))
 
     def complete_migration(self, ack: MigrationAck, now_us: int) -> MigrationRecord:
-        """Settle the record on ack arrival and return it; duplicate acks are unknown."""
-        record = self._in_flight.get(ack.entity)
-        if record is None or record.token != ack.token:
-            raise UnknownMigration((ack.entity, ack.token))
-        del self._in_flight[ack.entity]
-        record.completed_at_us = now_us
-        return record
+        """Settle the handshake on ack arrival and return its record; a
+        duplicate ack or a stale token is unknown."""
+        entity, token = ack
+        pending = self._in_flight.get(entity)
+        if pending is None or pending[3] != token:
+            raise UnknownMigration((entity, token))
+        del self._in_flight[entity]
+        return tuple.__new__(MigrationRecord, (entity, *pending, now_us))
 
     def in_flight_count(self) -> int:
         return len(self._in_flight)

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dvesim.actors import (
+    _ARRIVAL_FIELDS,
     _BLOCK,
-    _COLD_FIELDS,
     _HOT_FIELDS,
     _HOT_SLOT,
     Ball,
@@ -351,7 +351,7 @@ def ring_ids(actor, count):
     the seated balls, through their slab slots, then the arrivals that the
     next tick seats."""
     seated = actor._slab[seated_slots(actor), 0].tolist()
-    return (seated + actor._cold[0::_COLD_FIELDS])[:count]
+    return (seated + actor._arrivals[_HOT_FIELDS::_ARRIVAL_FIELDS])[:count]
 
 
 class TestBallRing:
@@ -378,12 +378,12 @@ class TestBallRing:
                 actor.inject_ball(Ball(id=entity, box=0, row=0), scene_seq=entity)
                 reference.append(entity)
 
-        tick, retire = actor.physics_tick, actor._retire
+        tick, delete = actor.physics_tick, actor.replica.delete_entity
         retired = set()
 
-        def recorded_retire(entity):
+        def recorded_delete(entity, ts_us, origin):
             retired.add(entity)
-            retire(entity)
+            return delete(entity, ts_us, origin)
 
         def checked_tick(now_us):
             k = min(len(reference), self.CAPACITY)
@@ -408,14 +408,14 @@ class TestBallRing:
             # every slot is held by one seated ball, by one buffered
             # arrival or is free, never two of these
             seated = seated_slots(actor).tolist()
-            buffered = actor._arrivals[_HOT_SLOT::_HOT_FIELDS]
+            buffered = actor._arrivals[_HOT_SLOT::_ARRIVAL_FIELDS]
             assert len(set(seated)) == len(seated)
             assert not set(seated) & set(actor._free)
             assert sorted(seated + buffered + actor._free) == list(range(len(actor._slab)))
             return result
 
         monkeypatch.setattr(actor, "physics_tick", checked_tick)
-        monkeypatch.setattr(actor, "_retire", recorded_retire)
+        monkeypatch.setattr(actor.replica, "delete_entity", recorded_delete)
         for t_s, count in schedule:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(3600.0))
@@ -484,10 +484,10 @@ class TestOwnerTable:
                         assert offset + actor._clip(column + 1) == key + 1
                 # a column clipped into a pad has only off-region neighbours
                 for clipped in (lane[0], lane[-1]):
-                    assert actor._owners[[clipped - 1, clipped + 1]].tolist() == [-1, -1]
+                    assert [actor._owners[clipped - 1], actor._owners[clipped + 1]] == [-1, -1]
                 keys += lane
                 lanes.append(set(lane))
-        assert actor._owners[keys].tolist() == want
+        assert [actor._owners[key] for key in keys] == want
         assert set(want) == set(pmap.partitions) | {-1}
         # each (box, row) has a lane of its own
         assert sum(len(lane) for lane in lanes) == len(set().union(*lanes))
@@ -624,33 +624,33 @@ class TestDispatcher:
         engine, network, dispatcher = self.wire({"delete": ["script"]})
         spawn = BallSpawn(1, box=0, row=0, created_at_us=0,
                           scene_ts_us=0, scene_origin="script", scene_seq=0)
-        msg = Message("create", "script", "dispatcher", 1024, spawn)
+        msg = Message("create", "script", "dispatcher", 1024, spawn, 0, 0)
         out = dispatcher.dispatcher_relay(msg)
         assert len(out) == 1
         assert out[0].dst == "physics-1"  # row 0 drops left of the split
         spawn2 = BallSpawn(2, box=0, row=2, created_at_us=0,
                            scene_ts_us=0, scene_origin="script", scene_seq=1)
         out2 = dispatcher.dispatcher_relay(
-            Message("create", "script", "dispatcher", 1024, spawn2))
+            Message("create", "script", "dispatcher", 1024, spawn2, 0, 0))
         assert out2[0].dst == "physics-2"
 
     def test_update_fans_out_to_all_subscribers(self):
         engine, network, dispatcher = self.wire(
             {"update": ["script", "physics-1", "extra"], "delete": []})
-        msg = Message("update", "physics-2", "dispatcher", 256, None)
+        msg = Message("update", "physics-2", "dispatcher", 256, None, 0, 0)
         out = dispatcher.dispatcher_relay(msg)
         assert sorted(m.dst for m in out) == ["extra", "physics-1", "script"]
 
     def test_source_not_echoed(self):
         engine, network, dispatcher = self.wire({"update": ["script", "physics-1"]})
-        msg = Message("update", "script", "dispatcher", 256, None)
+        msg = Message("update", "script", "dispatcher", 256, None, 0, 0)
         out = dispatcher.dispatcher_relay(msg)
         assert [m.dst for m in out] == ["physics-1"]
 
     def test_unroutable_kind(self):
         engine, network, dispatcher = self.wire({})
         with pytest.raises(UnroutableMessage):
-            dispatcher.dispatcher_relay(Message("bogus", "script", "dispatcher", 1, None))
+            dispatcher.dispatcher_relay(Message("bogus", "script", "dispatcher", 1, None, 0, 0))
 
     def test_relay_preserves_per_source_ordering(self):
         engine, network, dispatcher = self.wire({"update": ["physics-1"]})

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvesim.engine import Engine, seconds_to_us
+from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import DEFAULT_MESSAGE_SIZES, Link, Network
 
 
@@ -63,17 +64,23 @@ def test_queue_growth_matches_closed_form():
 
 def test_deliver_due_empty():
     engine, network = make_net()
+    handled = []
+    network.register_handler("b", handled.append)
     assert network.deliver_due(network.link("a", "b")) == []
+    assert handled == []
 
 
 def test_deliver_due_returns_in_enqueue_order():
     engine, network = make_net(latency_s=0.0, byte_rate=1e9)
     link = network.link("a", "b")
-    for i in range(3):
-        network.send("a", "b", "request", i)
+    handled = []
+    network.register_handler("b", handled.append)
+    sent = [network.send("a", "b", "request", i) for i in range(3)]
     engine.now_us = seconds_to_us(1.0)  # past all delivery times
     out = network.deliver_due(link)
-    assert [m.payload for _, m in out] == [0, 1, 2]
+    assert [m.payload for m in out] == [0, 1, 2]
+    # the handler got the very records that send queued, in the same order
+    assert all(m is s for m, s in zip(handled, sent)) and handled == out
 
 
 def test_same_instant_events_fire_in_scheduling_order():
@@ -197,12 +204,11 @@ def test_delivery_never_beats_latency_plus_serialization(sizes, gaps_ms, latency
         t += gap * 1000
         engine.now_us = t
         msg = network.send("a", "b", "request", None, size_bytes=size)
-        qm = link._queue[-1]
-        assert qm.message is msg
+        assert link._queue[-1] is msg
         min_delivery = t + serialization_us(size, byte_rate) + link.latency_us
-        assert qm.deliver_at_us >= min_delivery
+        assert msg.deliver_at_us >= min_delivery
     # FIFO: delivery times never reorder
-    times = [qm.deliver_at_us for qm in link._queue]
+    times = [m.deliver_at_us for m in link._queue]
     assert times == sorted(times)
 
 
@@ -223,7 +229,7 @@ def test_bytes_pending_is_the_sum_of_queued_sizes(ops, jitter_ms):
     link = network.link("a", "b")
 
     def check():
-        assert link.bytes_pending == sum(qm.message.size_bytes for qm in link._queue)
+        assert link.bytes_pending == sum(m.size_bytes for m in link._queue)
         assert link.delivered_bytes == sum(received)
         assert link.delivered_count == len(received)
 
@@ -238,3 +244,63 @@ def test_bytes_pending_is_the_sum_of_queued_sizes(ops, jitter_ms):
     engine.run_until(engine.now_us + seconds_to_us(60.0))
     check()
     assert link.bytes_pending == 0 and link.depth == 0
+
+
+def reference_deliveries(sends, latency_us, byte_rate, jitter_us, seed):
+    """A plain model of one jittered link: per send ``(t_us, size)`` its
+    ``(enqueued_at_us, deliver_at_us)``, and the instant it is handed over.
+
+    A message serializes once the one before it has (ceil to whole
+    microseconds), then takes the latency and a jitter draw from the link's
+    own stream.  Each send schedules one delivery event at its due time; a
+    message is handed over at the first such event at or after its own due
+    time where every earlier message has already gone."""
+    stream = RandomStream("net-jitter:a->b", seed)
+    busy, times = 0, []
+    for t_us, size in sends:
+        busy = max(busy, t_us) + serialization_us(size, byte_rate)
+        times.append((t_us, busy + latency_us + int(round(stream.uniform() * jitter_us))))
+    events = sorted(due for _, due in times)
+    handed, gone_by = [], 0
+    for _, due in times:
+        gone_by = min(e for e in events if e >= due and e >= gone_by)
+        handed.append(gone_by)
+    return times, handed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sends=st.lists(st.tuples(st.integers(min_value=0, max_value=20_000),
+                             st.integers(min_value=1, max_value=5_000)),
+                   min_size=1, max_size=40),
+    latency_ms=st.integers(min_value=0, max_value=10),
+    jitter_ms=st.integers(min_value=1, max_value=30),
+    byte_rate=st.integers(min_value=10_000, max_value=10_000_000),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_jittered_link_matches_reference_model(sends, latency_ms, jitter_ms,
+                                               byte_rate, seed):
+    # sends at non-decreasing instants; gaps drawn as increments
+    instants = list(itertools.accumulate(gap for gap, _ in sends))
+    sends = [(t, size) for t, (_, size) in zip(instants, sends)]
+    engine = Engine(seed=seed)
+    network = Network(engine)
+    network.add_link("a", "b", latency_ms / 1000, float(byte_rate),
+                     jitter_s=jitter_ms / 1000)
+    link = network.link("a", "b")
+    handled = []
+    network.register_handler("b", lambda m: handled.append((engine.now_us, m)))
+    for i, (t_us, size) in enumerate(sends):
+        engine.run_until(t_us)
+        engine.now_us = t_us
+        network.send("a", "b", "request", i, size_bytes=size)
+    engine.run_until(engine.now_us + seconds_to_us(3600.0))
+
+    times, handed = reference_deliveries(sends, link.latency_us, byte_rate,
+                                         link.jitter_us, seed)
+    assert [m.payload for _, m in handled] == list(range(len(sends)))
+    assert [t for t, _ in handled] == handed
+    assert [(m.enqueued_at_us, m.deliver_at_us) for _, m in handled] == times
+    # one delivery event per send, though under jitter some deliver nothing
+    assert engine.stats.events_processed == len(sends)
+    assert link.depth == 0 and link.bytes_pending == 0

@@ -1,10 +1,15 @@
 import random
 import tracemalloc
+from collections import defaultdict
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dvesim.actors import GaltonGeometry, PhysicsActor
 from dvesim.engine import Engine, seconds_to_us
+from dvesim.harness import GaltonExperimentConfig, run_galton
 from dvesim.netsim import Network
 from dvesim.partition import (
     AlreadyMigrating,
@@ -101,6 +106,32 @@ class TestMigrationHandshake:
         with pytest.raises(UnknownMigration):
             tracker.complete_migration(ack, now_us=301)
 
+    def test_settled_record_has_all_six_fields(self):
+        tracker = MigrationTracker()
+        tracker.begin_migration(3, 2, 1, now_us=50, state={})
+        (t,) = tracker.begin_migration(7, 1, 2, now_us=100, state={})
+        record = tracker.complete_migration(MigrationTracker.acknowledge(t), now_us=300)
+        assert record._fields == ("entity", "from_partition", "to_partition",
+                                  "initiated_at_us", "token", "completed_at_us")
+        assert record == (7, 1, 2, 100, 1, 300) and t.token == 1
+        assert tracker.in_flight_count() == 1
+
+    def test_stale_token_and_duplicate_ack_are_unknown(self):
+        tracker = MigrationTracker()
+        (first,) = tracker.begin_migration(7, 1, 2, now_us=100, state={})
+        stale = MigrationTracker.acknowledge(first)
+        tracker.complete_migration(stale, now_us=200)
+        (second,) = tracker.begin_migration(7, 2, 1, now_us=300, state={})
+        with pytest.raises(UnknownMigration):
+            tracker.complete_migration(stale, now_us=400)
+        # the open handshake outlives the stale ack
+        assert tracker.in_flight_count() == 1
+        ack = MigrationTracker.acknowledge(second)
+        assert tracker.complete_migration(ack, now_us=500) == (7, 2, 1, 300, 1, 500)
+        with pytest.raises(UnknownMigration):
+            tracker.complete_migration(ack, now_us=501)
+        assert tracker.in_flight_count() == 0
+
     def test_settled_migrations_are_returned_not_retained(self):
         tracker = MigrationTracker()
 
@@ -190,6 +221,51 @@ class TestMigrationHandshake:
         # quiescence: every entity owned by exactly one partition
         assert all(owner[e] in (1, 2) for e in entities)
         assert all(t.in_flight_count() == 0 for t in trackers.values())
+
+
+def test_ghost_count_is_the_open_handshakes_at_every_sample():
+    # a small centre split: each node's ghosts, counted from the transfers
+    # it sent and the acks it received, are its tracker's open handshakes
+    geometry = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
+                              balls_per_dropper=5, nominal_descent_s=12.0)
+    config = GaltonExperimentConfig(geometry=geometry, topology="B", split="center_x",
+                                    period_t_s=2.0, capacity_c=200, duration_cap_s=600.0,
+                                    sample_period_s=0.5, seed=3)
+    actors, ghosts, samples = [], defaultdict(set), []
+    actor_init, on_message = PhysicsActor.__init__, PhysicsActor.on_message
+    send, sample_queues = Network.send, Network.sample_queues
+
+    def record_actor(self, *args, **kwargs):
+        actor_init(self, *args, **kwargs)
+        actors.append(self)
+
+    def record_ack(self, msg):
+        if msg.kind == "ack":
+            ghosts[self.node_id].remove(msg.payload.ack.entity)
+        on_message(self, msg)
+
+    def record_transfer(self, src, dst, kind, payload, size_bytes=None):
+        if kind == "migrate" and src.startswith("physics"):
+            ghosts[src].add(payload.entity)
+        return send(self, src, dst, kind, payload, size_bytes)
+
+    def check(self, t_us=None):
+        for actor in actors:
+            assert actor.ghost_count == actor.tracker.in_flight_count() \
+                == len(ghosts[actor.node_id])
+            assert set(actor.tracker._in_flight) == ghosts[actor.node_id]
+        samples.append(sum(actor.ghost_count for actor in actors))
+        return sample_queues(self, t_us)
+
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(PhysicsActor, "__init__", record_actor))
+        patches.enter_context(mock.patch.object(PhysicsActor, "on_message", record_ack))
+        patches.enter_context(mock.patch.object(Network, "send", record_transfer))
+        patches.enter_context(mock.patch.object(Network, "sample_queues", check))
+        report = run_galton(config)
+    assert report.audit_ok and report.migrations_total > 0
+    assert len(actors) == 2 and len(samples) > 10
+    assert max(samples) > 0 and samples[-1] == 0
 
 
 def crossing_probability_dp(start_offset: int, steps: int, check_steps: int) -> float:

@@ -83,7 +83,7 @@ def _observed_run(config: GaltonExperimentConfig, out: Path):
 
     def record_delivery(self, now_us):
         due = pop_due(self, now_us)
-        seen.delivered[self.link_id].extend(qm.message for qm in due)
+        seen.delivered[self.link_id].extend(due)
         return due
 
     with ExitStack() as patches:
