@@ -27,8 +27,6 @@ from .partition import MigrationTracker, PartitionMap, RegionSpec, TransferMessa
 from .scene import EXISTENCE, PropertyUpdate, SceneReplica
 
 FALLING = "falling"
-COLLECTED = "collected"
-DISCARDED = "discarded"
 
 
 class UnroutableMessage(KeyError):
@@ -129,15 +127,6 @@ class Ball:
     column: int = 0
     created_at_us: int = 0
     state: str = FALLING
-
-
-def descend_one_level(ball: Ball, stream) -> Ball:
-    """One peg: equal chance of a half-bucket step left or right."""
-    if ball.state != FALLING:
-        raise ValueError(f"ball {ball.id} is {ball.state}, not falling")
-    ball.level += 1
-    ball.column += -1 if stream.uniform() < 0.5 else 1
-    return ball
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +408,7 @@ class PhysicsActor:
         if kind == "ack":
             env: AckEnvelope = msg.payload
             self.tracker.complete_migration(env.ack, self.engine.now_us)
+            self.replica.forget(env.ack.entity)
             self.ledger.migrations_completed += 1
         elif kind == "migrate":
             transfer: TransferMessage = msg.payload
@@ -543,7 +533,8 @@ class PhysicsActor:
         discard those off the region, then ghost the rest and ship each one's
         full row with its scene origin, each group in service order.  A ball
         that lands off the histogram, or leaves the region, is dropped from
-        the results; either way it is deleted from the scene."""
+        the results; either way it is deleted from the scene, and this
+        replica forgets it: no later update for it reaches this node."""
         owners, lanes, n_levels = self._owners, self._lanes, self.geometry.n_levels
         free = self._free
         landed, off, migrating = [], [], []
@@ -562,7 +553,7 @@ class PhysicsActor:
         ledger = self.ledger
         if landed or off:
             ts = self.engine.local_now_us(self.clock)
-            delete = self.replica.delete_entity
+            delete, forget = self.replica.delete_entity, self.replica.forget
             final_bucket, buckets = self.geometry.final_bucket, self.geometry.bucket_count
             for eid, row, column, created in landed:
                 bucket = final_bucket(column, row)
@@ -571,9 +562,11 @@ class PhysicsActor:
                 else:
                     ledger.discarded += 1
                 send(node, dispatcher, "delete", delete(eid, ts, node))
+                forget(eid)
             ledger.discarded += len(off)
             for eid in off:
                 send(node, dispatcher, "delete", delete(eid, ts, node))
+                forget(eid)
         if migrating:
             begin, partition = self.tracker.begin_migration, self.partition_id
             origin = self._scene_origin or "script"

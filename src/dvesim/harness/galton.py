@@ -6,7 +6,8 @@ the middle of every box (`center_x`, the worst case: most balls migrate)
 or between the boxes (`between_boxes`: zero border traffic).  All
 cross-node traffic flows through the dispatcher over simulated links, and
 every sample tick the run audits ball conservation across creation
-queues, active sets, in-flight transfers and terminal states.
+queues, active sets, in-flight transfers and terminal states, and that
+each physics node's replica holds exactly its active and ghosted balls.
 """
 
 from __future__ import annotations
@@ -343,6 +344,12 @@ def run_galton(config: GaltonExperimentConfig,
                 f"t={t/1e6}s: {ghosts} ghosts vs "
                 f"{ledger.transfers_sent - acked} unacked transfers"
             )
+        for n, a in physics.items():
+            if a.replica.live_count() != a.active_count + a.ghost_count:
+                raise ConservationViolation(
+                    f"t={t/1e6}s: {n} replica holds {a.replica.live_count()} live "
+                    f"balls vs {a.active_count + a.ghost_count} active or ghosted"
+                )
         done = (script.exhausted
                 and ledger.collected + ledger.discarded == ledger.created)
         if done:

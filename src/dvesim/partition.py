@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -128,16 +128,6 @@ class PartitionMap:
         i = (xs // self.region.microcell_m).astype(np.int64)
         j = (ys // self.region.microcell_m).astype(np.int64)
         return self._assignment[i, j]
-
-
-def detect_crossing(prev: tuple[float, float], nxt: tuple[float, float],
-                    pmap: PartitionMap) -> Optional[tuple[int, int]]:
-    """(from, to) partition pair if the move changes owner, else None."""
-    a = pmap.owner_of(*prev)
-    b = pmap.owner_of(*nxt)
-    if a == b:
-        return None
-    return (a, b)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ acts as a floor for the entity: property updates older than the latest
 existence transition are superseded (a stale position update cannot outlive
 the tombstone that deleted its entity), and a re-creation starts a fresh
 incarnation whose visible properties are exactly those stamped at or after
-it.  Tombstones are kept for the whole run.
+it.  Tombstones are kept until the replica forgets the entity.
 """
 
 from __future__ import annotations
@@ -135,6 +135,15 @@ class SceneReplica:
         self._seq += 1
         self.apply_update(u)
         return u
+
+    def forget(self, entity: int) -> None:
+        """Drop a known entity's record, live or tombstoned, and its
+        properties, as if this replica had never heard of it."""
+        rec = self._entities.pop(entity, None)
+        if rec is None:
+            raise UnknownEntity(entity)
+        self._live -= rec[0]
+        self._props.pop(entity, None)
 
     # ------------------------------------------------------------------
     # queries

@@ -1,12 +1,16 @@
-"""Shared test machinery: randomized LWW delivery schedules and a plain
-last-writer-wins model of the scene."""
+"""Shared test machinery: randomized LWW delivery schedules, a plain
+last-writer-wins model of the scene, and the scalar descent and crossing
+model that the physics tick oracle replays."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import random
+from typing import Optional
 
+from dvesim.actors import FALLING, Ball
+from dvesim.partition import PartitionMap
 from dvesim.scene import (
     EXISTENCE,
     ApplyResult,
@@ -134,6 +138,13 @@ class LwwModel:
         self.apply_update(u)
         return u
 
+    def forget(self, entity) -> None:
+        if entity not in self.stamps:
+            raise UnknownEntity(entity)
+        del self.stamps[entity]
+        self.registers = {key: reg for key, reg in self.registers.items()
+                          if key[0] != entity}
+
     def live_count(self) -> int:
         return sum(alive for _, alive in self.stamps.values())
 
@@ -148,3 +159,22 @@ class LwwModel:
                 if e == entity and stamp >= floor:
                     h.update(f"P{entity}.{name}={value!r}@{stamp!r}\n".encode())
         return h.hexdigest()
+
+
+def descend_one_level(ball: Ball, stream) -> Ball:
+    """One peg: equal chance of a half-bucket step left or right."""
+    if ball.state != FALLING:
+        raise ValueError(f"ball {ball.id} is {ball.state}, not falling")
+    ball.level += 1
+    ball.column += -1 if stream.uniform() < 0.5 else 1
+    return ball
+
+
+def detect_crossing(prev: tuple[float, float], nxt: tuple[float, float],
+                    pmap: PartitionMap) -> Optional[tuple[int, int]]:
+    """(from, to) partition pair if the move changes owner, else None."""
+    a = pmap.owner_of(*prev)
+    b = pmap.owner_of(*nxt)
+    if a == b:
+        return None
+    return (a, b)

@@ -16,12 +16,13 @@ from dvesim.actors import (
     RunLedger,
     ScriptActor,
     UnroutableMessage,
-    descend_one_level,
 )
 from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import Message, Network
-from dvesim.partition import PartitionMap, RegionSpec, detect_crossing
+from dvesim.partition import PartitionMap, RegionSpec
+from dvesim.scene import UnknownEntity
 from dvesim.stats import binomial_pmf
+from helpers import descend_one_level, detect_crossing
 
 
 class TestGeometry:
@@ -686,3 +687,52 @@ class TestMigrationFlow:
         cfg = wire_run(geo, "B", 0.5, 5000, seed=12)
         report = run_galton(cfg)
         assert report.created_total == report.collected_total + report.discarded
+
+
+class TestReplicaForgets:
+    """A physics replica holds only the balls its node simulates or ghosts."""
+
+    GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                         balls_per_dropper=1, nominal_descent_s=1.0)
+
+    def test_collecting_node_forgets_the_ball(self):
+        engine, actor, ledger = wire_physics(self.GEO, capacity=10)
+        actor.inject_ball(Ball(id=1, box=0, row=0))
+        assert actor.replica.live_count() == 1
+        engine.run_until(seconds_to_us(5.0))
+        assert ledger.collected == 1 and actor.replica.live_count() == 0
+        with pytest.raises(UnknownEntity):
+            actor.replica.delete_entity(1, engine.now_us, "physics-1")
+
+    def test_losing_node_forgets_the_ball_when_the_ack_returns(self):
+        # every level takes one 0.1 s tick, so the first tick steps each ball
+        # once: from column -1, just left of the split, half of them step
+        # right onto column 0 and migrate; their acks are back by 0.15 s,
+        # before the second tick
+        engine = Engine(seed=4)
+        network = Network(engine)
+        pmap = PartitionMap.split_x(RegionSpec(), 128.0, (1, "physics-1"), (2, "physics-2"))
+        ledger = RunLedger(self.GEO.bucket_count)
+        dispatcher = DispatcherActor("dispatcher", network, pmap, self.GEO,
+                                     subscribers={"delete": [], "update": []})
+        network.register_handler("dispatcher", dispatcher.dispatcher_relay)
+        actors = {}
+        for pid, node in pmap.partitions.items():
+            network.add_link(node, "dispatcher", 0.001, 1e9)
+            network.add_link("dispatcher", node, 0.001, 1e9)
+            actors[node] = PhysicsActor(node, pid, pmap, self.GEO, 10, 0.1, engine,
+                                        network, "dispatcher", ledger)
+            network.register_handler(node, actors[node].on_message)
+        losing, gaining = actors["physics-1"], actors["physics-2"]
+        for entity in range(1, 9):
+            losing.inject_ball(Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
+        engine.run_until(seconds_to_us(0.15))
+        moved = ledger.migrated_entities
+        assert 0 < len(moved) < 8 and ledger.migrations_completed == len(moved)
+        assert losing.ghost_count == 0
+        for entity in moved:
+            with pytest.raises(UnknownEntity):
+                losing.replica.delete_entity(entity, engine.now_us, "physics-1")
+        for actor in (losing, gaining):
+            assert actor.replica.live_count() == actor.active_count
+        assert gaining.active_count == len(moved)

@@ -18,8 +18,8 @@ from dvesim.partition import (
     PartitionMap,
     RegionSpec,
     UnknownMigration,
-    detect_crossing,
 )
+from helpers import detect_crossing
 
 
 @pytest.fixture

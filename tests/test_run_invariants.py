@@ -2,12 +2,13 @@
 
 Each example runs ``run_galton`` on a small geometry, in topology A or B
 with either split, with or without link jitter and a slow link class.  The run's own audits
-(conservation and ghost count, checked at every sample tick) must never
-fire, the run must drain, every link must deliver in send order, the
+(conservation, ghost count and each physics replica's live balls,
+checked at every sample tick) must never fire, the run must drain, every link must deliver in send order, the
 histogram must account for every created ball, each node's last message
 counts must equal what its links carried, and a re-run must export the
 same bytes.  After the run the remaining events are processed, so
-that every message in flight arrives; then no migration may be left open.
+that every message in flight arrives; then no migration may be left open
+and no physics replica may hold a live ball.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvesim.actors import GaltonGeometry, PhysicsActor
 from dvesim.harness import GaltonExperimentConfig, export, run_galton
+from dvesim.harness.galton import ConservationViolation
 from dvesim.netsim import Link, Network
+from dvesim.scene import SceneReplica
 
 EXPORTS = ("metrics.csv", "queues.csv", "histogram.csv", "report.json")
 
@@ -136,3 +140,18 @@ def test_small_runs_keep_every_invariant(config):
     for actor in seen.physics:
         assert actor.tracker.in_flight_count() == 0
         assert actor.ghost_count == 0 and actor.active_count == 0
+        assert actor.replica.live_count() == 0
+
+
+def test_replica_audit_fires_when_a_replica_keeps_what_it_shipped():
+    # with forget a no-op, a losing node keeps the balls it shipped away
+    geometry = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=3, droppers_per_row=2,
+                              balls_per_dropper=3, nominal_descent_s=12.0)
+    config = GaltonExperimentConfig(geometry=geometry, topology="B", split="center_x",
+                                    period_t_s=2.0, capacity_c=200, duration_cap_s=600.0,
+                                    sample_period_s=0.5, seed=3)
+    assert run_galton(config).migrations_total > 0
+    with mock.patch.object(SceneReplica, "forget", lambda self, entity: None):
+        with pytest.raises(ConservationViolation,
+                           match=r"physics-\d replica holds \d+ live balls vs \d+"):
+            run_galton(config)

@@ -203,6 +203,40 @@ class TestEntityRecords:
         assert list(r._props) == [1] and list(r._props[1]) == ["position"]
 
 
+class TestForget:
+    def test_forgetting_an_unknown_entity_raises(self, replica):
+        with pytest.raises(UnknownEntity):
+            replica.forget(99)
+        replica.forget(1)
+        with pytest.raises(UnknownEntity):
+            replica.forget(1)
+
+    def test_forgetting_a_live_entity_lowers_live_count_a_tombstone_does_not(self, replica):
+        replica.create_entity(2, {}, ts_us=1, origin="node-a")
+        replica.delete_entity(2, ts_us=2, origin="node-a")
+        assert replica.live_count() == 1
+        replica.forget(2)
+        assert replica.live_count() == 1
+        replica.forget(1)
+        assert replica.live_count() == 0
+
+    @pytest.mark.parametrize("deleted", [False, True])
+    def test_forgotten_entity_is_unknown(self, replica, deleted):
+        replica.apply_update(upd(1, "position", 7, ts=3, seq=10))
+        if deleted:
+            replica.delete_entity(1, ts_us=4, origin="node-a")
+        replica.forget(1)
+        with pytest.raises(UnknownEntity):
+            replica.apply_update(upd(1, "position", 8, ts=5, seq=11))
+        with pytest.raises(UnknownEntity):
+            replica.delete_entity(1, ts_us=5, origin="node-a")
+        # a replayed creation, older than the forgotten tombstone, is a first
+        # incarnation: the old position does not come back with it
+        assert replica.apply_update(CREATED) is ApplyResult.ACCEPTED
+        assert replica.live_count() == 1
+        assert_visible(replica, CREATED)
+
+
 @st.composite
 def update_deliveries(draw):
     """A pool of stamped updates and a delivery order that reorders,
@@ -237,8 +271,8 @@ def test_live_count_matches_a_scan_of_the_records(deliveries):
 @st.composite
 def local_and_replicated_ops(draw):
     """Creates with and without properties, re-creations after deletes,
-    deletes, and replicated updates: fresh, stale, or replays of the
-    updates that earlier local operations returned."""
+    deletes, forgets, and replicated updates: fresh, stale, or replays of
+    the updates that earlier local operations returned."""
     entity = st.integers(min_value=1, max_value=4)
     ts = st.integers(min_value=0, max_value=12)
     origin = st.sampled_from(["node-a", "node-b"])
@@ -247,6 +281,7 @@ def local_and_replicated_ops(draw):
                   st.dictionaries(st.sampled_from(["color", "position"]),
                                   st.integers(0, 3), max_size=2), ts, origin),
         st.tuples(st.just("delete"), entity, ts, origin),
+        st.tuples(st.just("forget"), entity),
         st.tuples(st.just("apply"), st.builds(
             PropertyUpdate, entity=entity,
             property=st.sampled_from([EXISTENCE, "color", "position"]),
@@ -276,7 +311,7 @@ def test_replica_matches_the_lww_model(ops):
                 continue
             name, args = "apply", [sent[args[0] % len(sent)]]
         method = {"create": "create_entity", "delete": "delete_entity",
-                  "apply": "apply_update"}[name]
+                  "forget": "forget", "apply": "apply_update"}[name]
         got = outcome(getattr(replica, method), *args)
         assert got == outcome(getattr(model, method), *args)
         if name == "create" and isinstance(got, list):
