@@ -7,8 +7,9 @@ backpressure.  Physics nodes own the balls inside their partition and run
 a fixed per-tick work budget: every tick at most ``capacity`` balls make
 progress, round-robin oldest-first, so a population above capacity dilates
 every ball's descent by the ratio population/capacity.  The dispatcher is
-a pure relay: creations go to the owning physics node, scene updates fan
-out to subscribers, transfers and acks follow the migration handshake.
+a pure relay on fixed routes: a creation goes to the physics node that owns
+its drop position, a transfer to the gaining node, its ack back to the
+losing node, and a delete to the script.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ import numpy as np
 
 from .engine import Engine, seconds_to_us
 from .netsim import Message, Network
-from .partition import MigrationTracker, PartitionMap, RegionSpec, TransferMessage, MigrationAck
+from .partition import MigrationAck, MigrationTracker, PartitionMap, RegionSpec, TransferMessage
 from .scene import EXISTENCE, PropertyUpdate, SceneReplica
-
-FALLING = "falling"
 
 
 class UnroutableMessage(KeyError):
-    """The dispatcher has no route for a message."""
+    """A node has no route for a message of this kind."""
 
 
 # ----------------------------------------------------------------------
@@ -64,8 +63,8 @@ class GaltonGeometry:
                 raise ValueError(f"{name} must be >= 1")
         if self.row_offset_buckets < 0:
             raise ValueError("row_offset_buckets must be >= 0")
-        if self.nominal_descent_s <= 0:
-            raise ValueError("nominal_descent_s must be positive")
+        if self.nominal_descent_s <= 0 or self.level_time_us < 1:
+            raise ValueError("nominal_descent_s must give each level at least 1 microsecond")
 
     @property
     def bucket_count(self) -> int:
@@ -114,19 +113,6 @@ class GaltonGeometry:
     def geometry_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-@dataclass
-class Ball:
-    """One benchmark entity; array-of-struct twin of the physics hot path."""
-
-    id: int
-    box: int
-    row: int
-    level: int = 0
-    column: int = 0
-    created_at_us: int = 0
-    state: str = FALLING
 
 
 # ----------------------------------------------------------------------
@@ -194,11 +180,6 @@ class BallSpawn(NamedTuple):
     scene_seq: int
 
 
-class AckEnvelope(NamedTuple):
-    ack: MigrationAck
-    from_partition: int
-
-
 class ScriptActor:
     """Drops one ball per dropper every period until each dropper runs dry."""
 
@@ -251,9 +232,9 @@ class ScriptActor:
         return msgs
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind in ("delete", "update"):
-            self.replica.apply_update(msg.payload)
-        # anything else is not addressed to the script node
+        if msg.kind != "delete":
+            raise UnroutableMessage(msg.kind)
+        self.replica.apply_update(msg.payload)
 
     @property
     def exhausted(self) -> bool:
@@ -318,7 +299,7 @@ class PhysicsActor:
         self.tracker = MigrationTracker()
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = level_us = geometry.level_time_us
-        self._owners, self._lanes, self._col_lo, self._col_hi = self._owner_table()
+        self._owners, self._lanes = self._owner_table()
         #: a seated ball lies in this partition, so a step onto a key owned
         #: elsewhere leaves it: off the region (-1) or into a neighbour
         self._away = np.array(self._owners) != partition_id
@@ -338,16 +319,15 @@ class PhysicsActor:
         self.steps_executed = 0
         self.peak_load = 0.0
 
-    def _owner_table(self) -> tuple[list[int], list[list[int]], int, int]:
-        """Flat owner table (-1 off the region), lane offsets, clip bounds.
+    def _owner_table(self) -> tuple[list[int], list[list[int]]]:
+        """Flat owner table (-1 off the region) and lane offsets.
 
         A ball's position depends only on its box, row and column, so the
         owners are looked up once here, through ``ball_x_m`` and
         ``box_center_y_m`` over broadcast arrays.  A ball's key is its
         (box, row) lane's offset plus its column.  Each lane pads the board
         with off-region columns, so that a seated ball's step never leaves
-        it, and seating clips a column into the pad, where both next columns
-        lie off the region and off the histogram.
+        it.
         """
         geom = self.geometry
         region = self.pmap.region
@@ -365,11 +345,7 @@ class PhysicsActor:
         table = np.full(shape, -1, dtype=np.int64)
         table[inside] = self.pmap.owners_xy(xs[inside], ys[inside])
         lanes = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
-        return table.ravel().tolist(), lanes.tolist(), col_lo + 1, col_lo + len(cols) - 2
-
-    def _clip(self, column: int) -> int:
-        """The column at which a ball is seated, inside its lane."""
-        return min(max(column, self._col_lo), self._col_hi)
+        return table.ravel().tolist(), lanes.tolist()
 
     # ---- ball table --------------------------------------------------
 
@@ -406,9 +382,9 @@ class PhysicsActor:
     def on_message(self, msg: Message) -> None:
         kind = msg.kind
         if kind == "ack":
-            env: AckEnvelope = msg.payload
-            self.tracker.complete_migration(env.ack, self.engine.now_us)
-            self.replica.forget(env.ack.entity)
+            ack: MigrationAck = msg.payload
+            self.tracker.complete_migration(ack, self.engine.now_us)
+            self.replica.forget(ack.entity)
             self.ledger.migrations_completed += 1
         elif kind == "migrate":
             transfer: TransferMessage = msg.payload
@@ -418,9 +394,8 @@ class PhysicsActor:
                 )
             self._arrive(*transfer.state)
             self.ledger.transfers_delivered += 1
-            ack = MigrationTracker.acknowledge(transfer)
             self.network.send(self.node_id, self.dispatcher_id, "ack",
-                              tuple.__new__(AckEnvelope, (ack, transfer.from_partition)))
+                              MigrationTracker.acknowledge(transfer))
             if not self._ticking:
                 self._start_ticking()
         elif kind == "create":
@@ -431,8 +406,6 @@ class PhysicsActor:
             self.ledger.creates_delivered += 1
             if not self._ticking:
                 self._start_ticking()
-        elif kind in ("delete", "update"):
-            self.replica.apply_update(msg.payload)
         else:
             raise UnroutableMessage(kind)
 
@@ -569,32 +542,12 @@ class PhysicsActor:
                 forget(eid)
         if migrating:
             begin, partition = self.tracker.begin_migration, self.partition_id
-            origin = self._scene_origin or "script"
+            origin = self._scene_origin
             ledger.transfers_sent += len(migrating)
             ledger.migrated_entities.update(eid for eid, _, _ in migrating)
             for eid, owner, ball in migrating:
                 (transfer,) = begin(eid, partition, owner, now_us, (ball, origin))
                 send(node, dispatcher, "migrate", transfer)
-
-    # ---- test hooks -----------------------------------------------------
-
-    def inject_ball(self, ball: Ball, scene_ts_us: int = 0, scene_seq: int = 0,
-                    origin: str = "script") -> None:
-        """Directly seat a ball that lies in this partition or off the board,
-        bypassing the network (tests, calibration)."""
-        geom = self.geometry
-        if not (0 <= ball.box < geom.boxes and 0 <= ball.row < geom.rows_per_box):
-            raise ValueError(f"ball {ball.id} has no box {ball.box} row {ball.row}")
-        column = self._clip(ball.column)
-        owner = self._owners[self._lanes[ball.box][ball.row] + column]
-        if owner >= 0 and owner != self.partition_id:
-            raise ValueError(f"ball {ball.id} lies in partition {owner}")
-        self._arrive((ball.id, ball.box, ball.row, ball.level, column,
-                      0, ball.created_at_us, scene_ts_us, scene_seq), origin)
-        self.ledger.created += 1
-        self.ledger.creates_delivered += 1
-        if not self._ticking:
-            self._start_ticking()
 
 
 # ----------------------------------------------------------------------
@@ -605,10 +558,10 @@ class DispatcherActor:
     """Stateless relay between the script node and the physics nodes."""
 
     def __init__(self, node_id: str, network: Network, pmap: PartitionMap,
-                 geometry: GaltonGeometry, subscribers: dict[str, list[str]]):
+                 geometry: GaltonGeometry, script_id: str):
         self.node_id = node_id
         self.network = network
-        self.subscribers = {kind: list(nodes) for kind, nodes in subscribers.items()}
+        self.script_id = script_id
         #: partition id -> owning node
         self._nodes = pmap.partitions
         region = pmap.region
@@ -618,28 +571,20 @@ class DispatcherActor:
             for box in range(geometry.boxes) for row in range(geometry.rows_per_box)}
 
     def dispatcher_relay(self, msg: Message) -> list[Message]:
-        """Forward a message per the routing table; never filters or coalesces.
+        """Forward a message on its kind's fixed route; never filters or
+        coalesces.
 
         This is the dispatcher node's message handler."""
         kind = msg.kind
         if kind == "migrate":
-            transfer: TransferMessage = msg.payload
-            node = self._nodes[transfer.to_partition]
-            out = [self.network.send(self.node_id, node, kind, transfer)]
+            node = self._nodes[msg.payload.to_partition]
         elif kind == "ack":
-            env: AckEnvelope = msg.payload
-            node = self._nodes[env.from_partition]
-            out = [self.network.send(self.node_id, node, kind, env)]
+            node = self._nodes[msg.payload.from_partition]
         elif kind == "create":
             spawn: BallSpawn = msg.payload
             node = self._create_nodes[spawn.box, spawn.row]
-            out = [self.network.send(self.node_id, node, kind, spawn)]
-        elif kind in ("delete", "update"):
-            targets = self.subscribers.get(kind)
-            if targets is None:
-                raise UnroutableMessage(kind)
-            out = [self.network.send(self.node_id, node, kind, msg.payload)
-                   for node in targets if node != msg.src]
+        elif kind == "delete":
+            node = self.script_id
         else:
             raise UnroutableMessage(kind)
-        return out
+        return [self.network.send(self.node_id, node, kind, msg.payload)]

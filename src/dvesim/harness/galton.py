@@ -121,14 +121,14 @@ class GaltonExperimentConfig:
         if self.topology == TOPOLOGY_B and self.split not in (
                 SPLIT_CENTER_X, SPLIT_BETWEEN_BOXES):
             raise ConfigInvalid(f"unknown split {self.split!r}")
-        if self.period_t_s <= 0:
-            raise ConfigInvalid("period_t_s must be positive")
-        if self.capacity_c < 1 or self.effective_capacity < 1:
-            raise ConfigInvalid("capacity must be >= 1")
-        if self.tick_len_s <= 0 or self.sample_period_s <= 0:
-            raise ConfigInvalid("tick and sample periods must be positive")
-        if self.duration_cap_s <= 0:
-            raise ConfigInvalid("duration cap must be positive")
+        # the run counts whole microseconds, so each span must round to one
+        for name in ("period_t_s", "tick_len_s", "sample_period_s", "duration_cap_s"):
+            if seconds_to_us(getattr(self, name)) < 1:
+                raise ConfigInvalid(f"{name} must be at least 1 microsecond")
+        if self.capacity_c < 1:
+            raise ConfigInvalid("capacity_c must be >= 1")
+        if self.effective_capacity < 1:
+            raise ConfigInvalid("capacity_c * capacity_factor must round to >= 1")
         for name in ("epsilon_max_s", "link_latency_s", "link_jitter_s"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
@@ -169,7 +169,7 @@ class GaltonExperimentConfig:
 
     @property
     def effective_capacity(self) -> int:
-        return max(1, round(self.capacity_c * self.capacity_factor))
+        return round(self.capacity_c * self.capacity_factor)
 
     def physics_nodes(self) -> list[str]:
         if self.topology == TOPOLOGY_A:
@@ -277,8 +277,7 @@ def run_galton(config: GaltonExperimentConfig,
 
     script = ScriptActor(SCRIPT, engine, network, DISPATCHER, geometry,
                          config.period_t_s, ledger)
-    dispatcher = DispatcherActor(DISPATCHER, network, pmap, geometry,
-                                 subscribers={"delete": [SCRIPT], "update": [SCRIPT]})
+    dispatcher = DispatcherActor(DISPATCHER, network, pmap, geometry, SCRIPT)
     physics = {}
     for pid, node in sorted(pmap.partitions.items()):
         physics[node] = PhysicsActor(node, pid, pmap, geometry,

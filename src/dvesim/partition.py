@@ -156,8 +156,11 @@ class TransferMessage(NamedTuple):
 
 
 class MigrationAck(NamedTuple):
+    """The gaining side's acknowledgment, routed back to ``from_partition``."""
+
     entity: int
     token: int
+    from_partition: int
 
 
 class MigrationTracker:
@@ -181,12 +184,13 @@ class MigrationTracker:
     @staticmethod
     def acknowledge(transfer: TransferMessage) -> MigrationAck:
         """Ack built by the gaining side once it simulates the entity."""
-        return tuple.__new__(MigrationAck, (transfer.entity, transfer.token))
+        return tuple.__new__(MigrationAck, (transfer.entity, transfer.token,
+                                            transfer.from_partition))
 
     def complete_migration(self, ack: MigrationAck, now_us: int) -> MigrationRecord:
         """Settle the handshake on ack arrival and return its record; a
         duplicate ack or a stale token is unknown."""
-        entity, token = ack
+        entity, token, _ = ack
         pending = self._in_flight.get(entity)
         if pending is None or pending[3] != token:
             raise UnknownMigration((entity, token))

@@ -1,15 +1,17 @@
 """Shared test machinery: randomized LWW delivery schedules, a plain
-last-writer-wins model of the scene, and the scalar descent and crossing
-model that the physics tick oracle replays."""
+last-writer-wins model of the scene, the scalar descent and crossing
+model that the physics tick oracle replays, and a way to seat a ball on a
+physics node without a script or a dispatcher."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Optional
 
-from dvesim.actors import FALLING, Ball
+from dvesim.actors import PhysicsActor
 from dvesim.partition import PartitionMap
 from dvesim.scene import (
     EXISTENCE,
@@ -159,6 +161,34 @@ class LwwModel:
                 if e == entity and stamp >= floor:
                     h.update(f"P{entity}.{name}={value!r}@{stamp!r}\n".encode())
         return h.hexdigest()
+
+
+FALLING = "falling"
+
+
+@dataclass
+class Ball:
+    """One benchmark entity, as the scalar model moves it."""
+
+    id: int
+    box: int
+    row: int
+    level: int = 0
+    column: int = 0
+    created_at_us: int = 0
+    state: str = FALLING
+
+
+def seat(actor: PhysicsActor, ball: Ball, scene_seq: int = 0) -> None:
+    """Seat ``ball`` on ``actor`` as a delivered create would: counted as
+    created and delivered, and ticked from the next tick boundary.  The ball
+    must lie in the actor's partition, at a column of its lane."""
+    actor._arrive((ball.id, ball.box, ball.row, ball.level, ball.column, 0,
+                   ball.created_at_us, 0, scene_seq), "script")
+    actor.ledger.created += 1
+    actor.ledger.creates_delivered += 1
+    if not actor._ticking:
+        actor._start_ticking()
 
 
 def descend_one_level(ball: Ball, stream) -> Ball:

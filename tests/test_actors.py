@@ -9,7 +9,7 @@ from dvesim.actors import (
     _BLOCK,
     _HOT_FIELDS,
     _HOT_SLOT,
-    Ball,
+    BallSpawn,
     DispatcherActor,
     GaltonGeometry,
     PhysicsActor,
@@ -19,10 +19,10 @@ from dvesim.actors import (
 )
 from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import Message, Network
-from dvesim.partition import PartitionMap, RegionSpec
-from dvesim.scene import UnknownEntity
+from dvesim.partition import MigrationTracker, PartitionMap, RegionSpec
+from dvesim.scene import EXISTENCE, PropertyUpdate, UnknownEntity
 from dvesim.stats import binomial_pmf
-from helpers import descend_one_level, detect_crossing
+from helpers import Ball, descend_one_level, detect_crossing, seat
 
 
 class TestGeometry:
@@ -103,7 +103,7 @@ class TestDescendOneLevel:
 
 
 def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
-    """Single physics node with a sink dispatcher (no delete subscribers)."""
+    """Single physics node; its deletes reach a script node with no handler."""
     engine = Engine(seed=seed)
     network = Network(engine)
     region = RegionSpec()
@@ -111,13 +111,28 @@ def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
     ledger = RunLedger(geometry.bucket_count)
     network.add_link("physics-1", "dispatcher", 0.001, 1e9)
     network.add_link("dispatcher", "physics-1", 0.001, 1e9)
+    network.add_link("dispatcher", "script", 0.001, 1e9)
     actor = PhysicsActor("physics-1", 1, pmap, geometry, capacity, tick_len_s,
                          engine, network, "dispatcher", ledger)
-    dispatcher = DispatcherActor("dispatcher", network, pmap, geometry,
-                                 subscribers={"delete": [], "update": []})
+    dispatcher = DispatcherActor("dispatcher", network, pmap, geometry, "script")
     network.register_handler("physics-1", actor.on_message)
     network.register_handler("dispatcher", dispatcher.dispatcher_relay)
     return engine, actor, ledger
+
+
+class TestPhysicsMessages:
+    GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                         balls_per_dropper=1, nominal_descent_s=1.0)
+
+    @pytest.mark.parametrize("kind", ["delete", "update"])
+    def test_scene_updates_are_unroutable(self, kind):
+        # a physics node deletes only the balls it simulates, itself
+        engine, actor, ledger = wire_physics(self.GEO, capacity=10)
+        seat(actor, Ball(id=1, box=0, row=0))
+        delete = PropertyUpdate(1, EXISTENCE, False, 10, "physics-2", 0)
+        with pytest.raises(UnroutableMessage):
+            actor.on_message(Message(kind, "dispatcher", "physics-1", 256, delete, 0, 0))
+        assert actor.replica.live_count() == actor.active_count == 1
 
 
 class TestDescentDistribution:
@@ -129,7 +144,7 @@ class TestDescentDistribution:
         n_balls = 100_000
         engine, actor, ledger = wire_physics(geo, capacity=n_balls, seed=17)
         for i in range(n_balls):
-            actor.inject_ball(Ball(id=i + 1, box=0, row=0), scene_seq=i)
+            seat(actor, Ball(id=i + 1, box=0, row=0), scene_seq=i)
         engine.run_until(seconds_to_us(5.0))
         assert ledger.collected == n_balls
         expected = binomial_pmf(10, 0.5) * n_balls
@@ -144,7 +159,7 @@ class TestDilation:
                              nominal_descent_s=10.0)
         engine, actor, ledger = wire_physics(geo, capacity=capacity, seed=5)
         for i in range(n_balls):
-            actor.inject_ball(Ball(id=i + 1, box=0, row=0), scene_seq=i)
+            seat(actor, Ball(id=i + 1, box=0, row=0), scene_seq=i)
         engine.run_until(seconds_to_us(600.0))
         assert ledger.collected == n_balls
         intervals = np.array([c[1] for c in ledger.collections]) / 1e6
@@ -297,8 +312,8 @@ class TestPhysicsTickOracle:
             for _ in range(count):
                 entity = next(entities)
                 box, row, column = self.place(geo, pmap, partition_id, entity)
-                actor.inject_ball(Ball(id=entity, box=box, row=row, column=column),
-                                  scene_seq=entity - 1)
+                seat(actor, Ball(id=entity, box=box, row=row, column=column),
+                     scene_seq=entity - 1)
 
         inject(n_balls)
         for t_s, count in self.ARRIVALS.get(n_balls, ()):
@@ -376,7 +391,7 @@ class TestBallRing:
         def inject(count):
             for _ in range(count):
                 entity = next(next_id)
-                actor.inject_ball(Ball(id=entity, box=0, row=0), scene_seq=entity)
+                seat(actor, Ball(id=entity, box=0, row=0), scene_seq=entity)
                 reference.append(entity)
 
         tick, delete = actor.physics_tick, actor.replica.delete_entity
@@ -464,34 +479,26 @@ class TestOwnerTable:
         engine = Engine(seed=1)
         actor = PhysicsActor("physics-1", 1, pmap, geo, 10, 0.1, engine,
                              Network(engine), "dispatcher", RunLedger(geo.bucket_count))
-        # every column of the board, and far past both ends of the lanes,
-        # which seating clips into the lanes' pads
-        columns = range(actor._col_lo - 50, actor._col_hi + 51)
-        want, keys, lanes = [], [], []
+        # every lane spans the same columns, and box 0 row 0's starts the table
+        width = len(actor._owners) // (geo.boxes * geo.rows_per_box)
+        columns = range(-actor._lanes[0][0], width - actor._lanes[0][0])
+        want, keys = [], []
         for box in range(geo.boxes):
             for row in range(geo.rows_per_box):
-                offset = actor._lanes[box][row]
-                lane = [offset + actor._clip(column) for column in columns]
-                for column, key in zip(columns, lane):
+                for column in columns:
                     x = geo.ball_x_m(region, row, column)
                     y = geo.box_center_y_m(region, box)
                     inside = 0.0 <= x < region.width_m
                     want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
                                 if inside else -1)
+                    keys.append(actor._lanes[box][row] + column)
+                    # a seated ball's step, either way, stays in its lane
                     if inside:
-                        # a seated ball's step needs no clip: both next
-                        # columns have keys one apart from its own
-                        assert offset + actor._clip(column - 1) == key - 1
-                        assert offset + actor._clip(column + 1) == key + 1
-                # a column clipped into a pad has only off-region neighbours
-                for clipped in (lane[0], lane[-1]):
-                    assert [actor._owners[clipped - 1], actor._owners[clipped + 1]] == [-1, -1]
-                keys += lane
-                lanes.append(set(lane))
+                        assert columns[0] < column < columns[-1]
         assert [actor._owners[key] for key in keys] == want
         assert set(want) == set(pmap.partitions) | {-1}
-        # each (box, row) has a lane of its own
-        assert sum(len(lane) for lane in lanes) == len(set().union(*lanes))
+        # the lanes tile the table: each (box, row) has a lane of its own
+        assert sorted(keys) == list(range(len(actor._owners)))
 
     @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
     def test_create_routes_equal_owner_of(self, layout):
@@ -499,55 +506,11 @@ class TestOwnerTable:
         region = RegionSpec()
         pmap = layout_map(layout, region)
         dispatcher = DispatcherActor("dispatcher", Network(Engine(seed=1)), pmap, geo,
-                                     subscribers={})
+                                     "script")
         want = {(box, row): pmap.partitions[pmap.owner_of(geo.drop_x_m(region, row),
                                                           geo.box_center_y_m(region, box))]
                 for box in range(geo.boxes) for row in range(geo.rows_per_box)}
         assert dispatcher._create_nodes == want
-
-    def test_column_off_the_board_is_discarded(self):
-        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
-                             balls_per_dropper=1, nominal_descent_s=1.0)
-        engine, actor, ledger = wire_physics(geo, capacity=10)
-        actor.inject_ball(Ball(id=1, box=0, row=0, column=10_000))
-        actor.inject_ball(Ball(id=2, box=0, row=0, column=-10_000))
-        engine.run_until(seconds_to_us(5.0))
-        assert ledger.discarded == 2 and actor.active_count == 0
-
-    def test_column_off_the_board_about_to_land_is_discarded(self):
-        # seating clips the column into the pad: its last step must take it
-        # neither back onto the board nor into a bucket, in any row
-        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=3, droppers_per_row=1,
-                             balls_per_dropper=1, nominal_descent_s=1.0)
-        engine, actor, ledger = wire_physics(geo, capacity=10)
-        for entity, row in enumerate((0, 0, 1, 1, 2, 2), start=1):
-            actor.inject_ball(Ball(id=entity, box=0, row=row, level=geo.n_levels - 1,
-                                   column=10_000 if entity % 2 else -10_000))
-        engine.run_until(seconds_to_us(5.0))
-        assert ledger.discarded == 6 and ledger.collected == 0
-        assert actor.active_count == 0
-
-    def test_ball_outside_the_geometry_is_refused(self):
-        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
-                             balls_per_dropper=1, nominal_descent_s=1.0)
-        engine, actor, ledger = wire_physics(geo, capacity=10)
-        with pytest.raises(ValueError):
-            actor.inject_ball(Ball(id=1, box=0, row=1))
-
-    def test_ball_in_another_partition_is_refused(self):
-        geo = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
-                             balls_per_dropper=1, nominal_descent_s=1.0)
-        region = RegionSpec()
-        engine = Engine(seed=1)
-        actor = PhysicsActor("physics-1", 1, layout_map("split_x", region), geo, 10, 0.1,
-                             engine, Network(engine), "dispatcher",
-                             RunLedger(geo.bucket_count))
-        # column 0 drops at x = 128 m, on the split, which belongs to partition 2
-        with pytest.raises(ValueError):
-            actor.inject_ball(Ball(id=1, box=0, row=0))
-        actor.inject_ball(Ball(id=2, box=0, row=0, column=-1))
-        actor.inject_ball(Ball(id=3, box=0, row=0, column=10_000))
-        assert actor.active_count == 2
 
 
 def wire_run(geometry, topology, period_s, capacity, seed=1):
@@ -605,24 +568,34 @@ class TestScriptActor:
         assert slow["sent_count"] == fast["sent_count"]
         assert slow["sent_bytes"] == fast["sent_bytes"]
 
+    def test_applies_deletes_and_rejects_every_other_kind(self):
+        engine, script, ledger, sink = self.small_script()
+        script.dropper_tick(0)
+        live = script.replica.live_count()
+        delete = PropertyUpdate(1, EXISTENCE, False, 10, "physics-1", 0)
+        script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
+        assert script.replica.live_count() == live - 1
+        for kind in ("create", "migrate", "ack", "update"):
+            with pytest.raises(UnroutableMessage):
+                script.on_message(Message(kind, "dispatcher", "script", 256, delete, 0, 0))
+        assert script.replica.live_count() == live - 1
+
 
 class TestDispatcher:
-    def wire(self, subscribers):
+    def wire(self):
         geo = GaltonGeometry()
         engine = Engine(seed=1)
         network = Network(engine)
         region = RegionSpec()
         pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"), (2, "physics-2"))
-        for node in ("script", "physics-1", "physics-2", "extra"):
+        for node in ("script", "physics-1", "physics-2"):
             network.add_link("dispatcher", node, 0.001, 1e9)
             network.add_link(node, "dispatcher", 0.001, 1e9)
-        dispatcher = DispatcherActor("dispatcher", network, pmap, geo,
-                                     subscribers=subscribers)
+        dispatcher = DispatcherActor("dispatcher", network, pmap, geo, "script")
         return engine, network, dispatcher
 
     def test_create_routes_to_owning_partition(self):
-        from dvesim.actors import BallSpawn
-        engine, network, dispatcher = self.wire({"delete": ["script"]})
+        engine, network, dispatcher = self.wire()
         spawn = BallSpawn(1, box=0, row=0, created_at_us=0,
                           scene_ts_us=0, scene_origin="script", scene_seq=0)
         msg = Message("create", "script", "dispatcher", 1024, spawn, 0, 0)
@@ -635,36 +608,50 @@ class TestDispatcher:
             Message("create", "script", "dispatcher", 1024, spawn2, 0, 0))
         assert out2[0].dst == "physics-2"
 
-    def test_update_fans_out_to_all_subscribers(self):
-        engine, network, dispatcher = self.wire(
-            {"update": ["script", "physics-1", "extra"], "delete": []})
-        msg = Message("update", "physics-2", "dispatcher", 256, None, 0, 0)
-        out = dispatcher.dispatcher_relay(msg)
-        assert sorted(m.dst for m in out) == ["extra", "physics-1", "script"]
+    def test_delete_routes_to_script(self):
+        engine, network, dispatcher = self.wire()
+        for src in ("physics-1", "physics-2"):
+            out = dispatcher.dispatcher_relay(Message("delete", src, "dispatcher", 256,
+                                                      None, 0, 0))
+            assert [(m.kind, m.dst) for m in out] == [("delete", "script")]
 
-    def test_source_not_echoed(self):
-        engine, network, dispatcher = self.wire({"update": ["script", "physics-1"]})
-        msg = Message("update", "script", "dispatcher", 256, None, 0, 0)
-        out = dispatcher.dispatcher_relay(msg)
-        assert [m.dst for m in out] == ["physics-1"]
+    @pytest.mark.parametrize("losing, gaining", [(1, 2), (2, 1)])
+    def test_transfer_and_ack_route_by_their_partitions(self, losing, gaining):
+        engine, network, dispatcher = self.wire()
+        (transfer,) = MigrationTracker().begin_migration(7, losing, gaining, 0, None)
+        ack = MigrationTracker.acknowledge(transfer)
+        assert ack.from_partition == losing
+        out = dispatcher.dispatcher_relay(Message("migrate", f"physics-{losing}",
+                                                  "dispatcher", 1024, transfer, 0, 0))
+        assert [m.dst for m in out] == [f"physics-{gaining}"]
+        out = dispatcher.dispatcher_relay(Message("ack", f"physics-{gaining}",
+                                                  "dispatcher", 64, ack, 0, 0))
+        assert [m.dst for m in out] == [f"physics-{losing}"] and out[0].payload is ack
 
     def test_unroutable_kind(self):
-        engine, network, dispatcher = self.wire({})
+        engine, network, dispatcher = self.wire()
         with pytest.raises(UnroutableMessage):
             dispatcher.dispatcher_relay(Message("bogus", "script", "dispatcher", 1, None, 0, 0))
 
+    def test_update_is_unroutable(self):
+        # no node sends scene updates, so the dispatcher has no route for one
+        engine, network, dispatcher = self.wire()
+        with pytest.raises(UnroutableMessage):
+            dispatcher.dispatcher_relay(Message("update", "physics-1", "dispatcher", 256,
+                                                None, 0, 0))
+
     def test_relay_preserves_per_source_ordering(self):
-        engine, network, dispatcher = self.wire({"update": ["physics-1"]})
+        engine, network, dispatcher = self.wire()
         network.register_handler("dispatcher", dispatcher.dispatcher_relay)
         arrivals = []
-        network.register_handler("physics-1", lambda m: arrivals.append(m.payload))
+        network.register_handler("script", lambda m: arrivals.append(m.payload))
         rng = Engine(seed=9).stream("traffic")
         sent = []
         t = 0
         for i in range(200):
             t += int(rng.uniform() * 5000)
-            engine.schedule(t, lambda i=i: network.send("script", "dispatcher",
-                                                        "update", i))
+            engine.schedule(t, lambda i=i: network.send("physics-1", "dispatcher",
+                                                        "delete", i))
             sent.append(i)
         engine.run_until(seconds_to_us(10.0))
         assert arrivals == sent
@@ -697,7 +684,7 @@ class TestReplicaForgets:
 
     def test_collecting_node_forgets_the_ball(self):
         engine, actor, ledger = wire_physics(self.GEO, capacity=10)
-        actor.inject_ball(Ball(id=1, box=0, row=0))
+        seat(actor, Ball(id=1, box=0, row=0))
         assert actor.replica.live_count() == 1
         engine.run_until(seconds_to_us(5.0))
         assert ledger.collected == 1 and actor.replica.live_count() == 0
@@ -713,9 +700,9 @@ class TestReplicaForgets:
         network = Network(engine)
         pmap = PartitionMap.split_x(RegionSpec(), 128.0, (1, "physics-1"), (2, "physics-2"))
         ledger = RunLedger(self.GEO.bucket_count)
-        dispatcher = DispatcherActor("dispatcher", network, pmap, self.GEO,
-                                     subscribers={"delete": [], "update": []})
+        dispatcher = DispatcherActor("dispatcher", network, pmap, self.GEO, "script")
         network.register_handler("dispatcher", dispatcher.dispatcher_relay)
+        network.add_link("dispatcher", "script", 0.001, 1e9)
         actors = {}
         for pid, node in pmap.partitions.items():
             network.add_link(node, "dispatcher", 0.001, 1e9)
@@ -725,7 +712,7 @@ class TestReplicaForgets:
             network.register_handler(node, actors[node].on_message)
         losing, gaining = actors["physics-1"], actors["physics-2"]
         for entity in range(1, 9):
-            losing.inject_ball(Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
+            seat(losing, Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
         engine.run_until(seconds_to_us(0.15))
         moved = ledger.migrated_entities
         assert 0 < len(moved) < 8 and ledger.migrations_completed == len(moved)

@@ -417,6 +417,24 @@ STRICT_CASES = [
         "dispatcher->physics": {"byte_rate": float("inf")}}), "byte_rate"),
     ("NaN login byte rate", "login", login_dict(link_byte_rate=float("nan")),
      "link_byte_rate"),
+    # the run counts whole microseconds: these round to 0 us
+    ("sub-microsecond drop period", "galton", galton_dict(period_t_s=4e-7), "period_t_s"),
+    ("sub-microsecond tick", "galton", galton_dict(tick_len_s=4e-7), "tick_len_s"),
+    ("sub-microsecond sample period", "galton", galton_dict(sample_period_s=4e-7),
+     "sample_period_s"),
+    ("negative tick", "galton", galton_dict(tick_len_s=-0.1), "tick_len_s"),
+    ("sub-microsecond duration cap", "galton", galton_dict(duration_cap_s=4e-7),
+     "duration_cap_s"),
+    # 10 levels in 4 us: 0.4 us a level
+    ("sub-microsecond level time", "galton",
+     galton_dict(geometry={"nominal_descent_s": 4e-6}), "nominal_descent_s"),
+    ("zero capacity factor", "galton", galton_dict(capacity_factor=0.0), "capacity_factor"),
+    ("negative capacity factor", "galton", galton_dict(capacity_factor=-1.0),
+     "capacity_factor"),
+    # 200 * 0.002 = 0.4 ball-steps a tick
+    ("capacity rounding to 0", "galton", galton_dict(capacity_factor=0.002),
+     "capacity_factor"),
+    ("zero capacity", "galton", galton_dict(capacity_c=0), "capacity_c"),
 ]
 
 
@@ -427,6 +445,12 @@ class TestStrictConfig:
         cls = GaltonExperimentConfig if kind == "galton" else LoginExperimentConfig
         with pytest.raises(ConfigInvalid, match=key):
             cls.from_dict(data)
+
+    def test_one_microsecond_timing_accepted(self):
+        cfg = GaltonExperimentConfig.from_dict(galton_dict(
+            geometry={"nominal_descent_s": 1e-5}, period_t_s=1e-6, tick_len_s=1e-6,
+            sample_period_s=1e-6, duration_cap_s=1e-6, capacity_factor=0.005))
+        assert cfg.geometry.level_time_us == 1 and cfg.effective_capacity == 1
 
     def test_every_link_and_class_key_accepted(self):
         links = ["script->dispatcher", "dispatcher->script", "dispatcher->physics-1",
@@ -477,6 +501,17 @@ class TestStrictConfig:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error: ") and "period_t_s" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cli_rejects_sub_microsecond_tick(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(galton_dict(tick_len_s=4e-7)))
+        out = tmp_path / "out"
+        rc = cli.main(["run-galton", "--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and "tick_len_s" in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
 

@@ -241,7 +241,7 @@ def test_ghost_count_is_the_open_handshakes_at_every_sample():
 
     def record_ack(self, msg):
         if msg.kind == "ack":
-            ghosts[self.node_id].remove(msg.payload.ack.entity)
+            ghosts[self.node_id].remove(msg.payload.entity)
         on_message(self, msg)
 
     def record_transfer(self, src, dst, kind, payload, size_bytes=None):

@@ -1,14 +1,15 @@
 """Whole-run invariants over randomized small pegboard configurations.
 
 Each example runs ``run_galton`` on a small geometry, in topology A or B
-with either split, with or without link jitter and a slow link class.  The run's own audits
-(conservation, ghost count and each physics replica's live balls,
-checked at every sample tick) must never fire, the run must drain, every link must deliver in send order, the
-histogram must account for every created ball, each node's last message
-counts must equal what its links carried, and a re-run must export the
-same bytes.  After the run the remaining events are processed, so
-that every message in flight arrives; then no migration may be left open
-and no physics replica may hold a live ball.
+with either split, with or without link jitter and a slow link class.  The
+run's own audits (conservation, ghost count and each physics replica's live
+balls, checked at every sample tick) must never fire, the run must drain,
+every link must deliver in send order and carry only the message kinds
+routed over it, the histogram must account for every created ball, each
+node's last message counts must equal what its links carried, and a re-run
+must export the same bytes.  After the run the remaining events are
+processed, so that every message in flight arrives; then no migration may
+be left open and no physics replica may hold a live ball.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ from dvesim.netsim import Link, Network
 from dvesim.scene import SceneReplica
 
 EXPORTS = ("metrics.csv", "queues.csv", "histogram.csv", "report.json")
+
+#: (source, destination) node class -> the message kinds routed over it:
+#: creates go script -> dispatcher -> physics, transfers and acks between
+#: the physics nodes through the dispatcher, deletes physics -> dispatcher
+#: -> script
+ROUTED_KINDS = {
+    ("script", "dispatcher"): {"create"},
+    ("dispatcher", "script"): {"delete"},
+    ("dispatcher", "physics"): {"create", "migrate", "ack"},
+    ("physics", "dispatcher"): {"migrate", "ack", "delete"},
+}
 
 
 @st.composite
@@ -137,6 +149,8 @@ def test_small_runs_keep_every_invariant(config):
         delivered = seen.delivered[link_id]
         assert len(delivered) == len(sent), link_id
         assert all(d is s for d, s in zip(delivered, sent)), link_id
+        src, dst = (node.split("-")[0] for node in link_id.split("->"))
+        assert {m.kind for m in sent} <= ROUTED_KINDS[src, dst], link_id
     for actor in seen.physics:
         assert actor.tracker.in_flight_count() == 0
         assert actor.ghost_count == 0 and actor.active_count == 0
