@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class GaltonGeometry:
         units = (column + self.n_levels + 1) / 2.0 + row * self.row_offset_buckets
         return units * self.bucket_width_m(region)
 
-    def drop_x_m(self, region: RegionSpec, row: int) -> float:
-        return self.ball_x_m(region, row, 0)
-
     def box_center_y_m(self, region: RegionSpec, box: int) -> float:
         return (box + 0.5) * region.depth_m / self.boxes
 
@@ -168,18 +165,6 @@ class RunLedger:
 # script node
 # ----------------------------------------------------------------------
 
-class BallSpawn(NamedTuple):
-    """Creation order shipped from the script node to the owning physics node."""
-
-    entity: int
-    box: int
-    row: int
-    created_at_us: int
-    scene_ts_us: int
-    scene_origin: str
-    scene_seq: int
-
-
 class ScriptActor:
     """Drops one ball per dropper every period until each dropper runs dry."""
 
@@ -226,8 +211,8 @@ class ScriptActor:
         for box, row, _ in self.droppers:
             entity = next(entities)
             seq = create(entity, {}, ts, node)[0].seq
-            msgs.append(send(node, dispatcher, "create", tuple.__new__(
-                BallSpawn, (entity, box, row, now_us, ts, node, seq))))
+            msgs.append(send(node, dispatcher, "create",
+                             ((entity, box, row, 0, 0, 0, now_us, ts, seq), node)))
         self.ledger.created += len(msgs)
         return msgs
 
@@ -245,8 +230,42 @@ class ScriptActor:
 # physics node
 # ----------------------------------------------------------------------
 
-# A transfer ships a ball's full 9-field row: id, box, row, level, column,
-# progress, created_at_us, scene_ts_us, scene_seq.
+# A create and a transfer ship a ball as one record, ``(row, scene_origin)``:
+# its full 9-field row is id, box, row, level, column, progress,
+# created_at_us, scene_ts_us, scene_seq.  Both are exact tuples of atomic
+# values, which the cyclic collector stops tracking.
+
+#: (owners, lanes): a flat owner table, -1 off the region, and the offset of
+#: each (box, row) lane in it
+OwnerTable = tuple[list[int], list[list[int]]]
+
+
+def owner_table(geometry: GaltonGeometry, pmap: PartitionMap) -> OwnerTable:
+    """Owner of every position a ball can take, looked up once per run.
+
+    A ball's position depends only on its box, row and column, so the
+    owners are looked up through ``ball_x_m`` and ``box_center_y_m`` over
+    broadcast arrays.  A ball's key is its (box, row) lane's offset plus its
+    column; column 0 is the lane's drop position.  Each lane pads the board
+    with off-region columns, so that a seated ball's step never leaves it.
+    """
+    geom, region = geometry, pmap.region
+    n = geom.n_levels
+    col_lo = -n - 4 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
+    cols = np.arange(col_lo, 2 * geom.bucket_count - n + 3, dtype=np.float64)
+    rows = np.arange(geom.rows_per_box, dtype=np.float64)
+    boxes = np.arange(geom.boxes, dtype=np.float64)
+    x = geom.ball_x_m(region, rows[:, None], cols[None, :])
+    y = geom.box_center_y_m(region, boxes)
+    shape = (geom.boxes, geom.rows_per_box, len(cols))
+    xs = np.broadcast_to(x, shape)
+    ys = np.broadcast_to(y[:, None, None], shape)
+    inside = (xs >= 0.0) & (xs < region.width_m)
+    table = np.full(shape, -1, dtype=np.int64)
+    table[inside] = pmap.owners_xy(xs[inside], ys[inside])
+    lanes = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
+    return table.ravel().tolist(), lanes.tolist()
+
 
 #: fields of a hot row, all that a tick reads and moves
 _HOT_FIELDS = 4
@@ -276,7 +295,7 @@ class PhysicsActor:
     are ghosted and shipped to the gaining node.
     """
 
-    def __init__(self, node_id: str, partition_id: int, pmap: PartitionMap,
+    def __init__(self, node_id: str, partition_id: int, table: OwnerTable,
                  geometry: GaltonGeometry, capacity: int, tick_len_s: float,
                  engine: Engine, network: Network, dispatcher_id: str,
                  ledger: RunLedger):
@@ -284,7 +303,6 @@ class PhysicsActor:
             raise ValueError("capacity must be >= 1")
         self.node_id = node_id
         self.partition_id = partition_id
-        self.pmap = pmap
         self.geometry = geometry
         self.capacity = capacity
         self.tick_us = seconds_to_us(tick_len_s)
@@ -299,7 +317,7 @@ class PhysicsActor:
         self.tracker = MigrationTracker()
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = level_us = geometry.level_time_us
-        self._owners, self._lanes = self._owner_table()
+        self._owners, self._lanes = table
         #: a seated ball lies in this partition, so a step onto a key owned
         #: elsewhere leaves it: off the region (-1) or into a neighbour
         self._away = np.array(self._owners) != partition_id
@@ -318,34 +336,6 @@ class PhysicsActor:
         self.ticks = 0
         self.steps_executed = 0
         self.peak_load = 0.0
-
-    def _owner_table(self) -> tuple[list[int], list[list[int]]]:
-        """Flat owner table (-1 off the region) and lane offsets.
-
-        A ball's position depends only on its box, row and column, so the
-        owners are looked up once here, through ``ball_x_m`` and
-        ``box_center_y_m`` over broadcast arrays.  A ball's key is its
-        (box, row) lane's offset plus its column.  Each lane pads the board
-        with off-region columns, so that a seated ball's step never leaves
-        it.
-        """
-        geom = self.geometry
-        region = self.pmap.region
-        n = geom.n_levels
-        col_lo = -n - 4 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
-        cols = np.arange(col_lo, 2 * geom.bucket_count - n + 3, dtype=np.float64)
-        rows = np.arange(geom.rows_per_box, dtype=np.float64)
-        boxes = np.arange(geom.boxes, dtype=np.float64)
-        x = geom.ball_x_m(region, rows[:, None], cols[None, :])
-        y = geom.box_center_y_m(region, boxes)
-        shape = (geom.boxes, geom.rows_per_box, len(cols))
-        xs = np.broadcast_to(x, shape)
-        ys = np.broadcast_to(y[:, None, None], shape)
-        inside = (xs >= 0.0) & (xs < region.width_m)
-        table = np.full(shape, -1, dtype=np.int64)
-        table[inside] = self.pmap.owners_xy(xs[inside], ys[inside])
-        lanes = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
-        return table.ravel().tolist(), lanes.tolist()
 
     # ---- ball table --------------------------------------------------
 
@@ -392,25 +382,21 @@ class PhysicsActor:
                 raise UnroutableMessage(
                     f"transfer for partition {transfer.to_partition} at {self.node_id}"
                 )
-            self._arrive(*transfer.state)
-            self.ledger.transfers_delivered += 1
+            # the ack goes out before _arrive may schedule a tick: both take
+            # the engine's next seq, which orders events at one instant
             self.network.send(self.node_id, self.dispatcher_id, "ack",
                               MigrationTracker.acknowledge(transfer))
-            if not self._ticking:
-                self._start_ticking()
+            self.ledger.transfers_delivered += 1
+            self._arrive(*transfer.state)
         elif kind == "create":
-            spawn: BallSpawn = msg.payload
-            self._arrive((spawn.entity, spawn.box, spawn.row, 0, 0, 0,
-                          spawn.created_at_us, spawn.scene_ts_us, spawn.scene_seq),
-                         spawn.scene_origin)
+            self._arrive(*msg.payload)
             self.ledger.creates_delivered += 1
-            if not self._ticking:
-                self._start_ticking()
         else:
             raise UnroutableMessage(kind)
 
     def _arrive(self, ball: Sequence[int], origin: str) -> None:
-        """Register a ball in the scene; buffer its row, at a free slot."""
+        """Register a ball in the scene; buffer its row, at a free slot, for
+        the next tick, which this schedules if none is pending."""
         entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
         if self._scene_origin is None:
             self._scene_origin = origin
@@ -422,14 +408,12 @@ class PhysicsActor:
         slot = self._free.pop()
         self._arrivals += (progress, level, self._lanes[box][row] + column, slot,
                            entity, box, row, created, scene_ts, scene_seq)
+        if not self._ticking:
+            self._ticking = True
+            next_tick = (self.engine.now_us // self.tick_us + 1) * self.tick_us
+            self.engine.schedule(next_tick, self._tick)
 
     # ---- ticking -------------------------------------------------------
-
-    def _start_ticking(self) -> None:
-        """Schedule the next tick; the caller checks that none is pending."""
-        self._ticking = True
-        next_tick = (self.engine.now_us // self.tick_us + 1) * self.tick_us
-        self.engine.schedule(next_tick, self._tick)
 
     def _tick(self) -> None:
         self.physics_tick(self.engine.now_us)
@@ -520,8 +504,8 @@ class PhysicsActor:
             elif owner < 0:
                 off.append(eid)
             else:
-                migrating.append((eid, owner, [eid, box, row, level, key - lanes[box][row],
-                                               prog, created, scene_ts, scene_seq]))
+                migrating.append((eid, owner, (eid, box, row, level, key - lanes[box][row],
+                                               prog, created, scene_ts, scene_seq)))
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         ledger = self.ledger
         if landed or off:
@@ -557,18 +541,17 @@ class PhysicsActor:
 class DispatcherActor:
     """Stateless relay between the script node and the physics nodes."""
 
-    def __init__(self, node_id: str, network: Network, pmap: PartitionMap,
-                 geometry: GaltonGeometry, script_id: str):
+    def __init__(self, node_id: str, network: Network, partitions: dict[int, str],
+                 table: OwnerTable, script_id: str):
         self.node_id = node_id
         self.network = network
         self.script_id = script_id
         #: partition id -> owning node
-        self._nodes = pmap.partitions
-        region = pmap.region
-        #: (box, row) -> node owning that dropper row's drop position
-        self._create_nodes = {(box, row): self._nodes[pmap.owner_of(
-            geometry.drop_x_m(region, row), geometry.box_center_y_m(region, box))]
-            for box in range(geometry.boxes) for row in range(geometry.rows_per_box)}
+        self._nodes = partitions
+        owners, lanes = table
+        #: [box][row] -> node owning that dropper row's drop position, column 0
+        self._create_nodes = [[partitions[owners[lane]] for lane in box_lanes]
+                              for box_lanes in lanes]
 
     def dispatcher_relay(self, msg: Message) -> list[Message]:
         """Forward a message on its kind's fixed route; never filters or
@@ -581,8 +564,8 @@ class DispatcherActor:
         elif kind == "ack":
             node = self._nodes[msg.payload.from_partition]
         elif kind == "create":
-            spawn: BallSpawn = msg.payload
-            node = self._create_nodes[spawn.box, spawn.row]
+            ball = msg.payload[0]
+            node = self._create_nodes[ball[1]][ball[2]]
         elif kind == "delete":
             node = self.script_id
         else:

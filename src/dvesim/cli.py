@@ -1,9 +1,11 @@
 """Command-line entry points for running experiments and checks.
 
 Exit status is 0 only when every evaluated verdict passes, so the commands
-can gate CI jobs directly.  A bad config, an unknown metric name or a
-spec whose ``k`` differs from the number of reports prints one ``error:``
-line and exits 2.
+can gate CI jobs directly.  Bad input prints one ``error:`` line and exits
+2, never read as a failed verdict: a bad config, an unknown metric name, a
+spec that is invalid, lacks a field or whose ``k`` differs from the number
+of reports, a baseline over fewer than 3, stressed or mixed-geometry runs,
+and search bounds that do not bracket the threshold.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .harness import (
     run_galton,
     run_login,
 )
-from .stats import EmpiricalBaseline, RegressionSpec, WrongSampleCount, capture_baseline
+from .stats import EmpiricalBaseline, InvalidParameter, RegressionSpec, capture_baseline
 
 
 def _load_specs(path) -> list[RegressionSpec]:
@@ -149,7 +151,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, UnknownMetric, WrongSampleCount) as e:
+    except (ConfigInvalid, InvalidParameter, UnknownMetric) as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
 

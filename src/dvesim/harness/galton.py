@@ -28,6 +28,7 @@ from ..actors import (
     PhysicsActor,
     RunLedger,
     ScriptActor,
+    owner_table,
 )
 from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
@@ -70,7 +71,7 @@ def check_types(cls, d: dict, prefix: str = "") -> None:
             raise ConfigInvalid(f"{prefix}{key} must be {declared[key]}, got {value!r}")
 
 
-class BoundsDoNotBracket(ValueError):
+class BoundsDoNotBracket(ConfigInvalid):
     """The bisection bounds do not straddle the stability threshold."""
 
 
@@ -188,10 +189,10 @@ class GaltonExperimentConfig:
         if self.topology == TOPOLOGY_A:
             return PartitionMap.single(region, 1, "physics-1")
         if self.split == SPLIT_CENTER_X:
-            return PartitionMap.split_x(region, region.width_m / 2,
-                                        (1, "physics-1"), (2, "physics-2"))
-        return PartitionMap.split_y(region, region.depth_m / 2,
-                                    (1, "physics-1"), (2, "physics-2"))
+            axis, at_m = 0, region.width_m / 2
+        else:
+            axis, at_m = 1, region.depth_m / 2
+        return PartitionMap.split(region, axis, at_m, (1, "physics-1"), (2, "physics-2"))
 
     # ---- serialization -------------------------------------------------
 
@@ -277,10 +278,11 @@ def run_galton(config: GaltonExperimentConfig,
 
     script = ScriptActor(SCRIPT, engine, network, DISPATCHER, geometry,
                          config.period_t_s, ledger)
-    dispatcher = DispatcherActor(DISPATCHER, network, pmap, geometry, SCRIPT)
+    table = owner_table(geometry, pmap)
+    dispatcher = DispatcherActor(DISPATCHER, network, pmap.partitions, table, SCRIPT)
     physics = {}
     for pid, node in sorted(pmap.partitions.items()):
-        physics[node] = PhysicsActor(node, pid, pmap, geometry,
+        physics[node] = PhysicsActor(node, pid, table, geometry,
                                      config.effective_capacity, config.tick_len_s,
                                      engine, network, DISPATCHER, ledger)
     network.register_handler(SCRIPT, script.on_message)
@@ -447,12 +449,13 @@ class SearchResult:
     probes: list[tuple[float, bool, Optional[float]]]
 
 
-def _is_stable(report: ExperimentReport, factor: float = STABILITY_FACTOR) -> bool:
-    """Real-time predicate: final-quarter mean interval within factor x nominal."""
+def _is_stable(report: ExperimentReport) -> bool:
+    """Real-time predicate: final-quarter mean interval within
+    STABILITY_FACTOR x nominal."""
     mean = report.final_quarter_interval_mean()
     if mean is None:
         return False
-    return mean <= factor * report.nominal_descent_s
+    return mean <= STABILITY_FACTOR * report.nominal_descent_s
 
 
 def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,

@@ -201,10 +201,8 @@ class Network:
     # instrumentation
     # ------------------------------------------------------------------
 
-    def sample_queues(self, t_us: Optional[int] = None) -> list[QueueSample]:
+    def sample_queues(self, t_us: int) -> list[QueueSample]:
         """One sample per link at time t, appended to the metrics store."""
-        if t_us is None:
-            t_us = self.engine.now_us
         batch = [link.sample(t_us) for link in self.links()]
         self.samples.extend(batch)
         return batch

@@ -58,12 +58,6 @@ class RegionSpec:
     def ny(self) -> int:
         return int(round(self.depth_m / self.microcell_m))
 
-    def microcell_of(self, x_m: float, y_m: float) -> tuple[int, int]:
-        """Containing cell; boundary points belong to the higher-index cell."""
-        if not (0.0 <= x_m < self.width_m and 0.0 <= y_m < self.depth_m):
-            raise OutOfRegion(f"({x_m}, {y_m}) outside {self.width_m} x {self.depth_m} m region")
-        return (int(x_m // self.microcell_m), int(y_m // self.microcell_m))
-
 
 class PartitionMap:
     """Total, immutable assignment of microcells to partitions."""
@@ -90,35 +84,20 @@ class PartitionMap:
         return cls(region, grid, {partition_id: node})
 
     @classmethod
-    def split_x(cls, region: RegionSpec, at_m: float, left: tuple[int, str],
-                right: tuple[int, str]) -> "PartitionMap":
-        """Two partitions split by a vertical line on a microcell boundary."""
+    def split(cls, region: RegionSpec, axis: int, at_m: float, low: tuple[int, str],
+              high: tuple[int, str]) -> "PartitionMap":
+        """Two partitions split on a microcell boundary ``at_m`` along
+        ``axis``, 0 for x or 1 for y: ``high`` owns the cells from there on."""
         cells = at_m / region.microcell_m
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError(f"split at {at_m} m is not on a microcell boundary")
-        cut = int(round(cells))
-        grid = np.full((region.nx, region.ny), left[0], dtype=np.int32)
-        grid[cut:, :] = right[0]
-        return cls(region, grid, {left[0]: left[1], right[0]: right[1]})
-
-    @classmethod
-    def split_y(cls, region: RegionSpec, at_m: float, near: tuple[int, str],
-                far: tuple[int, str]) -> "PartitionMap":
-        cells = at_m / region.microcell_m
-        if abs(cells - round(cells)) > 1e-9:
-            raise ValueError(f"split at {at_m} m is not on a microcell boundary")
-        cut = int(round(cells))
-        grid = np.full((region.nx, region.ny), near[0], dtype=np.int32)
-        grid[:, cut:] = far[0]
-        return cls(region, grid, {near[0]: near[1], far[0]: far[1]})
+        grid = np.full((region.nx, region.ny), low[0], dtype=np.int32)
+        grid.swapaxes(0, axis)[int(round(cells)):] = high[0]
+        return cls(region, grid, {low[0]: low[1], high[0]: high[1]})
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-
-    def owner_of(self, x_m: float, y_m: float) -> int:
-        i, j = self.region.microcell_of(x_m, y_m)
-        return int(self._assignment[i, j])
 
     def owners_xy(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup; every position must be in the region."""

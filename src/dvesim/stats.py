@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -21,22 +21,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class InvalidParameter(ValueError):
-    pass
+    """Bad input to a statistic; the CLI reports it as an input error."""
 
 
 class LengthMismatch(ValueError):
     pass
 
 
-class StressedRunIncluded(ValueError):
+class StressedRunIncluded(InvalidParameter):
     """A baseline can only be captured from unstressed runs."""
 
 
-class TooFewRuns(ValueError):
+class TooFewRuns(InvalidParameter):
     pass
 
 
-class WrongSampleCount(ValueError):
+class WrongSampleCount(InvalidParameter):
     pass
 
 
@@ -253,6 +253,9 @@ class RegressionSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RegressionSpec":
+        for f in fields(cls):
+            if f.name not in d:
+                raise InvalidParameter(f"regression spec has no {f.name!r} field")
         return cls(metric=d["metric"], lo=float(d["lo"]), hi=float(d["hi"]),
                    max_cv=float(d["max_cv"]), k=int(d["k"]))
 

@@ -1,7 +1,8 @@
 """Shared test machinery: randomized LWW delivery schedules, a plain
-last-writer-wins model of the scene, the scalar descent and crossing
-model that the physics tick oracle replays, and a way to seat a ball on a
-physics node without a script or a dispatcher."""
+last-writer-wins model of the scene, the scalar owner lookup, descent and
+crossing model that the owner table and the physics tick oracle are
+checked against, and a way to seat a ball on a physics node without a
+script or a dispatcher."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from dvesim.actors import PhysicsActor
-from dvesim.partition import PartitionMap
+from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
     EXISTENCE,
     ApplyResult,
@@ -187,8 +188,16 @@ def seat(actor: PhysicsActor, ball: Ball, scene_seq: int = 0) -> None:
                    ball.created_at_us, 0, scene_seq), "script")
     actor.ledger.created += 1
     actor.ledger.creates_delivered += 1
-    if not actor._ticking:
-        actor._start_ticking()
+
+
+def owner_of(pmap: PartitionMap, x_m: float, y_m: float) -> int:
+    """Scalar owner lookup: the partition of the containing microcell, where
+    a point on a cell boundary belongs to the higher-index cell."""
+    region = pmap.region
+    if not (0.0 <= x_m < region.width_m and 0.0 <= y_m < region.depth_m):
+        raise OutOfRegion(f"({x_m}, {y_m}) outside {region.width_m} x {region.depth_m} m region")
+    cell = int(x_m // region.microcell_m), int(y_m // region.microcell_m)
+    return int(pmap._assignment[cell])
 
 
 def descend_one_level(ball: Ball, stream) -> Ball:
@@ -203,8 +212,8 @@ def descend_one_level(ball: Ball, stream) -> Ball:
 def detect_crossing(prev: tuple[float, float], nxt: tuple[float, float],
                     pmap: PartitionMap) -> Optional[tuple[int, int]]:
     """(from, to) partition pair if the move changes owner, else None."""
-    a = pmap.owner_of(*prev)
-    b = pmap.owner_of(*nxt)
+    a = owner_of(pmap, *prev)
+    b = owner_of(pmap, *nxt)
     if a == b:
         return None
     return (a, b)

@@ -1,3 +1,4 @@
+import gc
 from collections import deque
 
 import numpy as np
@@ -9,20 +10,20 @@ from dvesim.actors import (
     _BLOCK,
     _HOT_FIELDS,
     _HOT_SLOT,
-    BallSpawn,
     DispatcherActor,
     GaltonGeometry,
     PhysicsActor,
     RunLedger,
     ScriptActor,
     UnroutableMessage,
+    owner_table,
 )
 from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import Message, Network
 from dvesim.partition import MigrationTracker, PartitionMap, RegionSpec
 from dvesim.scene import EXISTENCE, PropertyUpdate, UnknownEntity
 from dvesim.stats import binomial_pmf
-from helpers import Ball, descend_one_level, detect_crossing, seat
+from helpers import Ball, descend_one_level, detect_crossing, owner_of, seat
 
 
 class TestGeometry:
@@ -41,7 +42,7 @@ class TestGeometry:
     def test_row_drop_positions_straddle_the_center(self):
         geo = GaltonGeometry()
         region = RegionSpec()
-        xs = [geo.drop_x_m(region, r) for r in range(3)]
+        xs = [geo.ball_x_m(region, r, 0) for r in range(3)]
         assert xs[0] == pytest.approx(125.3333, abs=1e-3)
         assert xs[1] == 128.0
         assert xs[2] == pytest.approx(130.6667, abs=1e-3)
@@ -49,10 +50,8 @@ class TestGeometry:
     def test_center_split_separates_one_row_from_two(self):
         geo = GaltonGeometry()
         region = RegionSpec()
-        pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"),
-                                    (2, "physics-2"))
-        owners = [pmap.owner_of(geo.drop_x_m(region, r),
-                                geo.box_center_y_m(region, 0))
+        pmap = PartitionMap.split(region, 0, 128.0, (1, "physics-1"), (2, "physics-2"))
+        owners = [owner_of(pmap, geo.ball_x_m(region, r, 0), geo.box_center_y_m(region, 0))
                   for r in range(3)]
         assert owners == [1, 2, 2]
 
@@ -108,13 +107,14 @@ def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
     network = Network(engine)
     region = RegionSpec()
     pmap = PartitionMap.single(region, 1, "physics-1")
+    table = owner_table(geometry, pmap)
     ledger = RunLedger(geometry.bucket_count)
     network.add_link("physics-1", "dispatcher", 0.001, 1e9)
     network.add_link("dispatcher", "physics-1", 0.001, 1e9)
     network.add_link("dispatcher", "script", 0.001, 1e9)
-    actor = PhysicsActor("physics-1", 1, pmap, geometry, capacity, tick_len_s,
+    actor = PhysicsActor("physics-1", 1, table, geometry, capacity, tick_len_s,
                          engine, network, "dispatcher", ledger)
-    dispatcher = DispatcherActor("dispatcher", network, pmap, geometry, "script")
+    dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
     network.register_handler("physics-1", actor.on_message)
     network.register_handler("dispatcher", dispatcher.dispatcher_relay)
     return engine, actor, ledger
@@ -222,7 +222,7 @@ class TestPhysicsTickOracle:
         y = geo.box_center_y_m(region, box)
         columns = [c for c in range(-2 * geo.n_levels, 2 * geo.n_levels)
                    if 0 <= geo.ball_x_m(region, row, c) < region.width_m
-                   and pmap.owner_of(geo.ball_x_m(region, row, c), y) == partition_id]
+                   and owner_of(pmap, geo.ball_x_m(region, row, c), y) == partition_id]
         return box, row, columns[(entity - 1) // 4 % len(columns)]
 
     def scalar_model(self, geo, n_balls, node, pmap):
@@ -291,8 +291,9 @@ class TestPhysicsTickOracle:
         network.add_link(node, "dispatcher", 0.001, 1e9)
         ledger = RunLedger(geo.bucket_count)
         partition_id = next(p for p, n in pmap.partitions.items() if n == node)
-        actor = PhysicsActor(node, partition_id, pmap, geo, self.CAPACITY,
-                             self.TICK_S, engine, network, "dispatcher", ledger)
+        actor = PhysicsActor(node, partition_id, owner_table(geo, pmap), geo,
+                             self.CAPACITY, self.TICK_S, engine, network, "dispatcher",
+                             ledger)
         migrations, sends = [], []
         begin, send = actor.tracker.begin_migration, network.send
 
@@ -335,8 +336,7 @@ class TestPhysicsTickOracle:
     def check(self, geo, n_balls, split, monkeypatch):
         region = RegionSpec()
         if split:
-            pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"),
-                                        (2, "physics-2"))
+            pmap = PartitionMap.split(region, 0, 128.0, (1, "physics-1"), (2, "physics-2"))
             node = "physics-2"
         else:
             pmap = PartitionMap.single(region, 1, "physics-1")
@@ -464,24 +464,24 @@ def layout_map(layout, region):
     """A one- or two-partition map of the region, split at its middle."""
     if layout == "single":
         return PartitionMap.single(region, 1, "physics-1")
-    split = PartitionMap.split_x if layout == "split_x" else PartitionMap.split_y
-    return split(region, 128.0, (1, "physics-1"), (2, "physics-2"))
+    axis = ("split_x", "split_y").index(layout)
+    return PartitionMap.split(region, axis, 128.0, (1, "physics-1"), (2, "physics-2"))
 
 
 class TestOwnerTable:
     GEO = GaltonGeometry()
+    #: a short board whose rows drop three buckets apart
+    OFFSET = GaltonGeometry(n_levels=7, row_offset_buckets=3)
 
     @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
     def test_table_equals_owners_xy(self, layout):
         geo = self.GEO
         region = RegionSpec()
         pmap = layout_map(layout, region)
-        engine = Engine(seed=1)
-        actor = PhysicsActor("physics-1", 1, pmap, geo, 10, 0.1, engine,
-                             Network(engine), "dispatcher", RunLedger(geo.bucket_count))
+        owners, lanes = owner_table(geo, pmap)
         # every lane spans the same columns, and box 0 row 0's starts the table
-        width = len(actor._owners) // (geo.boxes * geo.rows_per_box)
-        columns = range(-actor._lanes[0][0], width - actor._lanes[0][0])
+        width = len(owners) // (geo.boxes * geo.rows_per_box)
+        columns = range(-lanes[0][0], width - lanes[0][0])
         want, keys = [], []
         for box in range(geo.boxes):
             for row in range(geo.rows_per_box):
@@ -491,26 +491,27 @@ class TestOwnerTable:
                     inside = 0.0 <= x < region.width_m
                     want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
                                 if inside else -1)
-                    keys.append(actor._lanes[box][row] + column)
+                    keys.append(lanes[box][row] + column)
                     # a seated ball's step, either way, stays in its lane
                     if inside:
                         assert columns[0] < column < columns[-1]
-        assert [actor._owners[key] for key in keys] == want
+        assert [owners[key] for key in keys] == want
         assert set(want) == set(pmap.partitions) | {-1}
         # the lanes tile the table: each (box, row) has a lane of its own
-        assert sorted(keys) == list(range(len(actor._owners)))
+        assert sorted(keys) == list(range(len(owners)))
 
     @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
     def test_create_routes_equal_owner_of(self, layout):
-        geo = self.GEO
+        # a create is routed from the table's column 0, the drop position
         region = RegionSpec()
         pmap = layout_map(layout, region)
-        dispatcher = DispatcherActor("dispatcher", Network(Engine(seed=1)), pmap, geo,
-                                     "script")
-        want = {(box, row): pmap.partitions[pmap.owner_of(geo.drop_x_m(region, row),
-                                                          geo.box_center_y_m(region, box))]
-                for box in range(geo.boxes) for row in range(geo.rows_per_box)}
-        assert dispatcher._create_nodes == want
+        for geo in (self.GEO, self.OFFSET):
+            dispatcher = DispatcherActor("dispatcher", Network(Engine(seed=1)),
+                                         pmap.partitions, owner_table(geo, pmap), "script")
+            want = [[pmap.partitions[owner_of(pmap, geo.ball_x_m(region, row, 0),
+                                              geo.box_center_y_m(region, box))]
+                     for row in range(geo.rows_per_box)] for box in range(geo.boxes)]
+            assert dispatcher._create_nodes == want
 
 
 def wire_run(geometry, topology, period_s, capacity, seed=1):
@@ -568,6 +569,20 @@ class TestScriptActor:
         assert slow["sent_count"] == fast["sent_count"]
         assert slow["sent_bytes"] == fast["sent_bytes"]
 
+    def test_create_ships_a_ball_record(self):
+        # the (row, origin) record a transfer ships, at level, column and
+        # progress 0: exact tuples of atomic values, which the cyclic
+        # collector stops tracking
+        engine, script, ledger, sink = self.small_script()
+        msgs = script.dropper_tick(0)
+        assert [m.payload[0][:7] for m in msgs[:2]] == [(1, 0, 0, 0, 0, 0, 0),
+                                                        (2, 0, 0, 0, 0, 0, 0)]
+        assert {(len(m.payload[0]), m.payload[1]) for m in msgs} == {(9, "script")}
+        # the first collection untracks the rows, the next the records
+        gc.collect()
+        gc.collect()
+        assert not any(gc.is_tracked(m.payload) for m in msgs)
+
     def test_applies_deletes_and_rejects_every_other_kind(self):
         engine, script, ledger, sink = self.small_script()
         script.dropper_tick(0)
@@ -587,23 +602,23 @@ class TestDispatcher:
         engine = Engine(seed=1)
         network = Network(engine)
         region = RegionSpec()
-        pmap = PartitionMap.split_x(region, 128.0, (1, "physics-1"), (2, "physics-2"))
+        pmap = PartitionMap.split(region, 0, 128.0, (1, "physics-1"), (2, "physics-2"))
         for node in ("script", "physics-1", "physics-2"):
             network.add_link("dispatcher", node, 0.001, 1e9)
             network.add_link(node, "dispatcher", 0.001, 1e9)
-        dispatcher = DispatcherActor("dispatcher", network, pmap, geo, "script")
+        dispatcher = DispatcherActor("dispatcher", network, pmap.partitions,
+                                     owner_table(geo, pmap), "script")
         return engine, network, dispatcher
 
     def test_create_routes_to_owning_partition(self):
         engine, network, dispatcher = self.wire()
-        spawn = BallSpawn(1, box=0, row=0, created_at_us=0,
-                          scene_ts_us=0, scene_origin="script", scene_seq=0)
+        # (id, box, row, level, column, progress, created, scene ts, scene seq)
+        spawn = ((1, 0, 0, 0, 0, 0, 0, 0, 0), "script")
         msg = Message("create", "script", "dispatcher", 1024, spawn, 0, 0)
         out = dispatcher.dispatcher_relay(msg)
         assert len(out) == 1
         assert out[0].dst == "physics-1"  # row 0 drops left of the split
-        spawn2 = BallSpawn(2, box=0, row=2, created_at_us=0,
-                           scene_ts_us=0, scene_origin="script", scene_seq=1)
+        spawn2 = ((2, 0, 2, 0, 0, 0, 0, 0, 1), "script")
         out2 = dispatcher.dispatcher_relay(
             Message("create", "script", "dispatcher", 1024, spawn2, 0, 0))
         assert out2[0].dst == "physics-2"
@@ -698,16 +713,17 @@ class TestReplicaForgets:
         # before the second tick
         engine = Engine(seed=4)
         network = Network(engine)
-        pmap = PartitionMap.split_x(RegionSpec(), 128.0, (1, "physics-1"), (2, "physics-2"))
+        pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
+        table = owner_table(self.GEO, pmap)
         ledger = RunLedger(self.GEO.bucket_count)
-        dispatcher = DispatcherActor("dispatcher", network, pmap, self.GEO, "script")
+        dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
         network.register_handler("dispatcher", dispatcher.dispatcher_relay)
         network.add_link("dispatcher", "script", 0.001, 1e9)
         actors = {}
         for pid, node in pmap.partitions.items():
             network.add_link(node, "dispatcher", 0.001, 1e9)
             network.add_link("dispatcher", node, 0.001, 1e9)
-            actors[node] = PhysicsActor(node, pid, pmap, self.GEO, 10, 0.1, engine,
+            actors[node] = PhysicsActor(node, pid, table, self.GEO, 10, 0.1, engine,
                                         network, "dispatcher", ledger)
             network.register_handler(node, actors[node].on_message)
         losing, gaining = actors["physics-1"], actors["physics-2"]

@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dvesim.harness import (
     load_report_summary,
     max_sustainable_rate,
     read_histogram_csv,
+    rmse_envelope,
     run_galton,
     run_galton_series,
     run_login,
@@ -31,6 +33,7 @@ from dvesim.harness.login import (
     TOPOLOGY_PROXIED,
 )
 from dvesim.harness.report import SCALAR_METRICS
+from dvesim.partition import PartitionMap
 from dvesim.stats import RegressionSpec, capture_baseline
 from dvesim import cli
 
@@ -111,6 +114,13 @@ class TestRunGalton:
         with pytest.raises(ConfigInvalid):
             run_galton(tiny_config(geometry=other), baseline=baseline)
 
+    def test_rmse_envelope_is_a_quantile_of_the_seeds_rmse(self):
+        seeds = [1, 2, 3, 4]
+        envelope, values = rmse_envelope(tiny_config(), seeds, quantile=0.75)
+        assert values == [run_galton(tiny_config(seed=s)).rmse_theoretical for s in seeds]
+        assert len(set(values)) > 1
+        assert envelope == float(np.quantile(values, 0.75))
+
     def test_capacity_jitter_series(self):
         reports = run_galton_series(tiny_config(), seeds=[1, 2, 3, 4, 5],
                                     capacity_jitter_frac=0.5)
@@ -126,6 +136,19 @@ class TestRunGalton:
     def test_center_split_migrates(self):
         report = run_galton(tiny_config(topology="B", split="center_x"))
         assert report.migrations_total > 0
+
+    def test_owner_table_is_built_once_per_run(self):
+        # the dispatcher and both physics nodes read one table
+        calls = []
+        owners_xy = PartitionMap.owners_xy
+
+        def counted(pmap, xs, ys):
+            calls.append(len(xs))
+            return owners_xy(pmap, xs, ys)
+
+        with mock.patch.object(PartitionMap, "owners_xy", counted):
+            report = run_galton(tiny_config(topology="B", split="center_x"))
+        assert len(calls) == 1 and report.migrations_total > 0
 
     def test_link_override_applies_to_physics_class(self):
         cfg = tiny_config(link_overrides={
@@ -598,3 +621,58 @@ class TestCli:
                        "--t-lo", "3.0", "--t-hi", "12.0"])
         assert rc == 0
         assert "t_star=" in capsys.readouterr().out
+
+
+class TestCliInputErrors:
+    """Bad input prints one ``error:`` line and exits 2, which no verdict
+    returns, and writes no output file."""
+
+    SPEC = {"metric": "collected_total", "lo": 59, "hi": 61, "max_cv": 0.1, "k": 3}
+    #: case -> what its error line says
+    ERRORS = {"spec_k_1": "need at least 3 samples",
+              "spec_without_max_cv": "regression spec has no 'max_cv' field",
+              "two_runs": "need at least 3 runs, got 2",
+              "stressed_run": "peaked at load",
+              "mixed_geometries": "runs mix geometries",
+              "bounds_do_not_bracket": "t_lo=1.0 is already stable"}
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Exported runs: three unstressed seeds, one stressed run and one
+        run of another geometry."""
+        root = tmp_path_factory.mktemp("runs")
+        configs = {f"seed{s}": tiny_config(seed=s) for s in (1, 2, 3)}
+        configs["stressed"] = tiny_config(capacity_c=20)
+        configs["other_geometry"] = tiny_config(geometry=replace(TINY, balls_per_dropper=4))
+        for name, config in configs.items():
+            export(run_galton(config), root / name)
+        return root
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_exits_2_with_one_error_line(self, runs, tmp_path, capsys, case):
+        out = tmp_path / "out.json"
+        specs = {"spec_k_1": dict(self.SPEC, k=1),
+                 "spec_without_max_cv": {k: v for k, v in self.SPEC.items() if k != "max_cv"}}
+        baselines = {"two_runs": ["seed1", "seed2"],
+                     "stressed_run": ["seed1", "seed2", "stressed"],
+                     "mixed_geometries": ["seed1", "seed2", "other_geometry"]}
+        if case in specs:
+            path = tmp_path / "specs.json"
+            path.write_text(json.dumps([specs[case]]))
+            argv = ["regress", "--report",
+                    *(str(runs / f"seed{s}" / "report.json") for s in (1, 2, 3)),
+                    "--specs", str(path)]
+        elif case in baselines:
+            argv = ["baseline", "capture", "--runs",
+                    *(str(runs / name) for name in baselines[case]), "--out", str(out)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(tiny_config().to_dict()))
+            argv = ["search-rate", "--config", str(path), "--t-lo", "1.0", "--t-hi", "4.0"]
+        capsys.readouterr()
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and self.ERRORS[case] in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()

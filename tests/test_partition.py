@@ -19,7 +19,7 @@ from dvesim.partition import (
     RegionSpec,
     UnknownMigration,
 )
-from helpers import detect_crossing
+from helpers import detect_crossing, owner_of
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def region():
 
 @pytest.fixture
 def half_split(region):
-    return PartitionMap.split_x(region, 128.0, (1, "physics-1"), (2, "physics-2"))
+    return PartitionMap.split(region, 0, 128.0, (1, "physics-1"), (2, "physics-2"))
 
 
 class TestRegionSpec:
@@ -41,35 +41,58 @@ class TestRegionSpec:
             RegionSpec(250.0, 256.0, 16.0)
 
     def test_every_point_maps_to_one_cell(self, region):
-        assert region.microcell_of(0.0, 0.0) == (0, 0)
-        assert region.microcell_of(255.999, 255.999) == (15, 15)
+        # a partition per microcell, numbered i * ny + j
+        cells = np.arange(region.nx * region.ny).reshape(region.nx, region.ny)
+        pmap = PartitionMap(region, cells, {p: f"node-{p}" for p in range(cells.size)})
+        assert owner_of(pmap, 0.0, 0.0) == 0
+        assert owner_of(pmap, 16.0, 0.0) == 16
+        assert owner_of(pmap, 255.999, 255.999) == 255
         with pytest.raises(OutOfRegion):
-            region.microcell_of(256.0, 10.0)
+            owner_of(pmap, 256.0, 10.0)
+        xs = np.array([0.0, 16.0, 255.999, 40.0])
+        ys = np.array([0.0, 0.0, 255.999, 16.0])
+        assert pmap.owners_xy(xs, ys).tolist() == [0, 16, 255, 33]
+        with pytest.raises(OutOfRegion):
+            pmap.owners_xy(np.array([256.0]), np.array([10.0]))
 
 
 class TestOwnerOf:
+    """The vectorized ``owners_xy`` against the scalar reference ``owner_of``."""
+
     def test_point_left_of_split(self, half_split):
-        assert half_split.owner_of(127.9, 10.0) == 1
+        assert owner_of(half_split, 127.9, 10.0) == 1
+        assert half_split.owners_xy(np.array([127.9]), np.array([10.0])).tolist() == [1]
 
     def test_boundary_point_belongs_to_higher_cell(self, half_split):
-        assert half_split.owner_of(128.0, 10.0) == 2
+        assert owner_of(half_split, 128.0, 10.0) == 2
+        assert half_split.owners_xy(np.array([128.0]), np.array([10.0])).tolist() == [2]
 
     def test_single_partition_owns_everything(self, region):
         pmap = PartitionMap.single(region, 1, "physics-1")
-        for x, y in [(0.0, 0.0), (100.0, 200.0), (255.9, 255.9)]:
-            assert pmap.owner_of(x, y) == 1
+        points = [(0.0, 0.0), (100.0, 200.0), (255.9, 255.9)]
+        for x, y in points:
+            assert owner_of(pmap, x, y) == 1
+        xs, ys = np.array(points).T
+        assert pmap.owners_xy(xs, ys).tolist() == [1, 1, 1]
 
     def test_split_must_lie_on_cell_boundary(self, region):
-        with pytest.raises(ValueError):
-            PartitionMap.split_x(region, 120.5, (1, "a"), (2, "b"))
+        for axis in (0, 1):
+            with pytest.raises(ValueError):
+                PartitionMap.split(region, axis, 120.5, (1, "a"), (2, "b"))
 
-    def test_vectorized_lookup_matches_scalar(self, half_split):
+    def test_vectorized_lookup_matches_scalar(self, region):
         rng = np.random.default_rng(5)
         xs = rng.uniform(0, 256, size=200)
         ys = rng.uniform(0, 256, size=200)
-        owners = half_split.owners_xy(xs, ys)
-        for x, y, o in zip(xs, ys, owners):
-            assert half_split.owner_of(float(x), float(y)) == o
+        # cell boundaries, the split line among them, on either axis
+        xs[:4] = ys[4:8] = [0.0, 112.0, 128.0, 240.0]
+        for axis, cut in ((0, xs), (1, ys)):
+            pmap = PartitionMap.split(region, axis, 128.0, (1, "physics-1"),
+                                      (2, "physics-2"))
+            owners = pmap.owners_xy(xs, ys)
+            for x, y, o in zip(xs, ys, owners):
+                assert owner_of(pmap, float(x), float(y)) == o
+            assert owners.tolist() == np.where(cut >= 128.0, 2, 1).tolist()
 
 
 class TestDetectCrossing:
@@ -249,7 +272,7 @@ def test_ghost_count_is_the_open_handshakes_at_every_sample():
             ghosts[src].add(payload.entity)
         return send(self, src, dst, kind, payload, size_bytes)
 
-    def check(self, t_us=None):
+    def check(self, t_us):
         for actor in actors:
             assert actor.ghost_count == actor.tracker.in_flight_count() \
                 == len(ghosts[actor.node_id])
