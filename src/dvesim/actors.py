@@ -25,6 +25,7 @@ import numpy as np
 from .engine import Engine, seconds_to_us
 from .netsim import Message, Network
 from .partition import MigrationAck, MigrationTracker, PartitionMap, RegionSpec, TransferMessage
+from .rules import at_least, check_fields
 from .scene import EXISTENCE, PropertyUpdate, SceneReplica
 
 
@@ -48,22 +49,17 @@ class GaltonGeometry:
     (96 for the default board).
     """
 
-    n_levels: int = 93
-    boxes: int = 4
-    rows_per_box: int = 3
-    droppers_per_row: int = 9
-    balls_per_dropper: int = 350
-    row_offset_buckets: int = 1
+    n_levels: int = field(default=93, metadata=at_least(1))
+    boxes: int = field(default=4, metadata=at_least(1))
+    rows_per_box: int = field(default=3, metadata=at_least(1))
+    droppers_per_row: int = field(default=9, metadata=at_least(1))
+    balls_per_dropper: int = field(default=350, metadata=at_least(1))
+    row_offset_buckets: int = field(default=1, metadata=at_least(0))
     nominal_descent_s: float = 124.82
 
     def __post_init__(self):
-        for name in ("n_levels", "boxes", "rows_per_box", "droppers_per_row",
-                     "balls_per_dropper"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.row_offset_buckets < 0:
-            raise ValueError("row_offset_buckets must be >= 0")
-        if self.nominal_descent_s <= 0 or self.level_time_us < 1:
+        check_fields(GaltonGeometry, vars(self), ValueError)
+        if self.level_time_us < 1:
             raise ValueError("nominal_descent_s must give each level at least 1 microsecond")
 
     @property

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,6 +31,7 @@ from ..actors import (
 from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
+from ..rules import SPAN, at_least, check_fields, rules_of
 from ..stats import BucketHistogram, EmpiricalBaseline, rmse, theoretical_distribution
 from .report import ExperimentReport, NodeSeries, window_interval_means
 
@@ -41,34 +40,20 @@ class ConfigInvalid(ValueError):
     pass
 
 
-def check_keys(cls, d: dict, prefix: str = "") -> None:
-    """Raise ConfigInvalid naming the first key of ``d`` that is no field of ``cls``."""
-    known = {f.name for f in fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ConfigInvalid(f"unknown config key {prefix}{key}")
+class ConfigFile:
+    """JSON round trip and content hash shared by the experiment configs."""
 
+    def to_dict(self) -> dict:
+        return asdict(self)
 
-#: field annotation -> accepted value type; bool is no number here
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-                "dict": dict}
+    @classmethod
+    def from_file(cls, path):
+        with open(path) as f:
+            return cls.from_dict(json.load(f))
 
-
-def _wrong_type(value, want) -> bool:
-    """True unless ``value`` is a ``want``; NaN and the infinities, which
-    ``json`` reads from ``NaN`` and ``Infinity``, are no numbers here."""
-    return (isinstance(value, bool) or not isinstance(value, want)
-            or (isinstance(value, float) and not math.isfinite(value)))
-
-
-def check_types(cls, d: dict, prefix: str = "") -> None:
-    """Raise ConfigInvalid naming the first key of ``d`` whose value does not
-    have the type its field of ``cls`` declares."""
-    declared = {f.name: f.type for f in fields(cls)}
-    for key, value in d.items():
-        want = _FIELD_TYPES.get(declared.get(key))
-        if want is not None and _wrong_type(value, want):
-            raise ConfigInvalid(f"{prefix}{key} must be {declared[key]}, got {value!r}")
+    def config_hash(self) -> str:
+        blob = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class BoundsDoNotBracket(ConfigInvalid):
@@ -94,72 +79,51 @@ STABILITY_FACTOR = 1.1
 
 
 @dataclass(frozen=True)
-class GaltonExperimentConfig:
+class GaltonExperimentConfig(ConfigFile):
     geometry: GaltonGeometry = field(default_factory=GaltonGeometry)
     topology: str = TOPOLOGY_A
     split: str = SPLIT_CENTER_X
-    period_t_s: float = 6.0
-    capacity_c: int = 6000
+    period_t_s: float = field(default=6.0, metadata=SPAN)
+    capacity_c: int = field(default=6000, metadata=at_least(1))
     capacity_factor: float = 1.0
-    tick_len_s: float = 0.1
-    duration_cap_s: float = 21600.0
-    epsilon_max_s: float = 0.05
-    sample_period_s: float = 5.0
-    link_latency_s: float = 0.001
-    link_byte_rate: float = 1_250_000.0
-    link_jitter_s: float = 0.0
+    tick_len_s: float = field(default=0.1, metadata=SPAN)
+    duration_cap_s: float = field(default=21600.0, metadata=SPAN)
+    epsilon_max_s: float = field(default=0.05, metadata=at_least(0))
+    sample_period_s: float = field(default=5.0, metadata=SPAN)
+    link_latency_s: float = field(default=0.001, metadata=at_least(0))
+    #: a link serializes at whole bytes per second
+    link_byte_rate: float = field(default=1_250_000.0, metadata=at_least(1))
+    link_jitter_s: float = field(default=0.0, metadata=at_least(0))
     link_overrides: dict = field(default_factory=dict)
     message_sizes: dict = field(default_factory=dict)
     region_width_m: float = 256.0
     region_depth_m: float = 256.0
     microcell_m: float = 16.0
-    seed: int = 0
+    #: numpy's SeedSequence takes no negative seed
+    seed: int = field(default=0, metadata=at_least(0))
 
     def validate(self) -> None:
-        check_types(type(self), vars(self))
+        rules = rules_of(GaltonExperimentConfig)
+        check_fields(rules, vars(self), ConfigInvalid)
         if self.topology not in (TOPOLOGY_A, TOPOLOGY_B):
             raise ConfigInvalid(f"unknown topology {self.topology!r}")
         if self.topology == TOPOLOGY_B and self.split not in (
                 SPLIT_CENTER_X, SPLIT_BETWEEN_BOXES):
             raise ConfigInvalid(f"unknown split {self.split!r}")
-        # the run counts whole microseconds, so each span must round to one
-        for name in ("period_t_s", "tick_len_s", "sample_period_s", "duration_cap_s"):
-            if seconds_to_us(getattr(self, name)) < 1:
-                raise ConfigInvalid(f"{name} must be at least 1 microsecond")
-        if self.capacity_c < 1:
-            raise ConfigInvalid("capacity_c must be >= 1")
         if self.effective_capacity < 1:
             raise ConfigInvalid("capacity_c * capacity_factor must round to >= 1")
-        for name in ("epsilon_max_s", "link_latency_s", "link_jitter_s"):
-            if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
-        if self.link_byte_rate < 1:
-            raise ConfigInvalid("link_byte_rate must be >= 1 B/s")
+        # an override field obeys the rule of the config field it replaces
+        override_rules = {name: rules[f"link_{name}"]
+                          for name in ("latency_s", "byte_rate", "jitter_s")}
         link_keys = {k for src, dst in self.links() for k in _override_keys(src, dst)}
         for key, override in self.link_overrides.items():
             if key not in link_keys:
                 raise ConfigInvalid(f"link_overrides key {key!r} names no link "
                                     f"of topology {self.topology}")
-            if not isinstance(override, dict):
-                raise ConfigInvalid(f"link_overrides[{key!r}] must be a dict, "
-                                    f"got {override!r}")
-            for name, value in override.items():
-                if name not in ("latency_s", "byte_rate", "jitter_s"):
-                    raise ConfigInvalid(f"link_overrides[{key!r}]: unknown field {name!r}")
-                if _wrong_type(value, numbers.Real):
-                    raise ConfigInvalid(
-                        f"link_overrides[{key!r}].{name} must be a number, got {value!r}")
-                if value < 0 or (name == "byte_rate" and value < 1):
-                    raise ConfigInvalid(
-                        f"link_overrides[{key!r}].{name} out of range: {value!r}")
-        for kind, size in self.message_sizes.items():
-            if kind not in DEFAULT_MESSAGE_SIZES:
-                raise ConfigInvalid(f"message_sizes: unknown message kind {kind!r}")
-            if _wrong_type(size, numbers.Integral):
-                raise ConfigInvalid(f"message_sizes[{kind!r}] must be an int, "
-                                    f"got {size!r}")
-            if size <= 0:
-                raise ConfigInvalid(f"message_sizes[{kind!r}] must be positive")
+            check_fields(override_rules, override, ConfigInvalid,
+                         f"link_overrides[{key!r}].")
+        check_fields(dict.fromkeys(DEFAULT_MESSAGE_SIZES, ("int", at_least(1))),
+                     self.message_sizes, ConfigInvalid, "message_sizes.")
         try:
             self.region()
         except ValueError as e:
@@ -196,34 +160,17 @@ class GaltonExperimentConfig:
 
     # ---- serialization -------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "GaltonExperimentConfig":
-        d = dict(d)
-        geo = d.pop("geometry", {})
-        check_keys(cls, d)
-        if not isinstance(geo, dict):
-            raise ConfigInvalid(f"geometry must be a dict, got {geo!r}")
-        check_keys(GaltonGeometry, geo, "geometry.")
-        check_types(GaltonGeometry, geo, "geometry.")
+        check_fields(cls, d, ConfigInvalid)
+        geo = d.get("geometry", {})
+        check_fields(GaltonGeometry, geo, ConfigInvalid, "geometry.")
         try:
-            geometry = GaltonGeometry(**geo)
+            cfg = cls(**dict(d, geometry=GaltonGeometry(**geo)))
         except ValueError as e:
             raise ConfigInvalid(f"geometry.{e}") from e
-        cfg = cls(geometry=geometry, **d)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "GaltonExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------

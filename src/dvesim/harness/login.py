@@ -12,16 +12,16 @@ request, so topology effects are exact rather than estimated.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..engine import Engine, seconds_to_us
 from ..netsim import Message, Network
-from .galton import ConfigInvalid, check_keys, check_types
+from ..rules import SPAN, at_least, check_fields
+from .galton import ConfigFile, ConfigInvalid
 
 CLIENT = "client"
 SIM = "sim"
@@ -41,63 +41,37 @@ HEAVY_AVATAR_COST = 33.0            # scaled by the avatar payload ratio
 
 
 @dataclass(frozen=True)
-class LoginExperimentConfig:
+class LoginExperimentConfig(ConfigFile):
     topology: str = TOPOLOGY_PROXIED
-    inventory_folders: int = 0
-    inventory_items: int = 0
-    scene_objects: int = 2
-    scene_assets: int = 2
-    avatar_cost: float = LIGHT_AVATAR_COST
-    proxy_cost: float = 1.0
-    central_serve_cost: float = 0.5
-    inventory_serve_cost: float = 0.5
-    per_asset_cost: float = 0.2
-    sim_proxy_delay_s: float = 0.002
-    central_delay_s: float = 0.003
-    inventory_delay_s: float = 0.003
-    run_length_s: float = 600.0
-    repeats: int = 5
-    link_latency_s: float = 0.001
-    link_byte_rate: float = 1_250_000.0
+    inventory_folders: int = field(default=0, metadata=at_least(0))
+    inventory_items: int = field(default=0, metadata=at_least(0))
+    scene_objects: int = field(default=2, metadata=at_least(0))
+    scene_assets: int = field(default=2, metadata=at_least(0))
+    avatar_cost: float = field(default=LIGHT_AVATAR_COST, metadata=at_least(0))
+    proxy_cost: float = field(default=1.0, metadata=at_least(0))
+    central_serve_cost: float = field(default=0.5, metadata=at_least(0))
+    inventory_serve_cost: float = field(default=0.5, metadata=at_least(0))
+    per_asset_cost: float = field(default=0.2, metadata=at_least(0))
+    sim_proxy_delay_s: float = field(default=0.002, metadata=at_least(0))
+    central_delay_s: float = field(default=0.003, metadata=at_least(0))
+    inventory_delay_s: float = field(default=0.003, metadata=at_least(0))
+    run_length_s: float = field(default=600.0, metadata=SPAN)
+    repeats: int = field(default=5, metadata=at_least(1))
+    link_latency_s: float = field(default=0.001, metadata=at_least(0))
+    link_byte_rate: float = field(default=1_250_000.0, metadata=at_least(1))
     seed: int = 0
 
     def validate(self) -> None:
-        check_types(type(self), vars(self))
+        check_fields(LoginExperimentConfig, vars(self), ConfigInvalid)
         if self.topology not in (TOPOLOGY_PROXIED, TOPOLOGY_DEDICATED):
             raise ConfigInvalid(f"unknown topology {self.topology!r}")
-        for name in ("inventory_folders", "inventory_items", "scene_objects",
-                     "scene_assets", "repeats"):
-            if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
-        if self.repeats < 1:
-            raise ConfigInvalid("repeats must be >= 1")
-        if self.run_length_s <= 0:
-            raise ConfigInvalid("run_length_s must be positive")
-        for name in ("sim_proxy_delay_s", "central_delay_s", "inventory_delay_s",
-                     "link_latency_s"):
-            if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
-        if self.link_byte_rate < 1:
-            raise ConfigInvalid("link_byte_rate must be >= 1 B/s")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LoginExperimentConfig":
-        check_keys(cls, d)
+        check_fields(cls, d, ConfigInvalid)
         cfg = cls(**d)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "LoginExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

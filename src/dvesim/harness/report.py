@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -125,7 +125,6 @@ class ExperimentReport:
     expected_theoretical: Optional[np.ndarray] = None
     baseline_mean: Optional[np.ndarray] = None
     baseline_sd: Optional[np.ndarray] = None
-    verdicts: list[Verdict] = field(default_factory=list)
 
     # ---- series accessors ------------------------------------------------
 
@@ -188,7 +187,7 @@ class ExperimentReport:
             "hit_cap": self.hit_cap,
             "audit_ok": self.audit_ok,
             "link_totals": self.link_totals,
-            "verdicts": [asdict(v) for v in self.verdicts],
+            "verdicts": [],
         }
 
 
@@ -197,18 +196,10 @@ class ExperimentReport:
 # ----------------------------------------------------------------------
 
 def evaluate(reports, specs: Sequence[RegressionSpec]) -> list[Verdict]:
-    """Check each spec against the named metric across the given runs.
-
-    A spec with k samples needs k runs; a single report is the one-sample
-    degenerate case.
-    """
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
-    verdicts = []
-    for spec in specs:
-        samples = [r.metric(spec.metric) for r in reports]
-        verdicts.append(check_regression(samples, spec))
-    return verdicts
+    """Check each spec against the named metric across the given runs; a
+    spec with k samples needs k runs."""
+    return [check_regression([r.metric(spec.metric) for r in reports], spec)
+            for spec in specs]
 
 
 # ----------------------------------------------------------------------

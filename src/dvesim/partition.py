@@ -13,10 +13,12 @@ returned to the caller, not retained: a tracker holds only those in flight.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
+
+from .rules import above, check_fields
 
 
 class OutOfRegion(ValueError):
@@ -35,20 +37,17 @@ class UnknownMigration(KeyError):
 class RegionSpec:
     """Dimensions of the simulated region and its microcell granularity."""
 
-    width_m: float = 256.0
-    depth_m: float = 256.0
-    microcell_m: float = 16.0
+    width_m: float = field(default=256.0, metadata=above(0))
+    depth_m: float = field(default=256.0, metadata=above(0))
+    microcell_m: float = field(default=16.0, metadata=above(0))
 
     def __post_init__(self):
-        if self.microcell_m <= 0:
-            raise ValueError("microcell size must be positive")
+        check_fields(RegionSpec, vars(self), ValueError)
         for extent in (self.width_m, self.depth_m):
             cells = extent / self.microcell_m
-            if extent <= 0 or abs(cells - round(cells)) > 1e-9:
-                raise ValueError(
-                    f"region extent {extent} m is not a positive multiple of "
-                    f"the {self.microcell_m} m microcell size"
-                )
+            if abs(cells - round(cells)) > 1e-9:
+                raise ValueError(f"region extent {extent} m is not a multiple of "
+                                 f"the {self.microcell_m} m microcell size")
 
     @property
     def nx(self) -> int:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+
+from .rules import above, check_fields
 
 if TYPE_CHECKING:  # pragma: no cover
     from .actors import GaltonGeometry
@@ -236,14 +238,13 @@ class RegressionSpec:
     metric: str
     lo: float
     hi: float
-    max_cv: float
+    max_cv: float = field(metadata=above(0))
     k: int
 
     def __post_init__(self):
+        check_fields(RegressionSpec, vars(self), InvalidParameter)
         if self.lo > self.hi:
             raise InvalidParameter("window lo must be <= hi")
-        if self.max_cv <= 0:
-            raise InvalidParameter("max_cv must be positive")
         if self.k < 3:
             raise InvalidParameter("need at least 3 samples")
 
@@ -253,11 +254,11 @@ class RegressionSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RegressionSpec":
+        check_fields(cls, d, InvalidParameter, "spec.")
         for f in fields(cls):
             if f.name not in d:
                 raise InvalidParameter(f"regression spec has no {f.name!r} field")
-        return cls(metric=d["metric"], lo=float(d["lo"]), hi=float(d["hi"]),
-                   max_cv=float(d["max_cv"]), k=int(d["k"]))
+        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from dvesim.actors import GaltonGeometry
+from dvesim.engine import seconds_to_us
 from dvesim.harness import (
     BoundsDoNotBracket,
     ConfigInvalid,
@@ -34,7 +37,8 @@ from dvesim.harness.login import (
 )
 from dvesim.harness.report import SCALAR_METRICS
 from dvesim.partition import PartitionMap
-from dvesim.stats import RegressionSpec, capture_baseline
+from dvesim.rules import rules_of
+from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
 from dvesim import cli
 
 TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
@@ -458,7 +462,53 @@ STRICT_CASES = [
     ("capacity rounding to 0", "galton", galton_dict(capacity_factor=0.002),
      "capacity_factor"),
     ("zero capacity", "galton", galton_dict(capacity_c=0), "capacity_c"),
+    # run_login would count whole microseconds up to 0 us and report 0 units
+    ("sub-microsecond login run length", "login", login_dict(run_length_s=1e-9),
+     "run_length_s"),
+    ("negative login cost", "login", login_dict(proxy_cost=-5.0), "proxy_cost"),
 ]
+
+#: kind -> (loader, valid input, error the loader raises)
+LOADERS = {"galton": (GaltonExperimentConfig.from_dict, galton_dict, ConfigInvalid),
+           "login": (LoginExperimentConfig.from_dict, login_dict, ConfigInvalid),
+           "spec": (RegressionSpec.from_json_dict, lambda: dict(TestCliInputErrors.SPEC),
+                    InvalidParameter)}
+
+
+def declared_rules() -> list:
+    """(kind, key path, annotation, rule) for every field that declares a
+    rule, and for the link-override fields that reuse the link rules."""
+    cases = []
+    for kind, cls, path in (("galton", GaltonExperimentConfig, ()),
+                            ("galton", GaltonGeometry, ("geometry",)),
+                            ("login", LoginExperimentConfig, ()),
+                            ("spec", RegressionSpec, ())):
+        for name, (annotation, rule) in rules_of(cls).items():
+            if rule:
+                cases.append((kind, path + (name,), annotation, rule))
+                if cls is GaltonExperimentConfig and name.startswith("link_"):
+                    cases.append((kind, ("link_overrides", "dispatcher->physics",
+                                         name[len("link_"):]), annotation, rule))
+    return cases
+
+
+def boundary(annotation: str, rule: dict) -> tuple:
+    """The value at a declared rule's boundary, and the value just past it."""
+    if rule.get("span"):
+        # round() takes 0.5 us to 0: find the least span that rounds to 1 us
+        edge = 5e-7
+        while seconds_to_us(edge) < 1:
+            edge = math.nextafter(edge, 1.0)
+        return edge, math.nextafter(edge, 0.0)
+    low = rule["min"]
+    if annotation == "int":
+        return (low + 1, low) if rule.get("open") else (low, low - 1)
+    if rule.get("open"):
+        return math.nextafter(low, math.inf), float(low)
+    return float(low), math.nextafter(low, -math.inf)
+
+
+RULES = declared_rules()
 
 
 class TestStrictConfig:
@@ -468,6 +518,36 @@ class TestStrictConfig:
         cls = GaltonExperimentConfig if kind == "galton" else LoginExperimentConfig
         with pytest.raises(ConfigInvalid, match=key):
             cls.from_dict(data)
+
+    @pytest.mark.parametrize("kind,path,annotation,rule", RULES,
+                             ids=[f"{c[0]}:{'.'.join(c[1])}" for c in RULES])
+    def test_declared_rule_boundary(self, kind, path, annotation, rule):
+        load, valid, error = LOADERS[kind]
+
+        def with_value(value):
+            root = d = valid()
+            for key in path[:-1]:
+                d = d.setdefault(key, {})
+            d[path[-1]] = value
+            return root
+
+        at, past = boundary(annotation, rule)
+        load(with_value(at))
+        with pytest.raises(error, match=re.escape(path[-1])):
+            load(with_value(past))
+
+    def test_declared_rules_cover_every_kind_of_bound(self):
+        kinds = {"span" if r.get("span") else "open" if r.get("open") else "inclusive"
+                 for _, _, _, r in RULES}
+        assert kinds == {"span", "open", "inclusive"}
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_file_loads(self, path):
+        loaders = {"galton": GaltonExperimentConfig.from_file,
+                   "login": LoginExperimentConfig.from_file,
+                   "specs": cli._load_specs}
+        assert loaders[path.name.split("_")[0]](path)
 
     def test_one_microsecond_timing_accepted(self):
         cfg = GaltonExperimentConfig.from_dict(galton_dict(
@@ -590,6 +670,19 @@ class TestCli:
         assert captured.err == ("error: collected_total: spec expects 3 samples, "
                                 "got 1\n")
 
+    def test_run_galton_has_no_specs_option(self, tmp_path, capsys):
+        # one run is one sample and a spec needs k >= 3: `regress` checks runs
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config().to_dict()))
+        out = tmp_path / "out"
+        with mock.patch.object(cli, "run_galton") as run, \
+                pytest.raises(SystemExit) as exited:
+            cli.main(["run-galton", "--config", str(cfg_path), "--out", str(out),
+                      "--specs", "specs.json"])
+        assert exited.value.code == 2
+        assert "--specs" in capsys.readouterr().err
+        assert not run.called and not out.exists()
+
     def test_baseline_capture_cli(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config().to_dict()))
@@ -631,6 +724,16 @@ class TestCliInputErrors:
     #: case -> what its error line says
     ERRORS = {"spec_k_1": "need at least 3 samples",
               "spec_without_max_cv": "regression spec has no 'max_cv' field",
+              "spec_file_without_specs_key": "a spec file must hold a list",
+              "spec_file_of_a_string": "a spec file must hold a list",
+              "spec_entry_not_a_dict": "spec must be a dict, got 'collected_total'",
+              "spec_lo_not_a_number": "spec.lo must be float, got 'x'",
+              "spec_k_not_an_int": "spec.k must be int, got 3.7",
+              "spec_hi_nan": "spec.hi must be float, got nan",
+              "spec_metric_not_a_string": "spec.metric must be str, got 5",
+              "spec_unknown_key": "unknown key spec.window",
+              "login_sub_microsecond_run": "run_length_s must round to at least 1",
+              "login_negative_cost": "proxy_cost must be >= 0",
               "two_runs": "need at least 3 runs, got 2",
               "stressed_run": "peaked at load",
               "mixed_geometries": "runs mix geometries",
@@ -651,20 +754,36 @@ class TestCliInputErrors:
     @pytest.mark.parametrize("case", list(ERRORS))
     def test_exits_2_with_one_error_line(self, runs, tmp_path, capsys, case):
         out = tmp_path / "out.json"
-        specs = {"spec_k_1": dict(self.SPEC, k=1),
-                 "spec_without_max_cv": {k: v for k, v in self.SPEC.items() if k != "max_cv"}}
+        #: case -> the whole spec file
+        specs = {"spec_k_1": [dict(self.SPEC, k=1)],
+                 "spec_without_max_cv": [{k: v for k, v in self.SPEC.items()
+                                          if k != "max_cv"}],
+                 "spec_file_without_specs_key": {"spec": [self.SPEC]},
+                 "spec_file_of_a_string": "collected_total",
+                 "spec_entry_not_a_dict": ["collected_total"],
+                 "spec_lo_not_a_number": [dict(self.SPEC, lo="x")],
+                 "spec_k_not_an_int": [dict(self.SPEC, k=3.7)],
+                 "spec_hi_nan": [dict(self.SPEC, hi=float("nan"))],
+                 "spec_metric_not_a_string": [dict(self.SPEC, metric=5)],
+                 "spec_unknown_key": [dict(self.SPEC, window=1)]}
+        logins = {"login_sub_microsecond_run": {"run_length_s": 1e-9},
+                  "login_negative_cost": {"proxy_cost": -5.0}}
         baselines = {"two_runs": ["seed1", "seed2"],
                      "stressed_run": ["seed1", "seed2", "stressed"],
                      "mixed_geometries": ["seed1", "seed2", "other_geometry"]}
         if case in specs:
             path = tmp_path / "specs.json"
-            path.write_text(json.dumps([specs[case]]))
+            path.write_text(json.dumps(specs[case]))
             argv = ["regress", "--report",
                     *(str(runs / f"seed{s}" / "report.json") for s in (1, 2, 3)),
                     "--specs", str(path)]
         elif case in baselines:
             argv = ["baseline", "capture", "--runs",
                     *(str(runs / name) for name in baselines[case]), "--out", str(out)]
+        elif case in logins:
+            path = tmp_path / "login.json"
+            path.write_text(json.dumps(login_dict(**logins[case])))
+            argv = ["run-login", "--config", str(path), "--out", str(out)]
         else:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(tiny_config().to_dict()))
