@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from array import array
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ from .engine import Engine, seconds_to_us
 from .netsim import Message, Network
 from .partition import MigrationAck, MigrationTracker, PartitionMap, RegionSpec, TransferMessage
 from .rules import at_least, check_fields
-from .scene import EXISTENCE, PropertyUpdate, SceneReplica
+from .scene import EXISTENCE, ApplyResult, PropertyUpdate, SceneReplica
 
 
 class UnroutableMessage(KeyError):
@@ -123,25 +124,29 @@ class RunLedger:
     """
 
     bucket_count: int
+    max_entity: int
     created: int = 0
     creates_delivered: int = 0
     transfers_sent: int = 0
     transfers_delivered: int = 0
     migrations_completed: int = 0
     discarded: int = 0
-    #: (t_us, interval_us, node, bucket) per collected ball
-    collections: list[tuple[int, int, str, int]] = field(default_factory=list)
-    migrated_entities: set[int] = field(default_factory=set)
+    #: t_us, interval_us, partition id and bucket per collected ball, flat
+    collections: array = field(default_factory=lambda: array("q"))
+    #: one flag per entity id up to max_entity, set once the entity migrates
+    migrated_entities: bytearray = field(init=False)
+
+    def __post_init__(self):
+        self.migrated_entities = bytearray(self.max_entity + 1)
 
     @property
     def collected(self) -> int:
-        return len(self.collections)
+        return len(self.collections) // 4
 
     @property
     def histogram(self) -> np.ndarray:
         """Collected balls per bucket."""
-        buckets = np.array([c[3] for c in self.collections], dtype=np.int64)
-        return np.bincount(buckets, minlength=self.bucket_count)
+        return np.bincount(np.array(self.collections)[3::4], minlength=self.bucket_count)
 
     @property
     def pending_creates(self) -> int:
@@ -215,7 +220,9 @@ class ScriptActor:
     def on_message(self, msg: Message) -> None:
         if msg.kind != "delete":
             raise UnroutableMessage(msg.kind)
-        self.replica.apply_update(msg.payload)
+        # a ball is deleted once: forget it, unless its delete was superseded
+        if self.replica.apply_update(msg.payload) is ApplyResult.ACCEPTED:
+            self.replica.forget(msg.payload.entity)
 
     @property
     def exhausted(self) -> bool:
@@ -503,7 +510,7 @@ class PhysicsActor:
                 migrating.append((eid, owner, (eid, box, row, level, key - lanes[box][row],
                                                prog, created, scene_ts, scene_seq)))
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
-        ledger = self.ledger
+        ledger, partition = self.ledger, self.partition_id
         if landed or off:
             ts = self.engine.local_now_us(self.clock)
             delete, forget = self.replica.delete_entity, self.replica.forget
@@ -511,7 +518,7 @@ class PhysicsActor:
             for eid, row, column, created in landed:
                 bucket = final_bucket(column, row)
                 if 0 <= bucket < buckets:
-                    ledger.collections.append((now_us, now_us - created, node, bucket))
+                    ledger.collections.extend((now_us, now_us - created, partition, bucket))
                 else:
                     ledger.discarded += 1
                 send(node, dispatcher, "delete", delete(eid, ts, node))
@@ -521,11 +528,10 @@ class PhysicsActor:
                 send(node, dispatcher, "delete", delete(eid, ts, node))
                 forget(eid)
         if migrating:
-            begin, partition = self.tracker.begin_migration, self.partition_id
-            origin = self._scene_origin
+            begin, origin = self.tracker.begin_migration, self._scene_origin
             ledger.transfers_sent += len(migrating)
-            ledger.migrated_entities.update(eid for eid, _, _ in migrating)
             for eid, owner, ball in migrating:
+                ledger.migrated_entities[eid] = 1
                 (transfer,) = begin(eid, partition, owner, now_us, (ball, origin))
                 send(node, dispatcher, "migrate", transfer)
 

@@ -2,17 +2,16 @@
 
 Exit status is 0 only when every evaluated verdict passes, so the commands
 can gate CI jobs directly.  Bad input prints one ``error:`` line and exits
-2, never read as a failed verdict: a bad config, an unknown metric name, a
-spec file of the wrong shape, a spec that is invalid, lacks a field or
-whose ``k`` differs from the number of reports, a baseline over fewer than
-3, stressed or mixed-geometry runs, and search bounds that do not bracket
-the threshold.
+2, never read as a failed verdict: an input file that is missing or not
+JSON, a bad config, an unknown metric name, a spec file of the wrong
+shape, a spec that is invalid, lacks a field or whose ``k`` differs from
+the number of reports, a baseline over fewer than 3, stressed or
+mixed-geometry runs, and search bounds that do not bracket the threshold.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,13 +28,13 @@ from .harness import (
     run_galton,
     run_login,
 )
+from .rules import read_json
 from .stats import EmpiricalBaseline, InvalidParameter, RegressionSpec, capture_baseline
 
 
 def _load_specs(path) -> list[RegressionSpec]:
     """A spec file holds a list of spec entries, or ``{"specs": [...]}``."""
-    with open(path) as f:
-        data = json.load(f)
+    data = read_json(path, InvalidParameter)
     if isinstance(data, dict) and data.keys() == {"specs"}:
         data = data["specs"]
     if not isinstance(data, list):

@@ -31,7 +31,7 @@ from ..actors import (
 from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
-from ..rules import SPAN, at_least, check_fields, rules_of
+from ..rules import SPAN, at_least, check_fields, read_json, rules_of
 from ..stats import BucketHistogram, EmpiricalBaseline, rmse, theoretical_distribution
 from .report import ExperimentReport, NodeSeries, window_interval_means
 
@@ -48,8 +48,7 @@ class ConfigFile:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path, ConfigInvalid))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True)
@@ -76,6 +75,10 @@ SPLIT_BETWEEN_BOXES = "between_boxes"
 #: Runs count as real-time while the final-quarter mean interval stays
 #: within this factor of the nominal descent time.
 STABILITY_FACTOR = 1.1
+
+#: config key -> the RegionSpec field it sets
+REGION_FIELDS = {"region_width_m": "width_m", "region_depth_m": "depth_m",
+                 "microcell_m": "microcell_m"}
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,15 @@ class GaltonExperimentConfig(ConfigFile):
                          f"link_overrides[{key!r}].")
         check_fields(dict.fromkeys(DEFAULT_MESSAGE_SIZES, ("int", at_least(1))),
                      self.message_sizes, ConfigInvalid, "message_sizes.")
+        # a region key obeys the rule of the RegionSpec field it sets
+        region_rules = rules_of(RegionSpec)
+        check_fields({key: region_rules[name] for key, name in REGION_FIELDS.items()},
+                     {key: getattr(self, key) for key in REGION_FIELDS}, ConfigInvalid)
         try:
             self.region()
         except ValueError as e:
-            raise ConfigInvalid(str(e)) from e
+            # what is left is the microcell multiple, which names width_m or depth_m
+            raise ConfigInvalid(f"region_{e}") from e
 
     def region(self) -> RegionSpec:
         return RegionSpec(self.region_width_m, self.region_depth_m, self.microcell_m)
@@ -216,7 +224,7 @@ def run_galton(config: GaltonExperimentConfig,
     engine = Engine(seed=config.seed, epsilon_max_s=config.epsilon_max_s)
     network = Network(engine, config.message_sizes or None)
     pmap = config.build_partition_map()
-    ledger = RunLedger(geometry.bucket_count)
+    ledger = RunLedger(geometry.bucket_count, geometry.total_balls)
 
     physics_ids = config.physics_nodes()
     for src, dst in config.links():
@@ -306,14 +314,13 @@ def run_galton(config: GaltonExperimentConfig,
             hit_cap = True
             break
 
-    for n in physics_ids:
-        series[n].mean_interval_s = window_interval_means(ledger.collections,
-                                                          times_us, n)
+    collections = np.array(ledger.collections).reshape(-1, 4)
+    for pid, n in pmap.partitions.items():
+        series[n].mean_interval_s = window_interval_means(collections, times_us, pid)
     end_time_s = t / 1e6
     expected = theoretical_distribution(geometry)
     histogram = BucketHistogram(ledger.histogram)
-    intervals = np.array([c[1] for c in ledger.collections], dtype=float)
-    interval_mean_s = float(intervals.mean() / 1e6) if len(intervals) else float("nan")
+    interval_mean_s = float(collections[:, 1].mean() / 1e6) if len(collections) else float("nan")
     rmse_th = rmse(histogram, expected)
     rmse_base = None
     baseline_mean = baseline_sd = None
@@ -350,12 +357,12 @@ def run_galton(config: GaltonExperimentConfig,
         discarded=ledger.discarded,
         created_total=ledger.created,
         collected_total=ledger.collected,
-        collections=list(ledger.collections),
+        collections=collections,
         interval_mean_s=interval_mean_s,
         peak_load_proxy=max(a.peak_load for a in physics.values()),
         peak_balls_in_scene=peak_balls,
         migrations_total=ledger.transfers_sent,
-        migrated_unique=len(ledger.migrated_entities),
+        migrated_unique=ledger.migrated_entities.count(1),
         rmse_theoretical=rmse_th,
         rmse_baseline=rmse_base,
         end_time_s=end_time_s,

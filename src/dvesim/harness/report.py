@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..netsim import QueueSample
-from ..stats import BucketHistogram, RegressionSpec, Verdict, check_regression
+from ..rules import read_json
+from ..stats import BucketHistogram, InvalidParameter, RegressionSpec, Verdict, check_regression
 
 
 class UnknownMetric(KeyError):
@@ -33,27 +34,23 @@ class NodeSeries:
     msgs_recv: list[int] = field(default_factory=list)
 
 
-def window_interval_means(collections: Sequence[tuple[int, int, str, int]],
-                          times_us: Sequence[int],
-                          node: Optional[str] = None) -> list[Optional[float]]:
+def window_interval_means(collections: np.ndarray, times_us: Sequence[int],
+                          partition: Optional[int] = None) -> list[Optional[float]]:
     """Mean interval (s) of the balls collected in each sample window.
 
     Window i holds the collections with time in (times_us[i-1], times_us[i]];
-    ``collections`` are (t_us, interval_us, node, bucket) in time order.
-    With ``node`` only that node's collections count.  A window without
-    collections has mean None.
+    ``collections`` is an (n, 4) int64 array of (t_us, interval_us,
+    partition id, bucket) rows in time order, and ``times_us`` rises.  With
+    ``partition`` only its collections count.  A window's mean is its integer
+    interval sum over its count; without collections it is None.
     """
-    rows = [c for c in collections if node is None or c[2] == node]
-    means: list[Optional[float]] = []
-    idx = 0
-    for t_us in times_us:
-        total = count = 0
-        while idx < len(rows) and rows[idx][0] <= t_us:
-            total += rows[idx][1]
-            count += 1
-            idx += 1
-        means.append(total / count / 1e6 if count else None)
-    return means
+    if partition is not None:
+        collections = collections[collections[:, 2] == partition]
+    ends = np.searchsorted(collections[:, 0], times_us, side="right")
+    totals = np.diff(np.concatenate(([0], np.cumsum(collections[:, 1])))[ends], prepend=0)
+    counts = np.diff(ends, prepend=0)
+    return [total / count / 1e6 if count else None
+            for total, count in zip(totals.tolist(), counts.tolist())]
 
 
 #: Scalar regression metric name -> the report.json key holding its value.
@@ -110,8 +107,8 @@ class ExperimentReport:
     discarded: int
     created_total: int
     collected_total: int
-    #: (t_us, interval_us, node, bucket) per collected ball, in time order
-    collections: list[tuple[int, int, str, int]]
+    #: (n, 4) int64: t_us, interval_us, partition id, bucket per collection
+    collections: np.ndarray
     interval_mean_s: float
     peak_load_proxy: float
     peak_balls_in_scene: int
@@ -148,9 +145,8 @@ class ExperimentReport:
 
     def intervals_in_window(self, t0_s: float, t1_s: float) -> np.ndarray:
         """Interval values (seconds) of balls collected in (t0, t1]."""
-        lo = t0_s * 1e6
-        hi = t1_s * 1e6
-        return np.array([c[1] / 1e6 for c in self.collections if lo < c[0] <= hi])
+        t_us = self.collections[:, 0]
+        return self.collections[(t0_s * 1e6 < t_us) & (t_us <= t1_s * 1e6), 1] / 1e6
 
     def final_quarter_interval_mean(self) -> Optional[float]:
         vals = self.intervals_in_window(0.75 * self.end_time_s, self.end_time_s)
@@ -297,5 +293,4 @@ class ReportSummary:
 
 def load_report_summary(path) -> ReportSummary:
     """Load an exported report.json for baseline capture or regression checks."""
-    with open(path) as f:
-        return ReportSummary(json.load(f))
+    return ReportSummary(read_json(path, InvalidParameter))

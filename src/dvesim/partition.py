@@ -43,11 +43,11 @@ class RegionSpec:
 
     def __post_init__(self):
         check_fields(RegionSpec, vars(self), ValueError)
-        for extent in (self.width_m, self.depth_m):
-            cells = extent / self.microcell_m
+        for name in ("width_m", "depth_m"):
+            cells = getattr(self, name) / self.microcell_m
             if abs(cells - round(cells)) > 1e-9:
-                raise ValueError(f"region extent {extent} m is not a multiple of "
-                                 f"the {self.microcell_m} m microcell size")
+                raise ValueError(f"{name} must be a multiple of microcell_m, got "
+                                 f"{getattr(self, name)!r} and {self.microcell_m!r}")
 
     @property
     def nx(self) -> int:

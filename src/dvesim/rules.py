@@ -5,10 +5,12 @@ A field declares its range once, in ``field(metadata=...)``: ``at_least(b)``
 must round to at least 1 microsecond, the run's timebase).  Its type comes
 from its annotation.  ``check_fields`` enforces keys, types and rules for
 every class; only rules that relate two fields stay in the classes.
+``read_json`` reads such a file, or any other input file of the CLI.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import fields
@@ -33,6 +35,16 @@ _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": di
 def rules_of(cls) -> dict:
     """Field name -> (annotation, declared rule) of a dataclass."""
     return {f.name: (f.type, f.metadata) for f in fields(cls)}
+
+
+def read_json(path, error):
+    """The JSON value in the file at ``path``; a file that is missing,
+    unreadable or not JSON raises ``error``."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        raise error(f"cannot read {path}: {e}") from e
 
 
 def check_fields(rules, values, error, prefix: str = "") -> None:

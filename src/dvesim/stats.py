@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .rules import above, check_fields
+from .rules import above, check_fields, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .actors import GaltonGeometry
@@ -179,8 +179,7 @@ class EmpiricalBaseline:
 
     @classmethod
     def load(cls, path) -> "EmpiricalBaseline":
-        with open(path) as f:
-            d = json.load(f)
+        d = read_json(path, InvalidParameter)
         return cls(
             geometry_hash=d["geometry_hash"],
             seeds=[int(s) for s in d["seeds"]],

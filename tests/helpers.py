@@ -1,8 +1,9 @@
 """Shared test machinery: randomized LWW delivery schedules, a plain
 last-writer-wins model of the scene, the scalar owner lookup, descent and
 crossing model that the owner table and the physics tick oracle are
-checked against, and a way to seat a ball on a physics node without a
-script or a dispatcher."""
+checked against, a way to seat a ball on a physics node without a script
+or a dispatcher, and the list-of-tuples window statistics that the
+columnar report code is checked against."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from dvesim.actors import PhysicsActor
 from dvesim.partition import OutOfRegion, PartitionMap
@@ -217,3 +220,29 @@ def detect_crossing(prev: tuple[float, float], nxt: tuple[float, float],
     if a == b:
         return None
     return (a, b)
+
+
+def window_interval_means_scalar(collections: Sequence[tuple[int, int, int, int]],
+                                 times_us: Sequence[int],
+                                 node: Optional[int] = None) -> list[Optional[float]]:
+    """Mean interval (s) of the collections in each window (times_us[i-1],
+    times_us[i]], one (t_us, interval_us, node, bucket) tuple at a time."""
+    rows = [c for c in collections if node is None or c[2] == node]
+    means: list[Optional[float]] = []
+    idx = 0
+    for t_us in times_us:
+        total = count = 0
+        while idx < len(rows) and rows[idx][0] <= t_us:
+            total += rows[idx][1]
+            count += 1
+            idx += 1
+        means.append(total / count / 1e6 if count else None)
+    return means
+
+
+def intervals_in_window_scalar(collections: Sequence[tuple[int, int, int, int]],
+                               t0_s: float, t1_s: float) -> np.ndarray:
+    """Interval values (s) of the collections in (t0, t1], one tuple at a time."""
+    lo = t0_s * 1e6
+    hi = t1_s * 1e6
+    return np.array([c[1] / 1e6 for c in collections if lo < c[0] <= hi])

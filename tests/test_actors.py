@@ -108,7 +108,7 @@ def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
     region = RegionSpec()
     pmap = PartitionMap.single(region, 1, "physics-1")
     table = owner_table(geometry, pmap)
-    ledger = RunLedger(geometry.bucket_count)
+    ledger = RunLedger(geometry.bucket_count, geometry.total_balls)
     network.add_link("physics-1", "dispatcher", 0.001, 1e9)
     network.add_link("dispatcher", "physics-1", 0.001, 1e9)
     network.add_link("dispatcher", "script", 0.001, 1e9)
@@ -162,7 +162,7 @@ class TestDilation:
             seat(actor, Ball(id=i + 1, box=0, row=0), scene_seq=i)
         engine.run_until(seconds_to_us(600.0))
         assert ledger.collected == n_balls
-        intervals = np.array([c[1] for c in ledger.collections]) / 1e6
+        intervals = np.array(ledger.collections)[1::4] / 1e6
         return intervals.mean(), actor
 
     def test_unloaded_interval_matches_nominal(self):
@@ -289,7 +289,8 @@ class TestPhysicsTickOracle:
         engine = Engine(seed=self.SEED)
         network = Network(engine)
         network.add_link(node, "dispatcher", 0.001, 1e9)
-        ledger = RunLedger(geo.bucket_count)
+        total = n_balls + sum(count for _, count in self.ARRIVALS.get(n_balls, ()))
+        ledger = RunLedger(geo.bucket_count, total)
         partition_id = next(p for p, n in pmap.partitions.items() if n == node)
         actor = PhysicsActor(node, partition_id, owner_table(geo, pmap), geo,
                              self.CAPACITY, self.TICK_S, engine, network, "dispatcher",
@@ -321,7 +322,8 @@ class TestPhysicsTickOracle:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(600.0))
         assert actor.active_count == 0
-        return [(c[0], c[3]) for c in ledger.collections], migrations, sends
+        rows = np.array(ledger.collections).reshape(-1, 4)
+        return list(map(tuple, rows[:, [0, 3]].tolist())), migrations, sends
 
     @pytest.mark.parametrize("n_balls", [50, 250, _BLOCK + 76, 1000])
     @pytest.mark.parametrize("split", [False, True])
@@ -531,7 +533,7 @@ class TestScriptActor:
         geo = GaltonGeometry(balls_per_dropper=3)
         engine = Engine(seed=seed)
         network = Network(engine)
-        ledger = RunLedger(geo.bucket_count)
+        ledger = RunLedger(geo.bucket_count, geo.total_balls)
         network.add_link("script", "dispatcher", 0.001, 1e9)
         sink = []
         network.register_handler("dispatcher", sink.append)
@@ -593,6 +595,23 @@ class TestScriptActor:
         for kind in ("create", "migrate", "ack", "update"):
             with pytest.raises(UnroutableMessage):
                 script.on_message(Message(kind, "dispatcher", "script", 256, delete, 0, 0))
+        assert script.replica.live_count() == live - 1
+
+    def test_forgets_a_ball_once_its_delete_applies(self):
+        engine, script, ledger, sink = self.small_script()
+        script.dropper_tick(0)
+        live = script.replica.live_count()
+        delete = PropertyUpdate(1, EXISTENCE, False, 10**6, "physics-1", 0)
+        script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
+        assert 1 not in script.replica._entities
+        with pytest.raises(UnknownEntity):
+            script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
+        # stamped before ball 2's creation: superseded, so the ball stays
+        # live and held
+        created_ts = script.replica._entities[2][1][0]
+        stale = PropertyUpdate(2, EXISTENCE, False, created_ts - 1, "physics-1", 1)
+        script.on_message(Message("delete", "dispatcher", "script", 256, stale, 0, 0))
+        assert script.replica._entities[2][0]
         assert script.replica.live_count() == live - 1
 
 
@@ -715,7 +734,7 @@ class TestReplicaForgets:
         network = Network(engine)
         pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
         table = owner_table(self.GEO, pmap)
-        ledger = RunLedger(self.GEO.bucket_count)
+        ledger = RunLedger(self.GEO.bucket_count, 8)
         dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
         network.register_handler("dispatcher", dispatcher.dispatcher_relay)
         network.add_link("dispatcher", "script", 0.001, 1e9)
@@ -730,7 +749,7 @@ class TestReplicaForgets:
         for entity in range(1, 9):
             seat(losing, Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
         engine.run_until(seconds_to_us(0.15))
-        moved = ledger.migrated_entities
+        moved = [entity for entity, flag in enumerate(ledger.migrated_entities) if flag]
         assert 0 < len(moved) < 8 and ledger.migrations_completed == len(moved)
         assert losing.ghost_count == 0
         for entity in moved:

@@ -35,11 +35,12 @@ from dvesim.harness.login import (
     TOPOLOGY_DEDICATED,
     TOPOLOGY_PROXIED,
 )
-from dvesim.harness.report import SCALAR_METRICS
+from dvesim.harness.report import SCALAR_METRICS, ExperimentReport, window_interval_means
 from dvesim.partition import PartitionMap
 from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
 from dvesim import cli
+from helpers import intervals_in_window_scalar, window_interval_means_scalar
 
 TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                       balls_per_dropper=5, nominal_descent_s=12.0)
@@ -203,6 +204,42 @@ class TestExport:
         summary = load_report_summary(tmp_path / "report.json")
         assert summary.metric("interval_mean_s") == pytest.approx(report.interval_mean_s)
         assert summary.histogram.total == report.histogram.total
+
+
+class TestCollectionColumns:
+    """The window statistics over the (n, 4) collection columns against the
+    list-of-tuples code they replaced: equal floats, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 300, 5000])
+    def test_match_the_scalar_reference(self, n):
+        rng = np.random.default_rng(n)
+        # collections in time order on partitions 1 and 2; ties in time
+        # happen, and some sample times fall on a collection, before the
+        # first or after the last, or close an empty window
+        rows = np.stack([np.sort(rng.integers(0, 10**8, n)),
+                         rng.integers(10**5, 4 * 10**8, n),
+                         rng.integers(1, 3, n),
+                         rng.integers(0, 96, n)], axis=1).astype(np.int64)
+        times = sorted(set(rng.integers(0, 12 * 10**7, rng.integers(1, 60)).tolist()
+                           + rng.choice(rows[:, 0], min(n, 10)).tolist()))
+        tuples = [tuple(r) for r in rows.tolist()]
+        for partition in (None, 1, 2, 3):
+            want = window_interval_means_scalar(tuples, times, partition)
+            assert window_interval_means(rows, times, partition) == want
+            if n >= 300 and partition != 3:
+                assert None in want and any(m is not None for m in want)
+        report = mock.Mock(collections=rows)
+        windows = [(0.0, 120.0), (25.0, 75.0), (30.0, 30.0),
+                   (times[0] / 1e6, times[-1] / 1e6), (-1.0, 0.0)]
+        if n:
+            # both ends on a collection
+            windows.append((rows[n // 4, 0] / 1e6, rows[3 * n // 4, 0] / 1e6))
+        for t0_s, t1_s in windows:
+            want = intervals_in_window_scalar(tuples, t0_s, t1_s)
+            got = ExperimentReport.intervals_in_window(report, t0_s, t1_s)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            if len(want):
+                assert float(got.mean()) == float(want.mean())
 
 
 class TestEvaluate:
@@ -466,6 +503,12 @@ STRICT_CASES = [
     ("sub-microsecond login run length", "login", login_dict(run_length_s=1e-9),
      "run_length_s"),
     ("negative login cost", "login", login_dict(proxy_cost=-5.0), "proxy_cost"),
+    # region errors name the config keys, not RegionSpec's fields
+    ("negative region width", "galton", galton_dict(region_width_m=-256.0),
+     "region_width_m"),
+    ("region depth off the microcell grid", "galton", galton_dict(region_depth_m=250.0),
+     "region_depth_m"),
+    ("zero microcell", "galton", galton_dict(microcell_m=0.0), "microcell_m"),
 ]
 
 #: kind -> (loader, valid input, error the loader raises)
@@ -737,7 +780,11 @@ class TestCliInputErrors:
               "two_runs": "need at least 3 runs, got 2",
               "stressed_run": "peaked at load",
               "mixed_geometries": "runs mix geometries",
-              "bounds_do_not_bracket": "t_lo=1.0 is already stable"}
+              "bounds_do_not_bracket": "t_lo=1.0 is already stable",
+              "config_missing": "nope.json: [Errno 2] No such file",
+              "baseline_missing": "nope.json: [Errno 2] No such file",
+              "spec_file_not_json": "specs.json: Expecting value",
+              "report_missing": "nope.json: [Errno 2] No such file"}
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -771,12 +818,27 @@ class TestCliInputErrors:
         baselines = {"two_runs": ["seed1", "seed2"],
                      "stressed_run": ["seed1", "seed2", "stressed"],
                      "mixed_geometries": ["seed1", "seed2", "other_geometry"]}
-        if case in specs:
+        #: case -> the text of a spec file that is not JSON
+        spec_texts = {"spec_file_not_json": '{"specs": ['}
+        missing = str(tmp_path / "nope.json")
+        if case in specs or case in spec_texts:
             path = tmp_path / "specs.json"
-            path.write_text(json.dumps(specs[case]))
+            path.write_text(spec_texts[case] if case in spec_texts
+                            else json.dumps(specs[case]))
             argv = ["regress", "--report",
                     *(str(runs / f"seed{s}" / "report.json") for s in (1, 2, 3)),
                     "--specs", str(path)]
+        elif case == "config_missing":
+            argv = ["run-galton", "--config", missing, "--out", str(out)]
+        elif case == "baseline_missing":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(tiny_config().to_dict()))
+            argv = ["run-galton", "--config", str(path), "--baseline", missing,
+                    "--out", str(out)]
+        elif case == "report_missing":
+            path = tmp_path / "specs.json"
+            path.write_text(json.dumps([self.SPEC]))
+            argv = ["regress", "--report", missing, "--specs", str(path)]
         elif case in baselines:
             argv = ["baseline", "capture", "--runs",
                     *(str(runs / name) for name in baselines[case]), "--out", str(out)]

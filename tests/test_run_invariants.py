@@ -9,7 +9,9 @@ routed over it, the histogram must account for every created ball, each
 node's last message counts must equal what its links carried, and a re-run
 must export the same bytes.  After the run the remaining events are
 processed, so that every message in flight arrives; then no migration may
-be left open and no physics replica may hold a live ball.
+be left open and no replica, the script's or a physics node's, may hold any
+record of a ball, live or deleted.  ``migrated_unique`` must count the
+distinct balls of the transfers sent.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvesim.actors import GaltonGeometry, PhysicsActor
+from dvesim.actors import GaltonGeometry, PhysicsActor, ScriptActor
 from dvesim.harness import GaltonExperimentConfig, export, run_galton
 from dvesim.harness.galton import ConservationViolation
 from dvesim.netsim import Link, Network
@@ -73,9 +75,11 @@ def small_configs(draw):
 
 
 class _Observed:
-    """Physics actors built, and per link the messages sent and delivered."""
+    """Script and physics actors built, and per link the messages sent and
+    delivered."""
 
     def __init__(self):
+        self.scripts: list[ScriptActor] = []
         self.physics: list[PhysicsActor] = []
         self.sent: dict[str, list] = defaultdict(list)
         self.delivered: dict[str, list] = defaultdict(list)
@@ -86,11 +90,15 @@ class _Observed:
 
 def _observed_run(config: GaltonExperimentConfig, out: Path):
     seen = _Observed()
-    actor_init, send, pop_due = PhysicsActor.__init__, Network.send, Link.pop_due
+    send, pop_due = Network.send, Link.pop_due
 
-    def record_actor(self, *args, **kwargs):
-        actor_init(self, *args, **kwargs)
-        seen.physics.append(self)
+    def recording(cls, built):
+        init = cls.__init__
+
+        def record_actor(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+        return record_actor
 
     def record_send(self, src, dst, *args, **kwargs):
         message = send(self, src, dst, *args, **kwargs)
@@ -103,7 +111,10 @@ def _observed_run(config: GaltonExperimentConfig, out: Path):
         return due
 
     with ExitStack() as patches:
-        patches.enter_context(mock.patch.object(PhysicsActor, "__init__", record_actor))
+        patches.enter_context(mock.patch.object(
+            PhysicsActor, "__init__", recording(PhysicsActor, seen.physics)))
+        patches.enter_context(mock.patch.object(
+            ScriptActor, "__init__", recording(ScriptActor, seen.scripts)))
         patches.enter_context(mock.patch.object(Network, "send", record_send))
         patches.enter_context(mock.patch.object(Link, "pop_due", record_delivery))
         report = run_galton(config)
@@ -154,7 +165,13 @@ def test_small_runs_keep_every_invariant(config):
     for actor in seen.physics:
         assert actor.tracker.in_flight_count() == 0
         assert actor.ghost_count == 0 and actor.active_count == 0
+    assert len(seen.scripts) == 1
+    for actor in seen.scripts + seen.physics:
         assert actor.replica.live_count() == 0
+        assert not actor.replica._entities, actor.node_id
+    migrated = {m.payload.entity for msgs in seen.sent.values() for m in msgs
+                if m.kind == "migrate"}
+    assert report.migrated_unique == len(migrated)
 
 
 def test_replica_audit_fires_when_a_replica_keeps_what_it_shipped():
