@@ -123,7 +123,6 @@ class RunLedger:
     delivered.
     """
 
-    bucket_count: int
     max_entity: int
     created: int = 0
     creates_delivered: int = 0
@@ -142,11 +141,6 @@ class RunLedger:
     @property
     def collected(self) -> int:
         return len(self.collections) // 4
-
-    @property
-    def histogram(self) -> np.ndarray:
-        """Collected balls per bucket."""
-        return np.bincount(np.array(self.collections)[3::4], minlength=self.bucket_count)
 
     @property
     def pending_creates(self) -> int:

@@ -17,7 +17,6 @@ from .report import (
     evaluate,
     export,
     load_report_summary,
-    read_histogram_csv,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "export",
     "load_report_summary",
     "max_sustainable_rate",
-    "read_histogram_csv",
     "rmse_envelope",
     "run_galton",
     "run_galton_series",

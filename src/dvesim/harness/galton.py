@@ -224,7 +224,7 @@ def run_galton(config: GaltonExperimentConfig,
     engine = Engine(seed=config.seed, epsilon_max_s=config.epsilon_max_s)
     network = Network(engine, config.message_sizes or None)
     pmap = config.build_partition_map()
-    ledger = RunLedger(geometry.bucket_count, geometry.total_balls)
+    ledger = RunLedger(geometry.total_balls)
 
     physics_ids = config.physics_nodes()
     for src, dst in config.links():
@@ -319,7 +319,7 @@ def run_galton(config: GaltonExperimentConfig,
         series[n].mean_interval_s = window_interval_means(collections, times_us, pid)
     end_time_s = t / 1e6
     expected = theoretical_distribution(geometry)
-    histogram = BucketHistogram(ledger.histogram)
+    histogram = BucketHistogram(np.bincount(collections[:, 3], minlength=geometry.bucket_count))
     interval_mean_s = float(collections[:, 1].mean() / 1e6) if len(collections) else float("nan")
     rmse_th = rmse(histogram, expected)
     rmse_base = None

@@ -75,7 +75,7 @@ def report_metric(data: dict, name: str) -> float:
     """Regression metric ``name`` of a run, read from its report.json dict."""
     if name.startswith(QUEUE_DEPTH_METRIC):
         link = name[len(QUEUE_DEPTH_METRIC):]
-        totals = data["link_totals"].get(link)
+        totals = data.get("link_totals", {}).get(link)
         if totals is None:
             raise UnknownMetric(f"no link {link!r} in this run")
         # every message sent and not yet delivered is still queued
@@ -83,7 +83,7 @@ def report_metric(data: dict, name: str) -> float:
     key = SCALAR_METRICS.get(name)
     if key is None:
         raise UnknownMetric(name)
-    if data[key] is None:
+    if data.get(key) is None:
         raise UnknownMetric(f"metric {name!r} not measured in this run")
     return float(data[key])
 
@@ -263,15 +263,6 @@ def export(report: ExperimentReport, directory) -> list[Path]:
     return written
 
 
-def read_histogram_csv(path) -> BucketHistogram:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    counts = np.zeros(len(rows), dtype=np.int64)
-    for row in rows:
-        counts[int(row["bucket_index"])] = int(row["observed"])
-    return BucketHistogram(counts)
-
-
 class ReportSummary:
     """Scalar view over an exported report.json.
 
@@ -293,4 +284,6 @@ class ReportSummary:
 
 def load_report_summary(path) -> ReportSummary:
     """Load an exported report.json for baseline capture or regression checks."""
-    return ReportSummary(read_json(path, InvalidParameter))
+    return ReportSummary(read_json(path, InvalidParameter, dict(
+        histogram=["int"], interval_mean_s="float", peak_load_proxy="float",
+        geometry_hash="str", seed="int")))

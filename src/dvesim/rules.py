@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import fields
 
 from .engine import seconds_to_us
@@ -37,14 +38,32 @@ def rules_of(cls) -> dict:
     return {f.name: (f.type, f.metadata) for f in fields(cls)}
 
 
-def read_json(path, error):
-    """The JSON value in the file at ``path``; a file that is missing,
-    unreadable or not JSON raises ``error``."""
+def _is_a(value, want) -> bool:
+    """Whether ``value`` is of the annotation ``want``, or for ``[want]`` a list of them."""
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_is_a(v, want[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, _TYPES[want])
+
+
+def read_json(path, error, keys=None):
+    """The JSON value in the file at ``path``.  A file that is missing,
+    unreadable or not JSON raises ``error``, as does, given ``keys`` (key ->
+    annotation or ``[annotation]``), one that is not a dict holding every
+    key at a value of its type; NaN passes, as reports export it."""
     try:
         with open(path) as f:
-            return json.load(f)
+            data = json.load(f)
     except (OSError, ValueError) as e:
         raise error(f"cannot read {path}: {e}") from e
+    if keys is not None and not isinstance(data, dict):
+        raise error(f"{path} must hold a dict, got {reprlib.repr(data)}")
+    for key, want in (keys or {}).items():
+        if key not in data:
+            raise error(f"{path} has no {key!r} key")
+        if not _is_a(data[key], want):
+            shown = f"list[{want[0]}]" if isinstance(want, list) else want
+            raise error(f"{path}: {key} must be {shown}, got {reprlib.repr(data[key])}")
+    return data
 
 
 def check_fields(rules, values, error, prefix: str = "") -> None:
@@ -63,11 +82,9 @@ def check_fields(rules, values, error, prefix: str = "") -> None:
         if key not in rules:
             raise error(f"unknown key {name}")
         annotation, rule = rules[key]
-        want = _TYPES.get(annotation)
-        if want is None:
+        if annotation not in _TYPES:
             continue
-        if (isinstance(value, bool) or not isinstance(value, want)
-                or (isinstance(value, float) and not math.isfinite(value))):
+        if not _is_a(value, annotation) or (isinstance(value, float) and not math.isfinite(value)):
             raise error(f"{name} must be {annotation}, got {value!r}")
         if "span" in rule and seconds_to_us(value) < 1:
             raise error(f"{name} must round to at least 1 microsecond, got {value!r}")

@@ -11,7 +11,8 @@ acts as a floor for the entity: property updates older than the latest
 existence transition are superseded (a stale position update cannot outlive
 the tombstone that deleted its entity), and a re-creation starts a fresh
 incarnation whose visible properties are exactly those stamped at or after
-it.  Tombstones are kept until the replica forgets the entity.
+it.  A live entity's record is its bare existence stamp; a deleted entity's
+stamp moves to a dict of tombstones, kept until the replica forgets it.
 """
 
 from __future__ import annotations
@@ -53,14 +54,15 @@ class SceneReplica:
 
     def __init__(self, node_id: str):
         self.node_id = node_id
-        #: entity -> (alive, existence stamp), a tuple of atomic values that
-        #: the cyclic collector untracks
-        self._entities: dict[int, tuple[bool, Stamp]] = {}
+        #: live entity -> existence stamp, and deleted entity -> deletion
+        #: stamp: an entity is in at most one of the two.  A stamp is a tuple
+        #: of atomic values, which the cyclic collector untracks.
+        self._entities: dict[int, Stamp] = {}
+        self._tombs: dict[int, Stamp] = {}
         #: entity -> property name -> (value, stamp), only for an entity that
         #: got a property update: most get none.  It may hold entries older
         #: than the current incarnation, which stay invisible until out-stamped.
         self._props: dict[int, dict[str, tuple[Any, Stamp]]] = {}
-        self._live = 0
         self._seq = 0  # seq of the next locally originated update
 
     # ------------------------------------------------------------------
@@ -69,31 +71,32 @@ class SceneReplica:
 
     def apply_update(self, u: PropertyUpdate) -> ApplyResult:
         """Apply one replicated update under the last-writer-wins rule."""
-        rec = self._entities.get(u.entity)
+        entity = u.entity
         stamp = (u.ts_us, u.origin, u.seq)
-        if u.property == EXISTENCE:
-            if rec is None:
-                if not u.value:
-                    raise UnknownEntity(u.entity)
-                self._entities[u.entity] = (True, stamp)
-                self._live += 1
+        floor = self._entities.get(entity)
+        if floor is None:
+            floor = self._tombs.get(entity)
+            if floor is None:
+                if u.property != EXISTENCE or not u.value:
+                    raise UnknownEntity(entity)
+                self._entities[entity] = stamp
                 return ApplyResult.ACCEPTED
-            if stamp <= rec[1]:
+        if u.property == EXISTENCE:
+            if stamp <= floor:
                 return ApplyResult.SUPERSEDED
-            alive = bool(u.value)
-            if alive != rec[0]:
-                self._live += 1 if alive else -1
-            self._entities[u.entity] = (alive, stamp)
+            if u.value:
+                self._tombs.pop(entity, None)
+                self._entities[entity] = stamp
+            else:
+                self._entities.pop(entity, None)
+                self._tombs[entity] = stamp
             return ApplyResult.ACCEPTED
-        if rec is None:
-            raise UnknownEntity(u.entity)
-        current = self._props.get(u.entity, {}).get(u.property)
-        floor = rec[1]
+        current = self._props.get(entity, {}).get(u.property)
         if current is not None and current[1] > floor:
             floor = current[1]
         if stamp <= floor:
             return ApplyResult.SUPERSEDED
-        self._props.setdefault(u.entity, {})[u.property] = (u.value, stamp)
+        self._props.setdefault(entity, {})[u.property] = (u.value, stamp)
         return ApplyResult.ACCEPTED
 
     # ------------------------------------------------------------------
@@ -109,15 +112,13 @@ class SceneReplica:
         so FIFO transports deliver it before the property updates it gates;
         the properties follow in name order, on consecutive seq numbers.
         """
-        rec = self._entities.get(entity)
-        if rec is not None and rec[0]:
+        if entity in self._entities:
             raise DuplicateCreate(entity)
         seq = self._seq
         updates = [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, ts_us, origin, seq))]
-        if rec is None and not initial:
-            # a first incarnation without properties: write its record directly
-            self._entities[entity] = (True, (ts_us, origin, seq))
-            self._live += 1
+        if not initial and entity not in self._tombs:
+            # a first incarnation without properties: write its stamp directly
+            self._entities[entity] = (ts_us, origin, seq)
             self._seq = seq + 1
             return updates
         updates += [PropertyUpdate(entity, name, initial[name], ts_us, origin, seq + i)
@@ -129,7 +130,7 @@ class SceneReplica:
 
     def delete_entity(self, entity: int, ts_us: int, origin: str) -> PropertyUpdate:
         """Delete a known entity locally; returns the update to replicate."""
-        if entity not in self._entities:
+        if entity not in self._entities and entity not in self._tombs:
             raise UnknownEntity(entity)
         u = tuple.__new__(PropertyUpdate, (entity, EXISTENCE, False, ts_us, origin, self._seq))
         self._seq += 1
@@ -139,10 +140,8 @@ class SceneReplica:
     def forget(self, entity: int) -> None:
         """Drop a known entity's record, live or tombstoned, and its
         properties, as if this replica had never heard of it."""
-        rec = self._entities.pop(entity, None)
-        if rec is None:
+        if self._entities.pop(entity, None) is None and self._tombs.pop(entity, None) is None:
             raise UnknownEntity(entity)
-        self._live -= rec[0]
         self._props.pop(entity, None)
 
     # ------------------------------------------------------------------
@@ -150,7 +149,7 @@ class SceneReplica:
     # ------------------------------------------------------------------
 
     def live_count(self) -> int:
-        return self._live
+        return len(self._entities)
 
 
 def digest(replica: SceneReplica) -> str:
@@ -160,10 +159,7 @@ def digest(replica: SceneReplica) -> str:
     same digest; any visible difference produces a different one.
     """
     h = hashlib.sha256()
-    for entity in sorted(replica._entities):
-        alive, floor = replica._entities[entity]
-        if not alive:
-            continue
+    for entity, floor in sorted(replica._entities.items()):
         h.update(f"E{entity}:{floor!r}\n".encode())
         props = replica._props.get(entity, {})
         for name in sorted(props):

@@ -179,15 +179,17 @@ class EmpiricalBaseline:
 
     @classmethod
     def load(cls, path) -> "EmpiricalBaseline":
-        d = read_json(path, InvalidParameter)
+        d = read_json(path, InvalidParameter, dict(
+            geometry_hash="str", seeds=["int"], bucket_mean=["float"], bucket_sd=["float"],
+            interval_mean_s="float", interval_sd_s="float", version="int"))
         return cls(
             geometry_hash=d["geometry_hash"],
-            seeds=[int(s) for s in d["seeds"]],
+            seeds=list(d["seeds"]),
             bucket_mean=np.asarray(d["bucket_mean"], dtype=float),
             bucket_sd=np.asarray(d["bucket_sd"], dtype=float),
             interval_mean_s=float(d["interval_mean_s"]),
             interval_sd_s=float(d["interval_sd_s"]),
-            version=int(d.get("version", 1)),
+            version=d["version"],
         )
 
 

@@ -2,11 +2,13 @@
 last-writer-wins model of the scene, the scalar owner lookup, descent and
 crossing model that the owner table and the physics tick oracle are
 checked against, a way to seat a ball on a physics node without a script
-or a dispatcher, and the list-of-tuples window statistics that the
-columnar report code is checked against."""
+or a dispatcher, the list-of-tuples window statistics that the
+columnar report code is checked against, and a reader of an exported
+histogram.csv."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import random
@@ -26,6 +28,7 @@ from dvesim.scene import (
     UnknownEntity,
     digest,
 )
+from dvesim.stats import BucketHistogram
 
 PROPS = ["position", "velocity", "color"]
 
@@ -246,3 +249,13 @@ def intervals_in_window_scalar(collections: Sequence[tuple[int, int, int, int]],
     lo = t0_s * 1e6
     hi = t1_s * 1e6
     return np.array([c[1] / 1e6 for c in collections if lo < c[0] <= hi])
+
+
+def read_histogram_csv(path) -> BucketHistogram:
+    """The observed counts of an exported histogram.csv."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    counts = np.zeros(len(rows), dtype=np.int64)
+    for row in rows:
+        counts[int(row["bucket_index"])] = int(row["observed"])
+    return BucketHistogram(counts)

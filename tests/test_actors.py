@@ -108,7 +108,7 @@ def wire_physics(geometry, capacity, seed=1, tick_len_s=0.1):
     region = RegionSpec()
     pmap = PartitionMap.single(region, 1, "physics-1")
     table = owner_table(geometry, pmap)
-    ledger = RunLedger(geometry.bucket_count, geometry.total_balls)
+    ledger = RunLedger(geometry.total_balls)
     network.add_link("physics-1", "dispatcher", 0.001, 1e9)
     network.add_link("dispatcher", "physics-1", 0.001, 1e9)
     network.add_link("dispatcher", "script", 0.001, 1e9)
@@ -148,7 +148,9 @@ class TestDescentDistribution:
         engine.run_until(seconds_to_us(5.0))
         assert ledger.collected == n_balls
         expected = binomial_pmf(10, 0.5) * n_balls
-        result = scipy_stats.chisquare(ledger.histogram, expected)
+        result = scipy_stats.chisquare(
+            np.bincount(np.array(ledger.collections)[3::4], minlength=geo.bucket_count),
+            expected)
         assert result.pvalue > 0.01
 
 
@@ -290,7 +292,7 @@ class TestPhysicsTickOracle:
         network = Network(engine)
         network.add_link(node, "dispatcher", 0.001, 1e9)
         total = n_balls + sum(count for _, count in self.ARRIVALS.get(n_balls, ()))
-        ledger = RunLedger(geo.bucket_count, total)
+        ledger = RunLedger(total)
         partition_id = next(p for p, n in pmap.partitions.items() if n == node)
         actor = PhysicsActor(node, partition_id, owner_table(geo, pmap), geo,
                              self.CAPACITY, self.TICK_S, engine, network, "dispatcher",
@@ -322,6 +324,10 @@ class TestPhysicsTickOracle:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(600.0))
         assert actor.active_count == 0
+        # the replica forgot every ball it deleted, landed or off the region,
+        # and keeps only the shipped ones, whose acks never come
+        assert not actor.replica._tombs
+        assert sorted(actor.replica._entities) == sorted(e for e, _ in migrations)
         rows = np.array(ledger.collections).reshape(-1, 4)
         return list(map(tuple, rows[:, [0, 3]].tolist())), migrations, sends
 
@@ -533,7 +539,7 @@ class TestScriptActor:
         geo = GaltonGeometry(balls_per_dropper=3)
         engine = Engine(seed=seed)
         network = Network(engine)
-        ledger = RunLedger(geo.bucket_count, geo.total_balls)
+        ledger = RunLedger(geo.total_balls)
         network.add_link("script", "dispatcher", 0.001, 1e9)
         sink = []
         network.register_handler("dispatcher", sink.append)
@@ -603,15 +609,15 @@ class TestScriptActor:
         live = script.replica.live_count()
         delete = PropertyUpdate(1, EXISTENCE, False, 10**6, "physics-1", 0)
         script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
-        assert 1 not in script.replica._entities
+        assert 1 not in script.replica._entities and 1 not in script.replica._tombs
         with pytest.raises(UnknownEntity):
             script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
         # stamped before ball 2's creation: superseded, so the ball stays
         # live and held
-        created_ts = script.replica._entities[2][1][0]
+        created_ts = script.replica._entities[2][0]
         stale = PropertyUpdate(2, EXISTENCE, False, created_ts - 1, "physics-1", 1)
         script.on_message(Message("delete", "dispatcher", "script", 256, stale, 0, 0))
-        assert script.replica._entities[2][0]
+        assert 2 in script.replica._entities
         assert script.replica.live_count() == live - 1
 
 
@@ -734,7 +740,7 @@ class TestReplicaForgets:
         network = Network(engine)
         pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
         table = owner_table(self.GEO, pmap)
-        ledger = RunLedger(self.GEO.bucket_count, 8)
+        ledger = RunLedger(8)
         dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
         network.register_handler("dispatcher", dispatcher.dispatcher_relay)
         network.add_link("dispatcher", "script", 0.001, 1e9)

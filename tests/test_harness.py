@@ -21,7 +21,6 @@ from dvesim.harness import (
     export,
     load_report_summary,
     max_sustainable_rate,
-    read_histogram_csv,
     rmse_envelope,
     run_galton,
     run_galton_series,
@@ -40,7 +39,7 @@ from dvesim.partition import PartitionMap
 from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
 from dvesim import cli
-from helpers import intervals_in_window_scalar, window_interval_means_scalar
+from helpers import intervals_in_window_scalar, read_histogram_csv, window_interval_means_scalar
 
 TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                       balls_per_dropper=5, nominal_descent_s=12.0)
@@ -784,7 +783,14 @@ class TestCliInputErrors:
               "config_missing": "nope.json: [Errno 2] No such file",
               "baseline_missing": "nope.json: [Errno 2] No such file",
               "spec_file_not_json": "specs.json: Expecting value",
-              "report_missing": "nope.json: [Errno 2] No such file"}
+              "report_missing": "nope.json: [Errno 2] No such file",
+              "report_of_an_empty_dict": "report.json has no 'histogram' key",
+              "report_histogram_not_ints": "histogram must be list[int], got [1, 'x']",
+              "baseline_without_its_keys": "baseline.json has no 'geometry_hash' key",
+              "baseline_seeds_not_a_list": "seeds must be list[int], got '123'"}
+    BASELINE = {"geometry_hash": TINY.geometry_hash(), "seeds": [1, 2, 3],
+                "bucket_mean": [1.0], "bucket_sd": [0.5],
+                "interval_mean_s": 1.0, "interval_sd_s": 0.1, "version": 1}
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -818,6 +824,11 @@ class TestCliInputErrors:
         baselines = {"two_runs": ["seed1", "seed2"],
                      "stressed_run": ["seed1", "seed2", "stressed"],
                      "mixed_geometries": ["seed1", "seed2", "other_geometry"]}
+        #: case -> the whole report file, or baseline file
+        reports = {"report_of_an_empty_dict": {},
+                   "report_histogram_not_ints": {"histogram": [1, "x"]}}
+        bad_baselines = {"baseline_without_its_keys": {"a": 1},
+                         "baseline_seeds_not_a_list": dict(self.BASELINE, seeds="123")}
         #: case -> the text of a spec file that is not JSON
         spec_texts = {"spec_file_not_json": '{"specs": ['}
         missing = str(tmp_path / "nope.json")
@@ -830,15 +841,23 @@ class TestCliInputErrors:
                     "--specs", str(path)]
         elif case == "config_missing":
             argv = ["run-galton", "--config", missing, "--out", str(out)]
-        elif case == "baseline_missing":
+        elif case == "baseline_missing" or case in bad_baselines:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(tiny_config().to_dict()))
-            argv = ["run-galton", "--config", str(path), "--baseline", missing,
+            baseline = missing
+            if case in bad_baselines:
+                baseline = tmp_path / "baseline.json"
+                baseline.write_text(json.dumps(bad_baselines[case]))
+            argv = ["run-galton", "--config", str(path), "--baseline", str(baseline),
                     "--out", str(out)]
-        elif case == "report_missing":
+        elif case == "report_missing" or case in reports:
             path = tmp_path / "specs.json"
             path.write_text(json.dumps([self.SPEC]))
-            argv = ["regress", "--report", missing, "--specs", str(path)]
+            report = missing
+            if case in reports:
+                report = tmp_path / "report.json"
+                report.write_text(json.dumps(reports[case]))
+            argv = ["regress", "--report", str(report), "--specs", str(path)]
         elif case in baselines:
             argv = ["baseline", "capture", "--runs",
                     *(str(runs / name) for name in baselines[case]), "--out", str(out)]
