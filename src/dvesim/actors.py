@@ -19,7 +19,7 @@ import itertools
 import json
 from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .engine import Engine, seconds_to_us
 from .netsim import Message, Network
 from .partition import MigrationAck, MigrationTracker, PartitionMap, RegionSpec, TransferMessage
 from .rules import at_least, check_fields
-from .scene import EXISTENCE, ApplyResult, PropertyUpdate, SceneReplica
+from .scene import EXISTENCE, ApplyResult, PropertyUpdate, SceneReplica, Stamp
 
 
 class UnroutableMessage(KeyError):
@@ -205,9 +205,9 @@ class ScriptActor:
         create, send, entities = self.replica.create_entity, self.network.send, self._entities
         for box, row, _ in self.droppers:
             entity = next(entities)
-            seq = create(entity, {}, ts, node)[0].seq
+            stamp = create(entity, {}, ts, node)[0].stamp
             msgs.append(send(node, dispatcher, "create",
-                             ((entity, box, row, 0, 0, 0, now_us, ts, seq), node)))
+                             ((entity, box, row, 0, 0, 0, now_us), stamp)))
         self.ledger.created += len(msgs)
         return msgs
 
@@ -227,10 +227,11 @@ class ScriptActor:
 # physics node
 # ----------------------------------------------------------------------
 
-# A create and a transfer ship a ball as one record, ``(row, scene_origin)``:
-# its full 9-field row is id, box, row, level, column, progress,
-# created_at_us, scene_ts_us, scene_seq.  Both are exact tuples of atomic
-# values, which the cyclic collector stops tracking.
+# A create and a transfer ship a ball as one record, ``(row, stamp)``: its
+# 7-field row is id, box, row, level, column, progress, created_at_us, and
+# its stamp is the existence stamp object that the sending replica holds,
+# which the receiving replica stores as it is.  Both are exact tuples of
+# atomic values, which the cyclic collector stops tracking.
 
 #: (owners, lanes): a flat owner table, -1 off the region, and the offset of
 #: each (box, row) lane in it
@@ -264,26 +265,23 @@ def owner_table(geometry: GaltonGeometry, pmap: PartitionMap) -> OwnerTable:
     return table.ravel().tolist(), lanes.tolist()
 
 
-#: fields of a hot row, all that a tick reads and moves
-_HOT_FIELDS = 4
-_HOT_PROGRESS, _HOT_LEVEL, _HOT_KEY, _HOT_SLOT = range(_HOT_FIELDS)
-#: a hot row as one record, moved in one copy: a mask over 6,000 rows takes
+#: fields of a ring row: a tick reads and moves the first three, and a
+#: leaver's id and creation time go out with it
+_FIELDS = 5
+_PROGRESS, _LEVEL, _KEY, _ENTITY, _CREATED = range(_FIELDS)
+#: a ring row as one record, moved in one copy: a mask over 6,000 rows takes
 #: 137 µs on (n, 4) int64 and 12 µs on records (2-core x86-64, numpy 2.4.6)
-_HOT = np.dtype((np.void, _HOT_FIELDS * 8))
-#: fields of a slab row: id, box, row, created_at_us, scene_ts_us, scene_seq
-_COLD_FIELDS = 6
-#: an arrival's buffered row: its hot row, then its slab row
-_ARRIVAL_FIELDS = _HOT_FIELDS + _COLD_FIELDS
-_ARRIVAL = np.dtype([("hot", _HOT), ("cold", (np.void, _COLD_FIELDS * 8))])
-#: rows of a new hot ring and of a new slab; a full one at least doubles
+_HOT = np.dtype((np.void, _FIELDS * 8))
+#: rows of a new ring; a full one at least doubles
 _BLOCK = 1024
 
 
 class PhysicsActor:
     """Capacity-limited descent simulation for one partition.
 
-    A hot ring holds a 32-byte row per ball in service order from ``_head``;
-    a slab holds the rest at a slot that stays put until the ball leaves.
+    A ring holds one 40-byte row per ball in service order from ``_head``:
+    progress, level, owner-table key, id and creation time.  The key
+    encodes the ball's box, row and column, which ``_leave`` decodes.
     Arrivals join the ring's back when the next tick starts.  Each tick
     serves the first ``min(population, capacity)`` balls and moves the
     survivors to the back, so under overload every ball is served at the
@@ -315,20 +313,19 @@ class PhysicsActor:
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = level_us = geometry.level_time_us
         self._owners, self._lanes = table
+        #: a key is lane * width + column - col_lo, lane = box * rows_per_box + row
+        self._width = len(self._owners) // (geometry.boxes * geometry.rows_per_box)
+        self._col_lo = -self._lanes[0][0]
         #: a seated ball lies in this partition, so a step onto a key owned
         #: elsewhere leaves it: off the region (-1) or into a neighbour
         self._away = np.array(self._owners) != partition_id
-        #: a hot row's change as it crosses a level, stepping left or right
-        self._steps = np.array([[-level_us, 1, -1, 0], [-level_us, 1, 1, 0]])
+        #: a row's change as it crosses a level, stepping left or right
+        self._steps = np.array([[-level_us, 1, -1, 0, 0], [-level_us, 1, 1, 0, 0]])
         self._ring = np.zeros(_BLOCK, dtype=_HOT)
         self._head = 0
         self._n = 0
-        self._slab = np.zeros((_BLOCK, _COLD_FIELDS), dtype=np.int64)
-        #: slab slots that no ball holds, handed out from the end
-        self._free = list(range(_BLOCK - 1, -1, -1))
         #: the rows of the balls that arrived since the last tick, flat
         self._arrivals: list[int] = []
-        self._scene_origin: Optional[str] = None
         self._ticking = False
         self.ticks = 0
         self.steps_executed = 0
@@ -337,7 +334,7 @@ class PhysicsActor:
     # ---- ball table --------------------------------------------------
 
     def _push(self, records: np.ndarray) -> None:
-        """Write hot rows after the last ball in service order, growing a
+        """Write rows after the last ball in service order, growing a
         ring they do not fit."""
         ring, n = self._ring, self._n
         if n + len(records) > len(ring):
@@ -353,7 +350,7 @@ class PhysicsActor:
 
     @property
     def active_count(self) -> int:
-        return self._n + len(self._arrivals) // _ARRIVAL_FIELDS
+        return self._n + len(self._arrivals) // _FIELDS
 
     @property
     def ghost_count(self) -> int:
@@ -391,20 +388,12 @@ class PhysicsActor:
         else:
             raise UnroutableMessage(kind)
 
-    def _arrive(self, ball: Sequence[int], origin: str) -> None:
-        """Register a ball in the scene; buffer its row, at a free slot, for
-        the next tick, which this schedules if none is pending."""
-        entity, box, row, level, column, progress, created, scene_ts, scene_seq = ball
-        if self._scene_origin is None:
-            self._scene_origin = origin
-        self.replica.apply_update(tuple.__new__(PropertyUpdate, (
-            entity, EXISTENCE, True, scene_ts, origin, scene_seq)))
-        if not self._free:
-            self._free += range(2 * len(self._slab) - 1, len(self._slab) - 1, -1)
-            self._slab = np.resize(self._slab, (2 * len(self._slab), _COLD_FIELDS))
-        slot = self._free.pop()
-        self._arrivals += (progress, level, self._lanes[box][row] + column, slot,
-                           entity, box, row, created, scene_ts, scene_seq)
+    def _arrive(self, ball: Sequence[int], stamp: Stamp) -> None:
+        """Register a ball in the scene under the stamp it came with; buffer
+        its row for the next tick, which this schedules if none is pending."""
+        entity, box, row, level, column, progress, created = ball
+        self.replica.apply_update(tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, stamp)))
+        self._arrivals += (progress, level, self._lanes[box][row] + column, entity, created)
         if not self._ticking:
             self._ticking = True
             next_tick = (self.engine.now_us // self.tick_us + 1) * self.tick_us
@@ -428,11 +417,7 @@ class PhysicsActor:
         progress; that queueing is the overload dilation.
         """
         if self._arrivals:
-            # seat the arrivals: one slab write and one ring push
-            rows = np.array(self._arrivals, dtype=np.int64)
-            self._slab[rows[_HOT_SLOT::_ARRIVAL_FIELDS]] = rows.reshape(
-                -1, _ARRIVAL_FIELDS)[:, _HOT_FIELDS:]
-            self._push(rows.view(_ARRIVAL)["hot"])
+            self._push(np.array(self._arrivals, dtype=np.int64).view(_HOT))
             self._arrivals = []
         n = self._n
         self.ticks += 1
@@ -448,7 +433,7 @@ class PhysicsActor:
         in_place = end <= len(ring)
         served = (ring[head:end] if in_place
                   else np.concatenate((ring[head:], ring[:end - len(ring)])))
-        progress = served.view(np.int64)[_HOT_PROGRESS::_HOT_FIELDS]
+        progress = served.view(np.int64)[_PROGRESS::_FIELDS]
         n_levels = self.geometry.n_levels
         level_us = self._level_us
         anyone_left = False
@@ -456,17 +441,17 @@ class PhysicsActor:
         crossed = (progress >= level_us).nonzero()[0]
         while crossed.size:
             balls = served.take(crossed)
-            c = balls.view(np.int64).reshape(-1, _HOT_FIELDS)
+            c = balls.view(np.int64).reshape(-1, _FIELDS)
             c += self._steps.take(self._stream.uniform_many(crossed.size) >= 0.5, axis=0)
-            left = (self._away.take(c[:, _HOT_KEY]) | (c[:, _HOT_LEVEL] >= n_levels)).nonzero()[0]
+            left = (self._away.take(c[:, _KEY]) | (c[:, _LEVEL] >= n_levels)).nonzero()[0]
             if left.size:
                 self._leave(c.take(left, axis=0), now_us)
                 # a leaver's progress becomes -1, below any seated ball's: it
                 # crosses no more, and the survivors' mask drops it
-                c[left, _HOT_PROGRESS] = -1
+                c[left, _PROGRESS] = -1
                 anyone_left = True
             served.put(crossed, balls)
-            crossed = crossed[c[:, _HOT_PROGRESS] >= level_us]
+            crossed = crossed[c[:, _PROGRESS] >= level_us]
         if k < n:
             self._head, self._n = end % len(ring), n - k
         elif in_place and not anyone_left:
@@ -482,27 +467,27 @@ class PhysicsActor:
         self._push(served[progress >= 0] if anyone_left else served)
         return {"stepped": k}
 
-    def _leave(self, hot: np.ndarray, now_us: int) -> None:
-        """Free the leaving balls' slots; collect the landed ones, then
-        discard those off the region, then ghost the rest and ship each one's
-        full row with its scene origin, each group in service order.  A ball
-        that lands off the histogram, or leaves the region, is dropped from
-        the results; either way it is deleted from the scene, and this
-        replica forgets it: no later update for it reaches this node."""
-        owners, lanes, n_levels = self._owners, self._lanes, self.geometry.n_levels
-        free = self._free
+    def _leave(self, rows: np.ndarray, now_us: int) -> None:
+        """Collect the landed balls, then discard those off the region, then
+        ghost the rest and ship each one's full row with the stamp this
+        replica holds, each group in service order.  A ball that lands off
+        the histogram, or leaves the region, is dropped from the results;
+        either way it is deleted from the scene, and this replica forgets
+        it: no later update for it reaches this node."""
+        owners, n_levels = self._owners, self.geometry.n_levels
+        width, rows_per_box, col_lo = self._width, self.geometry.rows_per_box, self._col_lo
         landed, off, migrating = [], [], []
-        for (prog, level, key, slot), (eid, box, row, created, scene_ts, scene_seq) in zip(
-                hot.tolist(), self._slab[hot[:, _HOT_SLOT]].tolist()):
-            free.append(slot)
+        for prog, level, key, eid, created in rows.tolist():
+            lane, column = divmod(key, width)
+            box, row = divmod(lane, rows_per_box)
+            column += col_lo
             owner = owners[key]
             if level >= n_levels:
-                landed.append((eid, row, key - lanes[box][row], created))
+                landed.append((eid, row, column, created))
             elif owner < 0:
                 off.append(eid)
             else:
-                migrating.append((eid, owner, (eid, box, row, level, key - lanes[box][row],
-                                               prog, created, scene_ts, scene_seq)))
+                migrating.append((eid, owner, (eid, box, row, level, column, prog, created)))
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         ledger, partition = self.ledger, self.partition_id
         if landed or off:
@@ -522,11 +507,11 @@ class PhysicsActor:
                 send(node, dispatcher, "delete", delete(eid, ts, node))
                 forget(eid)
         if migrating:
-            begin, origin = self.tracker.begin_migration, self._scene_origin
+            begin, stamp_of = self.tracker.begin_migration, self.replica.stamp_of
             ledger.transfers_sent += len(migrating)
             for eid, owner, ball in migrating:
                 ledger.migrated_entities[eid] = 1
-                (transfer,) = begin(eid, partition, owner, now_us, (ball, origin))
+                (transfer,) = begin(eid, partition, owner, now_us, (ball, stamp_of(eid)))
                 send(node, dispatcher, "migrate", transfer)
 
 

@@ -314,7 +314,9 @@ def run_galton(config: GaltonExperimentConfig,
             hit_cap = True
             break
 
-    collections = np.array(ledger.collections).reshape(-1, 4)
+    # a view, not a copy: nothing extends the ledger after the loop, and the
+    # array('q') refuses to resize while the view holds its buffer
+    collections = np.frombuffer(ledger.collections, dtype=np.int64).reshape(-1, 4)
     for pid, n in pmap.partitions.items():
         series[n].mean_interval_s = window_interval_means(collections, times_us, pid)
     end_time_s = t / 1e6

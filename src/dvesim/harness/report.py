@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..netsim import QueueSample
-from ..rules import read_json
+from ..rules import is_a, read_json
 from ..stats import BucketHistogram, InvalidParameter, RegressionSpec, Verdict, check_regression
 
 
@@ -83,9 +83,12 @@ def report_metric(data: dict, name: str) -> float:
     key = SCALAR_METRICS.get(name)
     if key is None:
         raise UnknownMetric(name)
-    if data.get(key) is None:
+    value = data.get(key)
+    if value is None:
         raise UnknownMetric(f"metric {name!r} not measured in this run")
-    return float(data[key])
+    if not is_a(value, "float"):
+        raise InvalidParameter(f"metric {name!r} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass

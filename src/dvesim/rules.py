@@ -38,10 +38,10 @@ def rules_of(cls) -> dict:
     return {f.name: (f.type, f.metadata) for f in fields(cls)}
 
 
-def _is_a(value, want) -> bool:
+def is_a(value, want) -> bool:
     """Whether ``value`` is of the annotation ``want``, or for ``[want]`` a list of them."""
     if isinstance(want, list):
-        return isinstance(value, list) and all(_is_a(v, want[0]) for v in value)
+        return isinstance(value, list) and all(is_a(v, want[0]) for v in value)
     return not isinstance(value, bool) and isinstance(value, _TYPES[want])
 
 
@@ -60,7 +60,7 @@ def read_json(path, error, keys=None):
     for key, want in (keys or {}).items():
         if key not in data:
             raise error(f"{path} has no {key!r} key")
-        if not _is_a(data[key], want):
+        if not is_a(data[key], want):
             shown = f"list[{want[0]}]" if isinstance(want, list) else want
             raise error(f"{path}: {key} must be {shown}, got {reprlib.repr(data[key])}")
     return data
@@ -84,7 +84,7 @@ def check_fields(rules, values, error, prefix: str = "") -> None:
         annotation, rule = rules[key]
         if annotation not in _TYPES:
             continue
-        if not _is_a(value, annotation) or (isinstance(value, float) and not math.isfinite(value)):
+        if not is_a(value, annotation) or (isinstance(value, float) and not math.isfinite(value)):
             raise error(f"{name} must be {annotation}, got {value!r}")
         if "span" in rule and seconds_to_us(value) < 1:
             raise error(f"{name} must round to at least 1 microsecond, got {value!r}")

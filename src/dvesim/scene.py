@@ -13,6 +13,8 @@ the tombstone that deleted its entity), and a re-creation starts a fresh
 incarnation whose visible properties are exactly those stamped at or after
 it.  A live entity's record is its bare existence stamp; a deleted entity's
 stamp moves to a dict of tombstones, kept until the replica forgets it.
+An update carries its stamp as one tuple, which each replica that applies
+it stores as it is: the replicas of an entity share one stamp object.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ class PropertyUpdate(NamedTuple):
     entity: int
     property: str
     value: Any
-    ts_us: int
-    origin: str
-    seq: int
+    stamp: Stamp
 
 
 class SceneReplica:
@@ -71,8 +71,7 @@ class SceneReplica:
 
     def apply_update(self, u: PropertyUpdate) -> ApplyResult:
         """Apply one replicated update under the last-writer-wins rule."""
-        entity = u.entity
-        stamp = (u.ts_us, u.origin, u.seq)
+        entity, stamp = u.entity, u.stamp
         floor = self._entities.get(entity)
         if floor is None:
             floor = self._tombs.get(entity)
@@ -115,13 +114,14 @@ class SceneReplica:
         if entity in self._entities:
             raise DuplicateCreate(entity)
         seq = self._seq
-        updates = [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, ts_us, origin, seq))]
+        stamp = (ts_us, origin, seq)
+        updates = [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, stamp))]
         if not initial and entity not in self._tombs:
             # a first incarnation without properties: write its stamp directly
-            self._entities[entity] = (ts_us, origin, seq)
+            self._entities[entity] = stamp
             self._seq = seq + 1
             return updates
-        updates += [PropertyUpdate(entity, name, initial[name], ts_us, origin, seq + i)
+        updates += [PropertyUpdate(entity, name, initial[name], (ts_us, origin, seq + i))
                     for i, name in enumerate(sorted(initial), 1)]
         self._seq = seq + len(updates)
         for u in updates:
@@ -132,7 +132,7 @@ class SceneReplica:
         """Delete a known entity locally; returns the update to replicate."""
         if entity not in self._entities and entity not in self._tombs:
             raise UnknownEntity(entity)
-        u = tuple.__new__(PropertyUpdate, (entity, EXISTENCE, False, ts_us, origin, self._seq))
+        u = tuple.__new__(PropertyUpdate, (entity, EXISTENCE, False, (ts_us, origin, self._seq)))
         self._seq += 1
         self.apply_update(u)
         return u
@@ -150,6 +150,10 @@ class SceneReplica:
 
     def live_count(self) -> int:
         return len(self._entities)
+
+    def stamp_of(self, entity: int) -> Stamp:
+        """A live entity's existence stamp, the object this replica stored."""
+        return self._entities[entity]
 
 
 def digest(replica: SceneReplica) -> str:

@@ -46,8 +46,8 @@ def random_update_set(rng: random.Random, max_entities: int = 10,
     updates: list[PropertyUpdate] = []
     for e in range(1, n_entities + 1):
         o = rng.choice(origins)
-        updates.append(PropertyUpdate(e, EXISTENCE, True, rng.randint(0, 50), o,
-                                      next(seqs[o])))
+        updates.append(PropertyUpdate(e, EXISTENCE, True, (rng.randint(0, 50), o,
+                                                           next(seqs[o]))))
     extra = rng.randint(0, max_updates - len(updates))
     for _ in range(extra):
         e = rng.randint(1, n_entities)
@@ -55,12 +55,12 @@ def random_update_set(rng: random.Random, max_entities: int = 10,
         ts = rng.randint(0, 1000)
         kind = rng.random()
         if kind < 0.15:
-            updates.append(PropertyUpdate(e, EXISTENCE, False, ts, o, next(seqs[o])))
+            updates.append(PropertyUpdate(e, EXISTENCE, False, (ts, o, next(seqs[o]))))
         elif kind < 0.30:
-            updates.append(PropertyUpdate(e, EXISTENCE, True, ts, o, next(seqs[o])))
+            updates.append(PropertyUpdate(e, EXISTENCE, True, (ts, o, next(seqs[o]))))
         else:
             updates.append(PropertyUpdate(e, rng.choice(PROPS), rng.randint(0, 99),
-                                          ts, o, next(seqs[o])))
+                                          (ts, o, next(seqs[o]))))
     return updates
 
 
@@ -109,7 +109,7 @@ class LwwModel:
         self.seq = 0
 
     def apply_update(self, u: PropertyUpdate) -> ApplyResult:
-        stamp = (u.ts_us, u.origin, u.seq)
+        stamp = u.stamp
         if u.entity not in self.stamps:
             if u.property != EXISTENCE or not u.value:
                 raise UnknownEntity(u.entity)
@@ -132,7 +132,7 @@ class LwwModel:
             raise DuplicateCreate(entity)
         names = [EXISTENCE] + sorted(initial)
         updates = [PropertyUpdate(entity, name, True if name == EXISTENCE else initial[name],
-                                  ts_us, origin, self.seq + i)
+                                  (ts_us, origin, self.seq + i))
                    for i, name in enumerate(names)]
         self.seq += len(updates)
         for u in updates:
@@ -142,7 +142,7 @@ class LwwModel:
     def delete_entity(self, entity, ts_us, origin) -> PropertyUpdate:
         if entity not in self.stamps:
             raise UnknownEntity(entity)
-        u = PropertyUpdate(entity, EXISTENCE, False, ts_us, origin, self.seq)
+        u = PropertyUpdate(entity, EXISTENCE, False, (ts_us, origin, self.seq))
         self.seq += 1
         self.apply_update(u)
         return u
@@ -191,7 +191,7 @@ def seat(actor: PhysicsActor, ball: Ball, scene_seq: int = 0) -> None:
     created and delivered, and ticked from the next tick boundary.  The ball
     must lie in the actor's partition, at a column of its lane."""
     actor._arrive((ball.id, ball.box, ball.row, ball.level, ball.column, 0,
-                   ball.created_at_us, 0, scene_seq), "script")
+                   ball.created_at_us), (0, "script", scene_seq))
     actor.ledger.created += 1
     actor.ledger.creates_delivered += 1
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -6,10 +7,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dvesim.actors import (
-    _ARRIVAL_FIELDS,
     _BLOCK,
-    _HOT_FIELDS,
-    _HOT_SLOT,
+    _ENTITY,
+    _FIELDS,
     DispatcherActor,
     GaltonGeometry,
     PhysicsActor,
@@ -129,7 +129,7 @@ class TestPhysicsMessages:
         # a physics node deletes only the balls it simulates, itself
         engine, actor, ledger = wire_physics(self.GEO, capacity=10)
         seat(actor, Ball(id=1, box=0, row=0))
-        delete = PropertyUpdate(1, EXISTENCE, False, 10, "physics-2", 0)
+        delete = PropertyUpdate(1, EXISTENCE, False, (10, "physics-2", 0))
         with pytest.raises(UnroutableMessage):
             actor.on_message(Message(kind, "dispatcher", "physics-1", 256, delete, 0, 0))
         assert actor.replica.live_count() == actor.active_count == 1
@@ -363,25 +363,24 @@ class TestPhysicsTickOracle:
         assert (discards > 0) == (geo is self.LANES)
 
 
-def seated_slots(actor):
-    """Slab slots of the seated balls, in service order."""
-    ring = actor._ring.view(np.int64).reshape(-1, _HOT_FIELDS)
+def seated_ids(actor):
+    """Entity ids of the seated balls, in service order, read from their
+    ring rows."""
+    ring = actor._ring.view(np.int64).reshape(-1, _FIELDS)
     rows = (actor._head + np.arange(actor._n)) % len(ring)
-    return ring[rows, _HOT_SLOT]
+    return ring[rows, _ENTITY].tolist()
 
 
 def ring_ids(actor, count):
     """Entity ids of the first ``count`` balls in the actor's service order:
-    the seated balls, through their slab slots, then the arrivals that the
-    next tick seats."""
-    seated = actor._slab[seated_slots(actor), 0].tolist()
-    return (seated + actor._arrivals[_HOT_FIELDS::_ARRIVAL_FIELDS])[:count]
+    the seated balls, then the arrivals that the next tick seats."""
+    return (seated_ids(actor) + actor._arrivals[_ENTITY::_FIELDS])[:count]
 
 
 class TestBallRing:
-    """The hot ring's service order against a deque that rotates served
-    survivors to the back and appends arrivals, and the slab's slots
-    against the balls that hold them."""
+    """The ring's service order against a deque that rotates served
+    survivors to the back and appends arrivals, and its ids against the
+    balls the node's replica holds."""
 
     GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
                          balls_per_dropper=1, nominal_descent_s=1.0)
@@ -429,13 +428,13 @@ class TestBallRing:
                     seen["unmasked_aliased"] += 1
             reference.extend(e for e in served if e not in retired)
             seen["ticks"] += 1
-            # every slot is held by one seated ball, by one buffered
-            # arrival or is free, never two of these
-            seated = seated_slots(actor).tolist()
-            buffered = actor._arrivals[_HOT_SLOT::_ARRIVAL_FIELDS]
+            # every ball the replica holds, less the ghosts, is seated once or
+            # buffered once, never both
+            seated = seated_ids(actor)
+            buffered = actor._arrivals[_ENTITY::_FIELDS]
             assert len(set(seated)) == len(seated)
-            assert not set(seated) & set(actor._free)
-            assert sorted(seated + buffered + actor._free) == list(range(len(actor._slab)))
+            held = set(actor.replica._entities) - set(actor.tracker._in_flight)
+            assert sorted(seated + buffered) == sorted(held)
             return result
 
         monkeypatch.setattr(actor, "physics_tick", checked_tick)
@@ -451,12 +450,11 @@ class TestBallRing:
 
     def test_service_order_matches_deque(self, monkeypatch):
         # arrivals land while earlier balls are mid-descent and the head has
-        # moved, so the ring grows from an offset head and later wraps, and
-        # the slab grows while its first slots are held
+        # moved, so the ring grows from an offset head and later wraps
         schedule = [(0.0, 600), (0.35, 5), (2.05, 450), (7.3, 3), (40.0, 200)]
         seen, actor = self.drain(monkeypatch, schedule)
         assert sum(count for _, count in schedule) > _BLOCK
-        assert seen["grew_offset"] and seen["wrapped"] > 0 and len(actor._slab) > _BLOCK
+        assert seen["grew_offset"] and seen["wrapped"] > 0 and len(actor._ring) > _BLOCK
 
     @pytest.mark.parametrize("balls, case", [(_BLOCK - 4, "unmasked_aliased"),
                                              (700, "unmasked_wrapped")])
@@ -578,14 +576,16 @@ class TestScriptActor:
         assert slow["sent_bytes"] == fast["sent_bytes"]
 
     def test_create_ships_a_ball_record(self):
-        # the (row, origin) record a transfer ships, at level, column and
-        # progress 0: exact tuples of atomic values, which the cyclic
-        # collector stops tracking
+        # the (row, stamp) record a transfer ships, at level, column and
+        # progress 0, with the stamp object the script's replica stored:
+        # exact tuples of atomic values, which the cyclic collector stops
+        # tracking
         engine, script, ledger, sink = self.small_script()
         msgs = script.dropper_tick(0)
-        assert [m.payload[0][:7] for m in msgs[:2]] == [(1, 0, 0, 0, 0, 0, 0),
-                                                        (2, 0, 0, 0, 0, 0, 0)]
-        assert {(len(m.payload[0]), m.payload[1]) for m in msgs} == {(9, "script")}
+        assert [m.payload[0] for m in msgs[:2]] == [(1, 0, 0, 0, 0, 0, 0),
+                                                    (2, 0, 0, 0, 0, 0, 0)]
+        assert all(m.payload[1] is script.replica.stamp_of(m.payload[0][0]) for m in msgs)
+        assert {m.payload[1][1] for m in msgs} == {"script"}
         # the first collection untracks the rows, the next the records
         gc.collect()
         gc.collect()
@@ -595,7 +595,7 @@ class TestScriptActor:
         engine, script, ledger, sink = self.small_script()
         script.dropper_tick(0)
         live = script.replica.live_count()
-        delete = PropertyUpdate(1, EXISTENCE, False, 10, "physics-1", 0)
+        delete = PropertyUpdate(1, EXISTENCE, False, (10, "physics-1", 0))
         script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
         assert script.replica.live_count() == live - 1
         for kind in ("create", "migrate", "ack", "update"):
@@ -607,7 +607,7 @@ class TestScriptActor:
         engine, script, ledger, sink = self.small_script()
         script.dropper_tick(0)
         live = script.replica.live_count()
-        delete = PropertyUpdate(1, EXISTENCE, False, 10**6, "physics-1", 0)
+        delete = PropertyUpdate(1, EXISTENCE, False, (10**6, "physics-1", 0))
         script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
         assert 1 not in script.replica._entities and 1 not in script.replica._tombs
         with pytest.raises(UnknownEntity):
@@ -615,7 +615,7 @@ class TestScriptActor:
         # stamped before ball 2's creation: superseded, so the ball stays
         # live and held
         created_ts = script.replica._entities[2][0]
-        stale = PropertyUpdate(2, EXISTENCE, False, created_ts - 1, "physics-1", 1)
+        stale = PropertyUpdate(2, EXISTENCE, False, (created_ts - 1, "physics-1", 1))
         script.on_message(Message("delete", "dispatcher", "script", 256, stale, 0, 0))
         assert 2 in script.replica._entities
         assert script.replica.live_count() == live - 1
@@ -637,13 +637,13 @@ class TestDispatcher:
 
     def test_create_routes_to_owning_partition(self):
         engine, network, dispatcher = self.wire()
-        # (id, box, row, level, column, progress, created, scene ts, scene seq)
-        spawn = ((1, 0, 0, 0, 0, 0, 0, 0, 0), "script")
+        # (id, box, row, level, column, progress, created), then the stamp
+        spawn = ((1, 0, 0, 0, 0, 0, 0), (0, "script", 0))
         msg = Message("create", "script", "dispatcher", 1024, spawn, 0, 0)
         out = dispatcher.dispatcher_relay(msg)
         assert len(out) == 1
         assert out[0].dst == "physics-1"  # row 0 drops left of the split
-        spawn2 = ((2, 0, 2, 0, 0, 0, 0, 0, 1), "script")
+        spawn2 = ((2, 0, 2, 0, 0, 0, 0), (0, "script", 1))
         out2 = dispatcher.dispatcher_relay(
             Message("create", "script", "dispatcher", 1024, spawn2, 0, 0))
         assert out2[0].dst == "physics-2"
@@ -716,6 +716,28 @@ class TestMigrationFlow:
         assert report.created_total == report.collected_total + report.discarded
 
 
+def wire_split(geometry, max_entity):
+    """Two physics nodes on a centre split, behind a dispatcher; deletes
+    reach a script node with no handler.  Returns the engine, the ledger
+    and the nodes left and right of the split."""
+    engine = Engine(seed=4)
+    network = Network(engine)
+    pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
+    table = owner_table(geometry, pmap)
+    ledger = RunLedger(max_entity)
+    dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
+    network.register_handler("dispatcher", dispatcher.dispatcher_relay)
+    network.add_link("dispatcher", "script", 0.001, 1e9)
+    actors = {}
+    for pid, node in pmap.partitions.items():
+        network.add_link(node, "dispatcher", 0.001, 1e9)
+        network.add_link("dispatcher", node, 0.001, 1e9)
+        actors[node] = PhysicsActor(node, pid, table, geometry, 10, 0.1, engine,
+                                    network, "dispatcher", ledger)
+        network.register_handler(node, actors[node].on_message)
+    return engine, ledger, actors["physics-1"], actors["physics-2"]
+
+
 class TestReplicaForgets:
     """A physics replica holds only the balls its node simulates or ghosts."""
 
@@ -736,22 +758,7 @@ class TestReplicaForgets:
         # once: from column -1, just left of the split, half of them step
         # right onto column 0 and migrate; their acks are back by 0.15 s,
         # before the second tick
-        engine = Engine(seed=4)
-        network = Network(engine)
-        pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
-        table = owner_table(self.GEO, pmap)
-        ledger = RunLedger(8)
-        dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
-        network.register_handler("dispatcher", dispatcher.dispatcher_relay)
-        network.add_link("dispatcher", "script", 0.001, 1e9)
-        actors = {}
-        for pid, node in pmap.partitions.items():
-            network.add_link(node, "dispatcher", 0.001, 1e9)
-            network.add_link("dispatcher", node, 0.001, 1e9)
-            actors[node] = PhysicsActor(node, pid, table, self.GEO, 10, 0.1, engine,
-                                        network, "dispatcher", ledger)
-            network.register_handler(node, actors[node].on_message)
-        losing, gaining = actors["physics-1"], actors["physics-2"]
+        engine, ledger, losing, gaining = wire_split(self.GEO, 8)
         for entity in range(1, 9):
             seat(losing, Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
         engine.run_until(seconds_to_us(0.15))
@@ -764,3 +771,107 @@ class TestReplicaForgets:
         for actor in (losing, gaining):
             assert actor.replica.live_count() == actor.active_count
         assert gaining.active_count == len(moved)
+
+
+class TestOneStampPerBall:
+    """A ball's existence stamp is one object, built by the script's replica
+    and held by every replica that applies it; a node's ring row and the
+    owner-table key hold the rest of what the node knows of a ball."""
+
+    GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
+                         balls_per_dropper=1, nominal_descent_s=1.0)
+    #: two boxes of three rows, so that a key's lane decodes to a different
+    #: (box, row) under the box count than under the rows per box
+    LANES = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=1,
+                           balls_per_dropper=1, nominal_descent_s=1.0)
+
+    def test_a_delivered_create_holds_the_script_replicas_stamp(self):
+        geo = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
+                             balls_per_dropper=1, nominal_descent_s=10.0)
+        engine = Engine(seed=2)
+        network = Network(engine)
+        pmap = PartitionMap.single(RegionSpec(), 1, "physics-1")
+        table = owner_table(geo, pmap)
+        ledger = RunLedger(geo.total_balls)
+        for a, b in (("script", "dispatcher"), ("dispatcher", "physics-1")):
+            network.add_link(a, b, 0.001, 1e9)
+        script = ScriptActor("script", engine, network, "dispatcher", geo, 1.0, ledger)
+        dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
+        physics = PhysicsActor("physics-1", 1, table, geo, 100, 0.1, engine, network,
+                               "dispatcher", ledger)
+        network.register_handler("dispatcher", dispatcher.dispatcher_relay)
+        network.register_handler("physics-1", physics.on_message)
+        script.start()
+        engine.run_until(seconds_to_us(0.05))
+        assert ledger.creates_delivered == geo.total_balls == 12
+        for entity in range(1, 13):
+            assert physics.replica.stamp_of(entity) is script.replica.stamp_of(entity)
+
+    def test_the_gaining_replica_holds_the_losing_replicas_stamp(self):
+        engine, ledger, losing, gaining = wire_split(self.GEO, 8)
+        for entity in range(1, 9):
+            seat(losing, Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
+        held = {entity: losing.replica.stamp_of(entity) for entity in range(1, 9)}
+        engine.run_until(seconds_to_us(0.15))
+        moved = [entity for entity, flag in enumerate(ledger.migrated_entities) if flag]
+        assert 0 < len(moved) < 8 and gaining.active_count == len(moved)
+        for entity in moved:
+            assert gaining.replica.stamp_of(entity) is held[entity]
+
+    def test_a_transfer_ships_the_position_its_key_encodes(self):
+        # per lane, balls sit on the last column left of the split and take
+        # one step in the first tick: those that step right migrate, with
+        # the box, row and column their key encodes and the stamp that the
+        # losing replica holds, whose ack never comes back
+        engine = Engine(seed=6)
+        network = Network(engine)
+        pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
+        owners, lanes = table = owner_table(self.LANES, pmap)
+        ledger = RunLedger(48)
+        network.add_link("physics-1", "dispatcher", 0.001, 1e9)
+        shipped = []
+        network.register_handler("dispatcher", shipped.append)
+        actor = PhysicsActor("physics-1", 1, table, self.LANES, 100, 0.1, engine, network,
+                             "dispatcher", ledger)
+        seated = {}
+        for box in range(2):
+            for row in range(3):
+                column = next(c for c in range(-20, 20)
+                              if owners[lanes[box][row] + c] == 1
+                              and owners[lanes[box][row] + c + 1] == 2)
+                for entity in range(len(seated) + 1, len(seated) + 9):
+                    seat(actor, Ball(id=entity, box=box, row=row, column=column,
+                                     created_at_us=1000 + entity), scene_seq=entity)
+                    seated[entity] = (box, row, column)
+        engine.run_until(seconds_to_us(0.15))
+        transfers = [m.payload for m in shipped if m.kind == "migrate"]
+        assert {seated[t.entity][:2] for t in transfers} == {
+            (b, r) for b in range(2) for r in range(3)}
+        assert len({seated[t.entity][2] for t in transfers}) > 1
+        for t in transfers:
+            ball, stamp = t.state
+            box, row, column = seated[t.entity]
+            assert ball == (t.entity, box, row, 1, column + 1, 0, 1000 + t.entity)
+            assert stamp is actor.replica.stamp_of(t.entity)
+
+    def test_a_seated_ball_costs_at_most_100_bytes(self):
+        """Traced bytes per ball that one node holds once it has seated
+        20,000 arrivals: its replica's record and its ring row.  The records
+        and their stamps are built before tracing starts, as a message's
+        payload is.  CPython 3.11 reads about 70 B; a node that also keeps a
+        slab row, its free slot list and a stamp of its own reads 231 B."""
+        n = 20_000
+        engine, actor, ledger = wire_physics(self.GEO, capacity=1)
+        records = [((e, 0, 0, 0, 0, 0, e), (0, "script", e)) for e in range(1, n + 1)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                actor._arrive(*record)
+            actor.physics_tick(engine.now_us)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert actor.active_count == actor.replica.live_count() == n
+        assert held / n <= 100

@@ -241,6 +241,28 @@ class TestCollectionColumns:
                 assert float(got.mean()) == float(want.mean())
 
 
+    def test_report_views_the_ledgers_rows(self, monkeypatch):
+        # run_galton reads the ledger's flat array('q') as (n, 4) int64 rows
+        # in place: the report's columns are the ledger's rows, same memory
+        from dvesim.actors import RunLedger
+        from dvesim.harness import galton as galton_module
+        ledgers = []
+
+        class KeptLedger(RunLedger):
+            def __post_init__(self):
+                super().__post_init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(galton_module, "RunLedger", KeptLedger)
+        report = run_galton(tiny_config(topology="B", split="center_x"))
+        (ledger,) = ledgers
+        flat = ledger.collections.tolist()
+        assert report.collections.dtype == np.int64 and report.collected_total > 0
+        assert report.collections.tolist() == [flat[i:i + 4] for i in range(0, len(flat), 4)]
+        assert np.shares_memory(report.collections,
+                                np.frombuffer(ledger.collections, dtype=np.int64))
+
+
 class TestEvaluate:
     def test_specs_require_at_least_three_samples(self):
         from dvesim.stats import InvalidParameter
@@ -786,8 +808,15 @@ class TestCliInputErrors:
               "report_missing": "nope.json: [Errno 2] No such file",
               "report_of_an_empty_dict": "report.json has no 'histogram' key",
               "report_histogram_not_ints": "histogram must be list[int], got [1, 'x']",
+              "report_metric_a_string": "metric 'collected_total' must be a number, got 'x'",
+              "report_metric_a_numeric_string":
+                  "metric 'collected_total' must be a number, got '1e3'",
+              "report_metric_true": "metric 'collected_total' must be a number, got True",
               "baseline_without_its_keys": "baseline.json has no 'geometry_hash' key",
               "baseline_seeds_not_a_list": "seeds must be list[int], got '123'"}
+    #: a report.json that holds every key a summary needs
+    REPORT = {"histogram": [1, 2], "interval_mean_s": 1.0, "peak_load_proxy": 0.5,
+              "geometry_hash": TINY.geometry_hash(), "seed": 1}
     BASELINE = {"geometry_hash": TINY.geometry_hash(), "seeds": [1, 2, 3],
                 "bucket_mean": [1.0], "bucket_sd": [0.5],
                 "interval_mean_s": 1.0, "interval_sd_s": 0.1, "version": 1}
@@ -826,7 +855,10 @@ class TestCliInputErrors:
                      "mixed_geometries": ["seed1", "seed2", "other_geometry"]}
         #: case -> the whole report file, or baseline file
         reports = {"report_of_an_empty_dict": {},
-                   "report_histogram_not_ints": {"histogram": [1, "x"]}}
+                   "report_histogram_not_ints": {"histogram": [1, "x"]},
+                   "report_metric_a_string": dict(self.REPORT, collected_total="x"),
+                   "report_metric_a_numeric_string": dict(self.REPORT, collected_total="1e3"),
+                   "report_metric_true": dict(self.REPORT, collected_total=True)}
         bad_baselines = {"baseline_without_its_keys": {"a": 1},
                          "baseline_seeds_not_a_list": dict(self.BASELINE, seeds="123")}
         #: case -> the text of a spec file that is not JSON

@@ -19,7 +19,7 @@ from helpers import LwwModel, run_lww_trial
 
 
 def upd(entity, prop, value, ts, origin="node-a", seq=0):
-    return PropertyUpdate(entity, prop, value, ts, origin, seq)
+    return PropertyUpdate(entity, prop, value, (ts, origin, seq))
 
 
 #: the existence update that creating entity 1 at ts 1 on a fresh replica
@@ -290,9 +290,9 @@ def update_deliveries(draw):
         entity=st.integers(min_value=1, max_value=4),
         property=st.sampled_from([EXISTENCE, EXISTENCE, "position"]),
         value=st.booleans(),
-        ts_us=st.integers(min_value=0, max_value=12),
-        origin=st.sampled_from(["node-a", "node-b"]),
-        seq=st.integers(min_value=0, max_value=3),
+        stamp=st.tuples(st.integers(min_value=0, max_value=12),
+                        st.sampled_from(["node-a", "node-b"]),
+                        st.integers(min_value=0, max_value=3)),
     )
     pool = draw(st.lists(update, min_size=1, max_size=20))
     order = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
@@ -329,8 +329,8 @@ def local_and_replicated_ops(draw):
         st.tuples(st.just("apply"), st.builds(
             PropertyUpdate, entity=entity,
             property=st.sampled_from([EXISTENCE, "color", "position"]),
-            value=st.booleans(), ts_us=ts, origin=origin,
-            seq=st.integers(min_value=0, max_value=6))),
+            value=st.booleans(),
+            stamp=st.tuples(ts, origin, st.integers(min_value=0, max_value=6)))),
         st.tuples(st.just("replay"), st.integers(min_value=0)),
     )
     return draw(st.lists(op, max_size=40))
