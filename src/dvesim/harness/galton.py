@@ -41,10 +41,16 @@ class ConfigInvalid(ValueError):
 
 
 class ConfigFile:
-    """JSON round trip and content hash shared by the experiment configs."""
+    """JSON round trip and content hash shared by the experiment configs.
+    A config checks itself in ``__post_init__``: once built, it is valid."""
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        check_fields(cls, d, ConfigInvalid)
+        return cls(**d)
 
     @classmethod
     def from_file(cls, path):
@@ -105,7 +111,7 @@ class GaltonExperimentConfig(ConfigFile):
     #: numpy's SeedSequence takes no negative seed
     seed: int = field(default=0, metadata=at_least(0))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         rules = rules_of(GaltonExperimentConfig)
         check_fields(rules, vars(self), ConfigInvalid)
         if self.topology not in (TOPOLOGY_A, TOPOLOGY_B):
@@ -174,11 +180,11 @@ class GaltonExperimentConfig(ConfigFile):
         geo = d.get("geometry", {})
         check_fields(GaltonGeometry, geo, ConfigInvalid, "geometry.")
         try:
-            cfg = cls(**dict(d, geometry=GaltonGeometry(**geo)))
+            geometry = GaltonGeometry(**geo)
         except ValueError as e:
             raise ConfigInvalid(f"geometry.{e}") from e
-        cfg.validate()
-        return cfg
+        # outside the try: the config's own ConfigInvalid is a ValueError too
+        return cls(**dict(d, geometry=geometry))
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +225,14 @@ def _link_params(config: GaltonExperimentConfig, src: str,
 def run_galton(config: GaltonExperimentConfig,
                baseline: Optional[EmpiricalBaseline] = None) -> ExperimentReport:
     """Run one benchmark experiment to completion or the duration cap."""
-    config.validate()
     geometry = config.geometry
+    if baseline is not None:
+        if baseline.geometry_hash != geometry.geometry_hash():
+            raise ConfigInvalid("baseline was captured for a different geometry")
+        sizes = (len(baseline.bucket_mean), len(baseline.bucket_sd))
+        if sizes != (geometry.bucket_count,) * 2:
+            raise ConfigInvalid(f"baseline bucket_mean and bucket_sd must hold "
+                                f"{geometry.bucket_count} buckets each, got {sizes}")
     engine = Engine(seed=config.seed, epsilon_max_s=config.epsilon_max_s)
     network = Network(engine, config.message_sizes or None)
     pmap = config.build_partition_map()
@@ -327,8 +339,6 @@ def run_galton(config: GaltonExperimentConfig,
     rmse_base = None
     baseline_mean = baseline_sd = None
     if baseline is not None:
-        if baseline.geometry_hash != geometry.geometry_hash():
-            raise ConfigInvalid("baseline was captured for a different geometry")
         rmse_base = rmse(histogram, baseline.bucket_mean)
         baseline_mean = baseline.bucket_mean
         baseline_sd = baseline.bucket_sd
@@ -405,15 +415,6 @@ class SearchResult:
     probes: list[tuple[float, bool, Optional[float]]]
 
 
-def _is_stable(report: ExperimentReport) -> bool:
-    """Real-time predicate: final-quarter mean interval within
-    STABILITY_FACTOR x nominal."""
-    mean = report.final_quarter_interval_mean()
-    if mean is None:
-        return False
-    return mean <= STABILITY_FACTOR * report.nominal_descent_s
-
-
 def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
                          t_hi_s: float, iterations: int = 8) -> SearchResult:
     """Bisect the drop period for the fastest still-stable schedule.
@@ -429,8 +430,9 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
 
     def probe(t: float) -> bool:
         report = run_galton(replace(config, period_t_s=t))
-        stable = _is_stable(report)
-        probes.append((t, stable, report.final_quarter_interval_mean()))
+        mean = report.final_quarter_interval_mean()
+        stable = mean is not None and mean <= STABILITY_FACTOR * report.nominal_descent_s
+        probes.append((t, stable, mean))
         return stable
 
     if not probe(t_hi_s):
@@ -450,8 +452,5 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
 def rmse_envelope(config: GaltonExperimentConfig, seeds: list[int],
                   quantile: float = 0.99) -> tuple[float, list[float]]:
     """Monte Carlo acceptance envelope: RMSE quantile over unstressed runs."""
-    values = []
-    for seed in seeds:
-        report = run_galton(replace(config, seed=seed))
-        values.append(report.rmse_theoretical)
+    values = [report.rmse_theoretical for report in run_galton_series(config, seeds)]
     return float(np.quantile(values, quantile)), values

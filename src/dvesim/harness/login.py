@@ -61,17 +61,10 @@ class LoginExperimentConfig(ConfigFile):
     link_byte_rate: float = field(default=1_250_000.0, metadata=at_least(1))
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(LoginExperimentConfig, vars(self), ConfigInvalid)
         if self.topology not in (TOPOLOGY_PROXIED, TOPOLOGY_DEDICATED):
             raise ConfigInvalid(f"unknown topology {self.topology!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LoginExperimentConfig":
-        check_fields(cls, d, ConfigInvalid)
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -283,7 +276,6 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
 
 def run_login(config: LoginExperimentConfig) -> LoginReport:
     """Repeat the login procedure and aggregate per-server statistics."""
-    config.validate()
     runs = [_run_once(config, config.seed + i) for i in range(config.repeats)]
     servers = sorted(runs[0].units)
     units_mean = {}

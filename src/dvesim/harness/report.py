@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -75,9 +76,16 @@ def report_metric(data: dict, name: str) -> float:
     """Regression metric ``name`` of a run, read from its report.json dict."""
     if name.startswith(QUEUE_DEPTH_METRIC):
         link = name[len(QUEUE_DEPTH_METRIC):]
-        totals = data.get("link_totals", {}).get(link)
+        links = data.get("link_totals", {})
+        if not isinstance(links, dict):
+            raise InvalidParameter(f"link_totals must be a dict, got {reprlib.repr(links)}")
+        totals = links.get(link)
         if totals is None:
             raise UnknownMetric(f"no link {link!r} in this run")
+        if not (isinstance(totals, dict) and all(
+                is_a(totals.get(key), "int") for key in ("sent_count", "delivered_count"))):
+            raise InvalidParameter(f"link {link!r} must hold int sent_count and "
+                                   f"delivered_count, got {reprlib.repr(totals)}")
         # every message sent and not yet delivered is still queued
         return float(totals["sent_count"] - totals["delivered_count"])
     key = SCALAR_METRICS.get(name)
@@ -157,10 +165,6 @@ class ExperimentReport:
             return None
         return float(vals.mean())
 
-    def metric(self, name: str) -> float:
-        """Scalar metric by name, for regression specifications."""
-        return report_metric(self.to_json_dict(), name)
-
     # ---- json ---------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -194,10 +198,11 @@ class ExperimentReport:
 # evaluation
 # ----------------------------------------------------------------------
 
-def evaluate(reports, specs: Sequence[RegressionSpec]) -> list[Verdict]:
-    """Check each spec against the named metric across the given runs; a
-    spec with k samples needs k runs."""
-    return [check_regression([r.metric(spec.metric) for r in reports], spec)
+def evaluate(reports: Sequence[dict], specs: Sequence[RegressionSpec]) -> list[Verdict]:
+    """Check each spec against the named metric across the given runs, each
+    a report.json dict (from ``load_report_summary`` or
+    ``ExperimentReport.to_json_dict``); a spec with k samples needs k runs."""
+    return [check_regression([report_metric(r, spec.metric) for r in reports], spec)
             for spec in specs]
 
 
@@ -266,27 +271,9 @@ def export(report: ExperimentReport, directory) -> list[Path]:
     return written
 
 
-class ReportSummary:
-    """Scalar view over an exported report.json.
-
-    Supports baseline capture (histogram, interval, load, geometry, seed)
-    and the same scalar metric names a live report exposes.
-    """
-
-    def __init__(self, data: dict):
-        self._data = data
-        self.histogram = BucketHistogram(np.asarray(data["histogram"], dtype=np.int64))
-        self.interval_mean_s = data["interval_mean_s"]
-        self.peak_load_proxy = data["peak_load_proxy"]
-        self.geometry_hash = data["geometry_hash"]
-        self.seed = data["seed"]
-
-    def metric(self, name: str) -> float:
-        return report_metric(self._data, name)
-
-
-def load_report_summary(path) -> ReportSummary:
-    """Load an exported report.json for baseline capture or regression checks."""
-    return ReportSummary(read_json(path, InvalidParameter, dict(
+def load_report_summary(path) -> dict:
+    """An exported report.json, for ``capture_baseline`` and ``evaluate``,
+    checked to hold the keys a baseline is captured from."""
+    return read_json(path, InvalidParameter, dict(
         histogram=["int"], interval_mean_s="float", peak_load_proxy="float",
-        geometry_hash="str", seed="int")))
+        geometry_hash="str", seed="int"))

@@ -3,16 +3,18 @@ last-writer-wins model of the scene, the scalar owner lookup, descent and
 crossing model that the owner table and the physics tick oracle are
 checked against, a way to seat a ball on a physics node without a script
 or a dispatcher, the list-of-tuples window statistics that the
-columnar report code is checked against, and a reader of an exported
-histogram.csv."""
+columnar report code is checked against, a reader of an exported
+histogram.csv, and the benchmark's pin table."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import itertools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -259,3 +261,17 @@ def read_histogram_csv(path) -> BucketHistogram:
     for row in rows:
         counts[int(row["bucket_index"])] = int(row["observed"])
     return BucketHistogram(counts)
+
+
+def _load_bench_checks():
+    """``perfbench/checks.py``, loaded by path: its ``WORKLOADS``, ``GOLDEN``
+    and ``GOLDEN_SEED`` are the one table of golden export pins, and its
+    ``export_digest`` is the one way to hash a run's exports."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_checks = _load_bench_checks()

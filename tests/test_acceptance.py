@@ -6,7 +6,6 @@ runs are shared through module-scoped fixtures; with the searches included
 the whole module takes a few minutes.
 """
 
-import hashlib
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -37,7 +36,7 @@ from dvesim.stats import (
     increasing_trend,
     is_convex_increasing,
 )
-from helpers import run_lww_trial
+from helpers import bench_checks, run_lww_trial
 
 # 99th-percentile RMSE over 100 seeded unstressed topology-A runs
 # (seeds 1000..1099), recomputable via dvesim.harness.rmse_envelope.
@@ -248,19 +247,10 @@ def test_migration_majority_matches_path_enumeration(stable_b):
     assert fraction == pytest.approx(expected_fraction, abs=0.01)
 
 
-#: sha256 of metrics.csv + queues.csv + histogram.csv + report.json of each
-#: shared run, and the config file the run equals (at seed 42).  The same
-#: pins guard the benchmark runs in perfbench/checks.py.
-GOLDEN_EXPORTS = {
-    "stable_a": ("galton_baseline.json",
-                 "3b570f45666fe403b9e80718958aa2eb9c4c0f1e83c68609bbe21591f8547834"),
-    "stable_b": ("galton_partitioned.json",
-                 "951bb572ec06c800eb6ea5d3af147737c8ba91261dee2d16f3042a0fc7226e38"),
-    "overload_a": ("galton_overload_a.json",
-                   "4d73078fb2716bd80e4d026647bbffb500489a769f4d85e519897a78ab2b7214"),
-    "masked_b": ("galton_masked_b.json",
-                 "2287c3c76a75ef1acb073d7416d89b187672a781901744569bbfbe6c21132848"),
-}
+#: each shared run -> the benchmark workload it equals at the golden seed;
+#: perfbench/checks.py holds the one table of their config files and pins
+GOLDEN_WORKLOADS = {"stable_a": "steady_a", "stable_b": "migrate_b",
+                    "overload_a": "overload_a", "masked_b": "masked_b"}
 
 
 def test_golden_exports(stable_a, stable_b, overload_a, masked_b, tmp_path):
@@ -268,13 +258,12 @@ def test_golden_exports(stable_a, stable_b, overload_a, masked_b, tmp_path):
     runs = dict(stable_a=stable_a, stable_b=stable_b, overload_a=overload_a,
                 masked_b=masked_b)
     configs = Path(__file__).resolve().parent.parent / "configs"
-    for name, (config_file, want) in GOLDEN_EXPORTS.items():
+    for name, workload in GOLDEN_WORKLOADS.items():
         report = runs[name]
+        config_file, _ = bench_checks.WORKLOADS[workload]
         config = GaltonExperimentConfig.from_file(configs / config_file)
-        assert report.config_hash == replace(config, seed=42).config_hash(), name
+        seeded = replace(config, seed=bench_checks.GOLDEN_SEED)
+        assert report.config_hash == seeded.config_hash(), name
         export(report, tmp_path / name)
-        h = hashlib.sha256()
-        for file in ("metrics.csv", "queues.csv", "histogram.csv", "report.json"):
-            h.update((tmp_path / name / file).read_bytes())
-        assert h.hexdigest() == want, name
+        assert bench_checks.export_digest(tmp_path / name) == bench_checks.GOLDEN[workload], name
     _report_line("golden exports", "4 runs match their pinned sha256")

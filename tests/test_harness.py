@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dvesim.actors import GaltonGeometry
-from dvesim.engine import seconds_to_us
+from dvesim.engine import Engine, seconds_to_us
 from dvesim.harness import (
     BoundsDoNotBracket,
     ConfigInvalid,
@@ -34,12 +34,22 @@ from dvesim.harness.login import (
     TOPOLOGY_DEDICATED,
     TOPOLOGY_PROXIED,
 )
-from dvesim.harness.report import SCALAR_METRICS, ExperimentReport, window_interval_means
+from dvesim.harness.report import (
+    SCALAR_METRICS,
+    ExperimentReport,
+    report_metric,
+    window_interval_means,
+)
 from dvesim.partition import PartitionMap
 from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
 from dvesim import cli
-from helpers import intervals_in_window_scalar, read_histogram_csv, window_interval_means_scalar
+from helpers import (
+    bench_checks,
+    intervals_in_window_scalar,
+    read_histogram_csv,
+    window_interval_means_scalar,
+)
 
 TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                       balls_per_dropper=5, nominal_descent_s=12.0)
@@ -63,19 +73,40 @@ class TestConfig:
 
     def test_invalid_topology(self):
         with pytest.raises(ConfigInvalid):
-            tiny_config(topology="C").validate()
+            tiny_config(topology="C")
 
     def test_invalid_period(self):
         with pytest.raises(ConfigInvalid):
-            tiny_config(period_t_s=0.0).validate()
+            tiny_config(period_t_s=0.0)
 
     def test_invalid_split(self):
         with pytest.raises(ConfigInvalid):
-            tiny_config(topology="B", split="diagonal").validate()
+            tiny_config(topology="B", split="diagonal")
 
     def test_capacity_factor_scales_effective_capacity(self):
         cfg = tiny_config(capacity_c=100, capacity_factor=0.5)
         assert cfg.effective_capacity == 50
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigInvalid, match="period_t_s"):
+            replace(tiny_config(), period_t_s=0.0)
+        with pytest.raises(ConfigInvalid, match="repeats"):
+            replace(login_cfg(), repeats=0)
+
+    def test_jittered_series_is_checked_before_any_run(self):
+        # at +-100% the first run's capacity factor is 0: its replace fails
+        from dvesim.harness import galton as galton_module
+        with mock.patch.object(galton_module, "run_galton") as run, \
+                pytest.raises(ConfigInvalid, match="capacity_factor"):
+            run_galton_series(tiny_config(), [1, 2, 3], capacity_jitter_frac=1.0)
+        assert not run.called
+
+    def test_only_geometry_errors_name_the_geometry(self):
+        # 10 levels in 4 us fails in GaltonGeometry, not in its key check
+        with pytest.raises(ConfigInvalid, match=r"^geometry\.nominal_descent_s"):
+            GaltonExperimentConfig.from_dict(galton_dict(geometry={"nominal_descent_s": 4e-6}))
+        with pytest.raises(ConfigInvalid, match=r"^period_t_s"):
+            GaltonExperimentConfig.from_dict(galton_dict(period_t_s=0.0))
 
 
 class TestRunGalton:
@@ -103,20 +134,26 @@ class TestRunGalton:
         assert peaks[0] <= peaks[1] <= peaks[2]
 
     def test_baseline_comparison(self):
-        runs = [run_galton(tiny_config(seed=s)) for s in (1, 2, 3)]
+        runs = [run_galton(tiny_config(seed=s)).to_json_dict() for s in (1, 2, 3)]
         baseline = capture_baseline(runs)
         report = run_galton(tiny_config(seed=9), baseline=baseline)
         assert report.rmse_baseline is not None
         assert report.baseline_mean is not None
 
     def test_baseline_geometry_mismatch_rejected(self):
-        runs = [run_galton(tiny_config(seed=s)) for s in (1, 2, 3)]
+        runs = [run_galton(tiny_config(seed=s)).to_json_dict() for s in (1, 2, 3)]
         baseline = capture_baseline(runs)
         other = GaltonGeometry(n_levels=12, boxes=2, rows_per_box=3,
                                droppers_per_row=2, balls_per_dropper=5,
                                nominal_descent_s=12.0)
-        with pytest.raises(ConfigInvalid):
-            run_galton(tiny_config(geometry=other), baseline=baseline)
+        short = replace(baseline, bucket_sd=baseline.bucket_sd[:-1])
+        # both are refused before the run starts
+        with mock.patch.object(Engine, "run_until") as run_until:
+            with pytest.raises(ConfigInvalid, match="different geometry"):
+                run_galton(tiny_config(geometry=other), baseline=baseline)
+            with pytest.raises(ConfigInvalid, match="bucket_mean and bucket_sd"):
+                run_galton(tiny_config(), baseline=short)
+        assert not run_until.called
 
     def test_rmse_envelope_is_a_quantile_of_the_seeds_rmse(self):
         seeds = [1, 2, 3, 4]
@@ -182,11 +219,8 @@ class TestExport:
         report = run_galton(tiny_config(topology="B", split="center_x",
                                         link_jitter_s=0.02))
         export(report, tmp_path)
-        h = hashlib.sha256()
-        for name in ("metrics.csv", "queues.csv", "histogram.csv", "report.json"):
-            h.update((tmp_path / name).read_bytes())
         assert report.migrations_total == 72
-        assert h.hexdigest() == (
+        assert bench_checks.export_digest(tmp_path) == (
             "8b316f37111569c88d39a4ff9fe7e2b795846b738e0861a323606a83c44b1d8c")
 
     def test_histogram_covers_every_bucket(self, tmp_path):
@@ -201,8 +235,8 @@ class TestExport:
         report = run_galton(tiny_config())
         export(report, tmp_path)
         summary = load_report_summary(tmp_path / "report.json")
-        assert summary.metric("interval_mean_s") == pytest.approx(report.interval_mean_s)
-        assert summary.histogram.total == report.histogram.total
+        assert report_metric(summary, "interval_mean_s") == pytest.approx(report.interval_mean_s)
+        assert sum(summary["histogram"]) == report.histogram.total
 
 
 class TestCollectionColumns:
@@ -270,14 +304,14 @@ class TestEvaluate:
             RegressionSpec("collected_total", 60, 60, 0.5, 1)
 
     def test_multi_run_pass_and_fail(self):
-        reports = [run_galton(tiny_config(seed=s)) for s in (1, 2, 3)]
+        reports = [run_galton(tiny_config(seed=s)).to_json_dict() for s in (1, 2, 3)]
         ok = evaluate(reports, [RegressionSpec("collected_total", 59, 61, 0.1, 3)])
         assert ok[0].passed
         bad = evaluate(reports, [RegressionSpec("collected_total", 0, 1, 0.1, 3)])
         assert not bad[0].passed
 
     def test_unknown_metric(self):
-        report = run_galton(tiny_config())
+        report = run_galton(tiny_config()).to_json_dict()
         with pytest.raises(UnknownMetric):
             evaluate([report] * 3, [RegressionSpec("nope", 0, 1, 0.1, 3)])
 
@@ -296,18 +330,20 @@ class TestMetricRegistry:
         for report in reports:
             for link in links:
                 _, depths = report.queue_depth_series(link)
-                assert report.metric(f"final_queue_depth:{link}") == depths[-1]
-        assert reports[0].metric("final_queue_depth:dispatcher->physics-1") > 0
+                assert report_metric(report.to_json_dict(),
+                                     f"final_queue_depth:{link}") == depths[-1]
+        dicts = [report.to_json_dict() for report in reports]
+        assert report_metric(dicts[0], "final_queue_depth:dispatcher->physics-1") > 0
 
         names = [n for n in SCALAR_METRICS if n != "rmse_baseline"]
         names += [f"final_queue_depth:{link}" for link in links]
         specs = [RegressionSpec(n, 0.0, 50.0, 0.2, 3) for n in names]
-        live = evaluate(reports, specs)
+        live = evaluate(dicts, specs)
         assert {v.passed for v in live} == {True, False}
         expected = "".join(f"{v.metric}: PASS\n" if v.passed
                            else f"{v.metric}: FAIL ({v.reason})\n" for v in live)
         specs_path = tmp_path / "specs.json"
-        specs_path.write_text(json.dumps([s.to_json_dict() for s in specs]))
+        specs_path.write_text(json.dumps([asdict(s) for s in specs]))
         capsys.readouterr()
         rc = cli.main(["regress", "--report", *paths, "--specs", str(specs_path)])
         assert capsys.readouterr().out == expected
@@ -316,8 +352,8 @@ class TestMetricRegistry:
         # without a baseline, rmse_baseline is unknown on both sides
         unknown = [RegressionSpec("rmse_baseline", 0.0, 50.0, 0.2, 3)]
         with pytest.raises(UnknownMetric):
-            evaluate(reports, unknown)
-        specs_path.write_text(json.dumps([s.to_json_dict() for s in unknown]))
+            evaluate(dicts, unknown)
+        specs_path.write_text(json.dumps([asdict(s) for s in unknown]))
         rc = cli.main(["regress", "--report", *paths, "--specs", str(specs_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -422,9 +458,9 @@ class TestLogin:
 
     def test_invalid_config(self):
         with pytest.raises(ConfigInvalid):
-            login_cfg(topology="weird").validate()
+            login_cfg(topology="weird")
         with pytest.raises(ConfigInvalid):
-            login_cfg(repeats=0).validate()
+            login_cfg(repeats=0)
 
 
 def galton_dict(geometry=None, **changes):
@@ -813,7 +849,11 @@ class TestCliInputErrors:
                   "metric 'collected_total' must be a number, got '1e3'",
               "report_metric_true": "metric 'collected_total' must be a number, got True",
               "baseline_without_its_keys": "baseline.json has no 'geometry_hash' key",
-              "baseline_seeds_not_a_list": "seeds must be list[int], got '123'"}
+              "baseline_seeds_not_a_list": "seeds must be list[int], got '123'",
+              "baseline_buckets_short": "bucket_mean and bucket_sd must hold",
+              "report_link_totals_a_list": "link_totals must be a dict, got [",
+              "report_sent_count_a_string":
+                  "link 'script->dispatcher' must hold int sent_count"}
     #: a report.json that holds every key a summary needs
     REPORT = {"histogram": [1, 2], "interval_mean_s": 1.0, "peak_load_proxy": 0.5,
               "geometry_hash": TINY.geometry_hash(), "seed": 1}
@@ -858,9 +898,17 @@ class TestCliInputErrors:
                    "report_histogram_not_ints": {"histogram": [1, "x"]},
                    "report_metric_a_string": dict(self.REPORT, collected_total="x"),
                    "report_metric_a_numeric_string": dict(self.REPORT, collected_total="1e3"),
-                   "report_metric_true": dict(self.REPORT, collected_total=True)}
+                   "report_metric_true": dict(self.REPORT, collected_total=True),
+                   "report_link_totals_a_list": dict(self.REPORT,
+                                                     link_totals=["script->dispatcher"]),
+                   "report_sent_count_a_string": dict(self.REPORT, link_totals={
+                       "script->dispatcher": {"sent_count": "x", "delivered_count": 0}})}
+        #: report cases read by a queue-depth spec, not by SPEC
+        queue_cases = {"report_link_totals_a_list", "report_sent_count_a_string"}
         bad_baselines = {"baseline_without_its_keys": {"a": 1},
-                         "baseline_seeds_not_a_list": dict(self.BASELINE, seeds="123")}
+                         "baseline_seeds_not_a_list": dict(self.BASELINE, seeds="123"),
+                         # the tiny geometry's hash over 1 bucket, not 13
+                         "baseline_buckets_short": self.BASELINE}
         #: case -> the text of a spec file that is not JSON
         spec_texts = {"spec_file_not_json": '{"specs": ['}
         missing = str(tmp_path / "nope.json")
@@ -884,7 +932,10 @@ class TestCliInputErrors:
                     "--out", str(out)]
         elif case == "report_missing" or case in reports:
             path = tmp_path / "specs.json"
-            path.write_text(json.dumps([self.SPEC]))
+            spec = self.SPEC
+            if case in queue_cases:
+                spec = dict(spec, metric="final_queue_depth:script->dispatcher")
+            path.write_text(json.dumps([spec]))
             report = missing
             if case in reports:
                 report = tmp_path / "report.json"

@@ -1,5 +1,4 @@
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -125,11 +124,8 @@ class TestRmse:
 
 
 def fake_run(counts, interval=124.8, load=0.3, geometry_hash="g", seed=1):
-    return types.SimpleNamespace(
-        histogram=BucketHistogram(np.asarray(counts)),
-        interval_mean_s=interval, peak_load_proxy=load,
-        geometry_hash=geometry_hash, seed=seed,
-    )
+    return dict(histogram=list(counts), interval_mean_s=interval, peak_load_proxy=load,
+                geometry_hash=geometry_hash, seed=seed)
 
 
 class TestCaptureBaseline:
