@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from operator import attrgetter
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -387,22 +388,25 @@ def run_galton(config: GaltonExperimentConfig,
 
 
 def run_galton_series(config: GaltonExperimentConfig, seeds: list[int],
-                      capacity_jitter_frac: float = 0.0) -> list[ExperimentReport]:
+                      capacity_jitter_frac: float = 0.0) -> Iterator[ExperimentReport]:
     """Repeat a configuration over seeds, optionally jittering capacity.
 
     Jitter applies evenly spaced per-run factors spanning
     1 +- capacity_jitter_frac, so "+-50% per run" means the k runs cover
-    0.5x .. 1.5x capacity deterministically.
+    0.5x .. 1.5x capacity deterministically.  Every run's config is built,
+    and so checked, by this call; the runs happen as the returned iterator
+    is read, one report at a time, so a caller that keeps what it reads of
+    a report holds one report, not k.
     """
-    reports = []
     k = len(seeds)
+    configs = []
     for i, seed in enumerate(seeds):
         factor = 1.0
         if capacity_jitter_frac and k > 1:
             factor = 1.0 + capacity_jitter_frac * (2.0 * i / (k - 1) - 1.0)
-        cfg = replace(config, seed=seed, capacity_factor=config.capacity_factor * factor)
-        reports.append(run_galton(cfg))
-    return reports
+        configs.append(replace(config, seed=seed,
+                               capacity_factor=config.capacity_factor * factor))
+    return map(run_galton, configs)
 
 
 # ----------------------------------------------------------------------
@@ -452,5 +456,7 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
 def rmse_envelope(config: GaltonExperimentConfig, seeds: list[int],
                   quantile: float = 0.99) -> tuple[float, list[float]]:
     """Monte Carlo acceptance envelope: RMSE quantile over unstressed runs."""
-    values = [report.rmse_theoretical for report in run_galton_series(config, seeds)]
+    # map drops each report once its float is read; a comprehension's loop
+    # variable would keep the last report alive through the next run
+    values = list(map(attrgetter("rmse_theoretical"), run_galton_series(config, seeds)))
     return float(np.quantile(values, quantile)), values

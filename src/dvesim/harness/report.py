@@ -134,25 +134,7 @@ class ExperimentReport:
     baseline_mean: Optional[np.ndarray] = None
     baseline_sd: Optional[np.ndarray] = None
 
-    # ---- series accessors ------------------------------------------------
-
-    def physics_balls_series(self) -> list[int]:
-        """Sum of actively simulated balls over the physics nodes, per sample."""
-        out = []
-        for i in range(len(self.times_s)):
-            out.append(sum(self.nodes[n].balls_in_scene[i] or 0
-                           for n in self.physics_nodes))
-        return out
-
-    def interval_series(self) -> tuple[list[float], list[Optional[float]]]:
-        """Windowed mean interval per sample window (None when no landings)."""
-        times_us = [round(t * 1_000_000) for t in self.times_s]
-        return list(self.times_s), window_interval_means(self.collections, times_us)
-
-    def queue_depth_series(self, link_id: str) -> tuple[list[float], list[int]]:
-        times = [s.t_us / 1e6 for s in self.queue_samples if s.link_id == link_id]
-        depths = [s.depth for s in self.queue_samples if s.link_id == link_id]
-        return times, depths
+    # ---- collection windows -------------------------------------------------
 
     def intervals_in_window(self, t0_s: float, t1_s: float) -> np.ndarray:
         """Interval values (seconds) of balls collected in (t0, t1]."""

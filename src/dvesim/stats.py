@@ -210,6 +210,9 @@ def capture_baseline(runs: Sequence[dict]) -> EmpiricalBaseline:
             raise StressedRunIncluded(
                 f"run seed={r['seed']} peaked at load {r['peak_load_proxy']:.2f}"
             )
+    lengths = [len(r["histogram"]) for r in runs]
+    if len(set(lengths)) != 1:
+        raise InvalidParameter(f"runs' histograms differ in length: {lengths}")
     buckets = np.stack([BucketHistogram(r["histogram"]).counts for r in runs]).astype(float)
     intervals = np.array([r["interval_mean_s"] for r in runs], dtype=float)
     return EmpiricalBaseline(
@@ -288,57 +291,3 @@ def check_regression(samples: Sequence[float], spec: RegressionSpec) -> Verdict:
         return Verdict(spec.metric, False,
                        f"cv {cv:.4g} exceeds bound {spec.max_cv:.4g}", mean, cv)
     return Verdict(spec.metric, True, None, mean, cv)
-
-
-# ----------------------------------------------------------------------
-# series shape checks
-# ----------------------------------------------------------------------
-
-def moving_average(series: Sequence[float], window: int) -> np.ndarray:
-    """Centered moving average; the series must be at least one window long."""
-    xs = np.asarray(series, dtype=float)
-    if window < 1 or window > len(xs):
-        raise InvalidParameter("window must be in [1, len(series)]")
-    kernel = np.ones(window) / window
-    return np.convolve(xs, kernel, mode="valid")
-
-
-def is_convex_increasing(series: Sequence[float], smooth_window: int = 9,
-                         tol_frac: float = 0.25) -> bool:
-    """True if the smoothed series rises with non-negative curvature.
-
-    Second differences of a sampled series wobble around zero even for an
-    exactly linear ramp, so they are compared against a small tolerance
-    scaled by the typical per-sample increment; a saturating (concave)
-    series fails because its curvature is sustained, not noise-sized.
-    """
-    xs = moving_average(series, smooth_window)
-    if len(xs) < 3:
-        raise InvalidParameter("series too short after smoothing")
-    diffs = np.diff(xs)
-    if not (diffs > 0).all():
-        return False
-    tol = tol_frac * float(np.median(np.abs(diffs)))
-    return bool((np.diff(diffs) >= -tol).all())
-
-
-def increasing_trend(series: Sequence[float], ratio: float = 2.0) -> bool:
-    """True if the series shows a strictly increasing trend.
-
-    Checks both that concordant pairs dominate (a Mann-Kendall style sign
-    statistic) and that the final level exceeds the initial level by the
-    given ratio.
-    """
-    xs = np.asarray(series, dtype=float)
-    if len(xs) < 4:
-        raise InvalidParameter("series too short for a trend check")
-    n = len(xs)
-    s = 0
-    for i in range(n - 1):
-        s += int(np.sign(xs[i + 1:] - xs[i]).sum())
-    pairs = n * (n - 1) // 2
-    if s <= 0.5 * pairs:
-        return False
-    head = float(xs[: max(1, n // 10)].mean())
-    tail = float(xs[-max(1, n // 10):].mean())
-    return tail > ratio * max(head, 1.0)

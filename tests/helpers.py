@@ -3,8 +3,9 @@ last-writer-wins model of the scene, the scalar owner lookup, descent and
 crossing model that the owner table and the physics tick oracle are
 checked against, a way to seat a ball on a physics node without a script
 or a dispatcher, the list-of-tuples window statistics that the
-columnar report code is checked against, a reader of an exported
-histogram.csv, and the benchmark's pin table."""
+columnar report code is checked against, the series shape checks and
+report series that acceptance criteria 3 and 4 judge a run by, a reader
+of an exported histogram.csv, and the benchmark's pin table."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from dvesim.actors import PhysicsActor
+from dvesim.harness.report import ExperimentReport, window_interval_means
 from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
     EXISTENCE,
@@ -30,7 +32,7 @@ from dvesim.scene import (
     UnknownEntity,
     digest,
 )
-from dvesim.stats import BucketHistogram
+from dvesim.stats import BucketHistogram, InvalidParameter
 
 PROPS = ["position", "velocity", "color"]
 
@@ -251,6 +253,78 @@ def intervals_in_window_scalar(collections: Sequence[tuple[int, int, int, int]],
     lo = t0_s * 1e6
     hi = t1_s * 1e6
     return np.array([c[1] / 1e6 for c in collections if lo < c[0] <= hi])
+
+
+def moving_average(series: Sequence[float], window: int) -> np.ndarray:
+    """Centered moving average; the series must be at least one window long."""
+    xs = np.asarray(series, dtype=float)
+    if window < 1 or window > len(xs):
+        raise InvalidParameter("window must be in [1, len(series)]")
+    kernel = np.ones(window) / window
+    return np.convolve(xs, kernel, mode="valid")
+
+
+def is_convex_increasing(series: Sequence[float], smooth_window: int = 9,
+                         tol_frac: float = 0.25) -> bool:
+    """True if the smoothed series rises with non-negative curvature.
+
+    Second differences of a sampled series wobble around zero even for an
+    exactly linear ramp, so they are compared against a small tolerance
+    scaled by the typical per-sample increment; a saturating (concave)
+    series fails because its curvature is sustained, not noise-sized.
+    """
+    xs = moving_average(series, smooth_window)
+    if len(xs) < 3:
+        raise InvalidParameter("series too short after smoothing")
+    diffs = np.diff(xs)
+    if not (diffs > 0).all():
+        return False
+    tol = tol_frac * float(np.median(np.abs(diffs)))
+    return bool((np.diff(diffs) >= -tol).all())
+
+
+def increasing_trend(series: Sequence[float], ratio: float = 2.0) -> bool:
+    """True if the series shows a strictly increasing trend.
+
+    Checks both that concordant pairs dominate (a Mann-Kendall style sign
+    statistic) and that the final level exceeds the initial level by the
+    given ratio.
+    """
+    xs = np.asarray(series, dtype=float)
+    if len(xs) < 4:
+        raise InvalidParameter("series too short for a trend check")
+    n = len(xs)
+    s = 0
+    for i in range(n - 1):
+        s += int(np.sign(xs[i + 1:] - xs[i]).sum())
+    pairs = n * (n - 1) // 2
+    if s <= 0.5 * pairs:
+        return False
+    head = float(xs[: max(1, n // 10)].mean())
+    tail = float(xs[-max(1, n // 10):].mean())
+    return tail > ratio * max(head, 1.0)
+
+
+def physics_balls_series(report: ExperimentReport) -> list[int]:
+    """Sum of actively simulated balls over the physics nodes, per sample."""
+    out = []
+    for i in range(len(report.times_s)):
+        out.append(sum(report.nodes[n].balls_in_scene[i] or 0
+                       for n in report.physics_nodes))
+    return out
+
+
+def interval_series(report: ExperimentReport) -> tuple[list[float], list[Optional[float]]]:
+    """Windowed mean interval per sample window (None when no landings)."""
+    times_us = [round(t * 1_000_000) for t in report.times_s]
+    return list(report.times_s), window_interval_means(report.collections, times_us)
+
+
+def queue_depth_series(report: ExperimentReport,
+                       link_id: str) -> tuple[list[float], list[int]]:
+    times = [s.t_us / 1e6 for s in report.queue_samples if s.link_id == link_id]
+    depths = [s.depth for s in report.queue_samples if s.link_id == link_id]
+    return times, depths
 
 
 def read_histogram_csv(path) -> BucketHistogram:

@@ -8,6 +8,7 @@ the whole module takes a few minutes.
 
 import random
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,16 @@ from dvesim.harness.login import (
     TOPOLOGY_DEDICATED,
     TOPOLOGY_PROXIED,
 )
-from dvesim.stats import (
-    RegressionSpec,
-    check_regression,
+from dvesim.stats import RegressionSpec, check_regression
+from helpers import (
+    bench_checks,
     increasing_trend,
+    interval_series,
     is_convex_increasing,
+    physics_balls_series,
+    queue_depth_series,
+    run_lww_trial,
 )
-from helpers import bench_checks, run_lww_trial
 
 # 99th-percentile RMSE over 100 seeded unstressed topology-A runs
 # (seeds 1000..1099), recomputable via dvesim.harness.rmse_envelope.
@@ -103,8 +107,8 @@ def test_criterion_02_interval_baseline(stable_a):
 def test_criterion_03_superlinear_divergence(overload_a):
     assert overload_a.hit_cap
     assert overload_a.end_time_s <= OVERLOAD_CAP_S
-    balls = np.array(overload_a.physics_balls_series(), dtype=float)
-    _, means = overload_a.interval_series()
+    balls = np.array(physics_balls_series(overload_a), dtype=float)
+    _, means = interval_series(overload_a)
     first = next(i for i, m in enumerate(means) if m is not None)
     start = first + 4  # past the fill transient, once the loop is closed
     ball_win = balls[start:]
@@ -120,7 +124,7 @@ def test_criterion_04_masking(masked_b, stable_b):
     # the dispatcher->physics queues grow without bound...
     growing = []
     for node in masked_b.physics_nodes:
-        _, depths = masked_b.queue_depth_series(f"dispatcher->{node}")
+        _, depths = queue_depth_series(masked_b, f"dispatcher->{node}")
         depths = np.array(depths, dtype=float)
         assert depths[-1] > 2 * max(depths[0], 1.0)
         assert increasing_trend(depths)
@@ -201,17 +205,21 @@ def test_criterion_08_login_topology():
 
 def test_criterion_09_regression_harness():
     unstressed = GaltonExperimentConfig(topology="A", period_t_s=6.0, seed=0)
-    clean = run_galton_series(unstressed, seeds=[1, 2, 3, 4, 5])
-    assert all(r.peak_load_proxy < 0.5 for r in clean)
-    verdict = check_regression([r.interval_mean_s for r in clean], INTERVAL_SPEC)
+    # each series is read once, as its runs finish: the two floats of a
+    # report are all that is kept of it
+    clean = list(map(attrgetter("peak_load_proxy", "interval_mean_s"),
+                     run_galton_series(unstressed, seeds=[1, 2, 3, 4, 5])))
+    assert all(peak < 0.5 for peak, _ in clean)
+    verdict = check_regression([mean for _, mean in clean], INTERVAL_SPEC)
     assert verdict.passed
 
     # the same checker flags injected capacity variance: +-50% per run on a
     # workload with a finite capacity margin
     jitter_cfg = GaltonExperimentConfig(topology="A", period_t_s=2.6, seed=0)
-    jittered = run_galton_series(jitter_cfg, seeds=[1, 2, 3, 4, 5],
-                                 capacity_jitter_frac=0.5)
-    bad = check_regression([r.interval_mean_s for r in jittered], INTERVAL_SPEC)
+    jittered = list(map(attrgetter("interval_mean_s"),
+                        run_galton_series(jitter_cfg, seeds=[1, 2, 3, 4, 5],
+                                          capacity_jitter_frac=0.5)))
+    bad = check_regression(jittered, INTERVAL_SPEC)
     assert not bad.passed
     _report_line("9 regression harness",
                  f"clean 5-run pass (mean {verdict.mean:.2f}s, cv {verdict.cv:.5f}); "

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
@@ -47,6 +49,7 @@ from dvesim import cli
 from helpers import (
     bench_checks,
     intervals_in_window_scalar,
+    queue_depth_series,
     read_histogram_csv,
     window_interval_means_scalar,
 )
@@ -161,6 +164,30 @@ class TestRunGalton:
         assert values == [run_galton(tiny_config(seed=s)).rmse_theoretical for s in seeds]
         assert len(set(values)) > 1
         assert envelope == float(np.quantile(values, 0.75))
+
+    def test_rmse_envelope_holds_one_report_at_a_time(self):
+        # each run is collected before the next starts, so the peak counts
+        # what the envelope holds, not a finished run's cyclic garbage
+        from dvesim.harness import galton as galton_module
+
+        def collected(config):
+            gc.collect()
+            return run_galton(config)
+
+        def traced_peak(fn, *args):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_galton(tiny_config(seed=1))  # first-run imports and caches are not counted
+        one = traced_peak(run_galton, tiny_config(seed=1))
+        with mock.patch.object(galton_module, "run_galton", collected):
+            ten = traced_peak(rmse_envelope, tiny_config(), list(range(1, 11)))
+        assert ten <= 1.5 * one
 
     def test_capacity_jitter_series(self):
         reports = run_galton_series(tiny_config(), seeds=[1, 2, 3, 4, 5],
@@ -329,7 +356,7 @@ class TestMetricRegistry:
         links = sorted(reports[0].link_totals)
         for report in reports:
             for link in links:
-                _, depths = report.queue_depth_series(link)
+                _, depths = queue_depth_series(report, link)
                 assert report_metric(report.to_json_dict(),
                                      f"final_queue_depth:{link}") == depths[-1]
         dicts = [report.to_json_dict() for report in reports]
@@ -837,6 +864,7 @@ class TestCliInputErrors:
               "two_runs": "need at least 3 runs, got 2",
               "stressed_run": "peaked at load",
               "mixed_geometries": "runs mix geometries",
+              "histograms_of_two_lengths": "histograms differ in length: [3, 3, 2]",
               "bounds_do_not_bracket": "t_lo=1.0 is already stable",
               "config_missing": "nope.json: [Errno 2] No such file",
               "baseline_missing": "nope.json: [Errno 2] No such file",
@@ -944,6 +972,16 @@ class TestCliInputErrors:
         elif case in baselines:
             argv = ["baseline", "capture", "--runs",
                     *(str(runs / name) for name in baselines[case]), "--out", str(out)]
+        elif case == "histograms_of_two_lengths":
+            dirs = []
+            for seed, buckets in enumerate((3, 3, 2)):
+                run = tmp_path / f"run{seed}"
+                run.mkdir()
+                (run / "report.json").write_text(json.dumps(dict(
+                    self.REPORT, histogram=[1] * buckets, peak_load_proxy=0.1,
+                    geometry_hash="g", seed=seed)))
+                dirs.append(str(run))
+            argv = ["baseline", "capture", "--runs", *dirs, "--out", str(out)]
         elif case in logins:
             path = tmp_path / "login.json"
             path.write_text(json.dumps(login_dict(**logins[case])))

@@ -19,11 +19,10 @@ from dvesim.stats import (
     binomial_pmf,
     capture_baseline,
     check_regression,
-    increasing_trend,
-    is_convex_increasing,
     rmse,
     theoretical_distribution,
 )
+from helpers import increasing_trend, is_convex_increasing
 
 
 class TestBinomialPmf:
