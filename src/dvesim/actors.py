@@ -195,19 +195,17 @@ class ScriptActor:
             self.engine.schedule(self.engine.now_us + self.period_us, self._fire)
 
     def dropper_tick(self, now_us: int) -> list[Message]:
-        """Emit one creation per dropper, until the droppers run dry."""
-        msgs = []
+        """Emit one creation per dropper, until the droppers run dry.  A
+        drop is one scene update: its balls share one existence stamp."""
         if self.remaining <= 0:
-            return msgs
+            return []
         self.remaining -= 1
-        ts = self.engine.local_now_us(self.clock)
-        node, dispatcher = self.node_id, self.dispatcher_id
-        create, send, entities = self.replica.create_entity, self.network.send, self._entities
-        for box, row, _ in self.droppers:
-            entity = next(entities)
-            stamp = create(entity, {}, ts, node)[0].stamp
-            msgs.append(send(node, dispatcher, "create",
-                             ((entity, box, row, 0, 0, 0, now_us), stamp)))
+        ids = list(itertools.islice(self._entities, len(self.droppers)))
+        stamp = self.replica.create_entities(ids, self.engine.local_now_us(self.clock),
+                                             self.node_id)
+        node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
+        msgs = [send(node, dispatcher, "create", ((entity, box, row, 0, 0, 0, now_us), stamp))
+                for entity, (box, row, _) in zip(ids, self.droppers)]
         self.ledger.created += len(msgs)
         return msgs
 

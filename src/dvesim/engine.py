@@ -139,6 +139,10 @@ class Engine:
     def pending(self) -> int:
         return len(self._heap)
 
+    def clear(self) -> None:
+        """Drop every pending event, whose actions may hold this engine."""
+        self._heap.clear()
+
     # ------------------------------------------------------------------
     # clocks
     # ------------------------------------------------------------------

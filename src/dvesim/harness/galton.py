@@ -354,7 +354,7 @@ def run_galton(config: GaltonExperimentConfig,
         for link in network.links()
     }
 
-    return ExperimentReport(
+    report = ExperimentReport(
         config=config.to_dict(),
         config_hash=config.config_hash(),
         seed=config.seed,
@@ -385,6 +385,12 @@ def run_galton(config: GaltonExperimentConfig,
         baseline_mean=baseline_mean,
         baseline_sd=baseline_sd,
     )
+    # the run's actors, engine and network hold each other through the
+    # events and handlers: dropped, they go when this returns, not at the
+    # cyclic collector's next full pass
+    engine.clear()
+    network.close()
+    return report
 
 
 def run_galton_series(config: GaltonExperimentConfig, seeds: list[int],

@@ -45,10 +45,12 @@ def window_interval_means(collections: np.ndarray, times_us: Sequence[int],
     ``partition`` only its collections count.  A window's mean is its integer
     interval sum over its count; without collections it is None.
     """
+    t_us, interval_us = collections[:, 0], collections[:, 1]
     if partition is not None:
-        collections = collections[collections[:, 2] == partition]
-    ends = np.searchsorted(collections[:, 0], times_us, side="right")
-    totals = np.diff(np.concatenate(([0], np.cumsum(collections[:, 1])))[ends], prepend=0)
+        mine = collections[:, 2] == partition
+        t_us, interval_us = t_us[mine], interval_us[mine]
+    ends = np.searchsorted(t_us, times_us, side="right")
+    totals = np.diff(np.concatenate(([0], np.cumsum(interval_us)))[ends], prepend=0)
     counts = np.diff(ends, prepend=0)
     return [total / count / 1e6 if count else None
             for total, count in zip(totals.tolist(), counts.tolist())]

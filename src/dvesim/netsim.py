@@ -149,6 +149,13 @@ class Network:
     def register_handler(self, node_id: str, handler: Callable[[Message], None]) -> None:
         self._handlers[node_id] = handler
 
+    def close(self) -> None:
+        """Drop the handlers and the links.  The handlers and the links'
+        delivery actions are bound methods, of the actors and of this
+        network, so a finished run is then freed by reference counting."""
+        self._handlers.clear()
+        self._routes.clear()
+
     # ------------------------------------------------------------------
     # traffic
     # ------------------------------------------------------------------

@@ -65,7 +65,8 @@ class PartitionMap:
                  partitions: dict[int, str]):
         if assignment.shape != (region.nx, region.ny):
             raise ValueError("assignment grid does not match region dimensions")
-        present = set(int(p) for p in np.unique(assignment))
+        # a set of the cells' ints, not np.unique, which imports numpy.ma
+        present = set(assignment.ravel().tolist())
         if not present <= set(partitions):
             raise ValueError(f"partitions {present - set(partitions)} have no owning node")
         self.region = region

@@ -14,14 +14,15 @@ incarnation whose visible properties are exactly those stamped at or after
 it.  A live entity's record is its bare existence stamp; a deleted entity's
 stamp moves to a dict of tombstones, kept until the replica forgets it.
 An update carries its stamp as one tuple, which each replica that applies
-it stores as it is: the replicas of an entity share one stamp object.
+it stores as it is: the replicas of an entity share one stamp object.  A
+batch create is one update: its entities share one stamp on one seq.
 """
 
 from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 EXISTENCE = "existence"
 
@@ -102,31 +103,44 @@ class SceneReplica:
     # entity-level operations
     # ------------------------------------------------------------------
 
+    def create_entities(self, entities: Sequence[int], ts_us: int, origin: str) -> Stamp:
+        """Create entities locally as one update; returns its stamp.
+
+        The entities share one existence stamp on one seq, which every
+        replica that applies their creates stores as it is.  A local create
+        of an id that is live, or twice in one batch, is a caller error,
+        checked before any id is stored.  A tombstoned id is re-created
+        through ``apply_update``, so its tombstone still orders it.
+        """
+        live, tombs = self._entities, self._tombs
+        ids = set(entities)
+        if len(ids) < len(entities) or not live.keys().isdisjoint(ids):
+            raise DuplicateCreate(sorted(ids & live.keys()) or list(entities))
+        stamp = (ts_us, origin, self._seq)
+        self._seq += 1
+        for entity in entities:
+            if entity in tombs:
+                self.apply_update(tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, stamp)))
+            else:
+                live[entity] = stamp
+        return stamp
+
     def create_entity(self, entity: int, initial: dict[str, Any], ts_us: int,
                       origin: str) -> list[PropertyUpdate]:
         """Create an entity locally; returns the updates to replicate.
 
-        Unlike replicated application, a local create of an id that is
-        already live is a caller error.  The existence update comes first,
-        so FIFO transports deliver it before the property updates it gates;
-        the properties follow in name order, on consecutive seq numbers.
+        The existence update comes first, so FIFO transports deliver it
+        before the property updates it gates; the properties follow in name
+        order, on the seq numbers after the existence stamp's.
         """
-        if entity in self._entities:
-            raise DuplicateCreate(entity)
+        stamp = self.create_entities((entity,), ts_us, origin)
         seq = self._seq
-        stamp = (ts_us, origin, seq)
-        updates = [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, stamp))]
-        if not initial and entity not in self._tombs:
-            # a first incarnation without properties: write its stamp directly
-            self._entities[entity] = stamp
-            self._seq = seq + 1
-            return updates
-        updates += [PropertyUpdate(entity, name, initial[name], (ts_us, origin, seq + i))
-                    for i, name in enumerate(sorted(initial), 1)]
-        self._seq = seq + len(updates)
-        for u in updates:
+        props = [PropertyUpdate(entity, name, initial[name], (ts_us, origin, seq + i))
+                 for i, name in enumerate(sorted(initial))]
+        self._seq = seq + len(props)
+        for u in props:
             self.apply_update(u)
-        return updates
+        return [tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, stamp)), *props]
 
     def delete_entity(self, entity: int, ts_us: int, origin: str) -> PropertyUpdate:
         """Delete a known entity locally; returns the update to replicate."""

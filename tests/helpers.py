@@ -143,6 +143,18 @@ class LwwModel:
             self.apply_update(u)
         return updates
 
+    def create_entities(self, entities, ts_us, origin):
+        """A batch create: one existence update on one seq for every id,
+        refused whole if an id is live or repeats."""
+        if len(set(entities)) < len(entities) or any(
+                self.stamps.get(e, (None, False))[1] for e in entities):
+            raise DuplicateCreate(entities)
+        stamp = (ts_us, origin, self.seq)
+        self.seq += 1
+        for e in entities:
+            self.apply_update(PropertyUpdate(e, EXISTENCE, True, stamp))
+        return stamp
+
     def delete_entity(self, entity, ts_us, origin) -> PropertyUpdate:
         if entity not in self.stamps:
             raise UnknownEntity(entity)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 from collections import deque
 
@@ -591,6 +592,25 @@ class TestScriptActor:
         gc.collect()
         assert not any(gc.is_tracked(m.payload) for m in msgs)
 
+    def test_a_drop_is_one_update_with_one_stamp(self):
+        # every create of a drop carries the stamp object that the script's
+        # replica stored for all of them, on one seq; the next drop takes
+        # the next seq and a new object.  Each id is one int object: the
+        # replica's key is the one in the create's row (ids past 256, which
+        # the third drop makes, are not the interpreter's cached ints).
+        engine, script, ledger, sink = self.small_script()
+        drops = [script.dropper_tick(0) for _ in range(3)]
+        stamps = [msgs[0].payload[1] for msgs in drops]
+        assert [stamp[2] for stamp in stamps] == [0, 1, 2] and script.replica._seq == 3
+        assert len({id(stamp) for stamp in stamps}) == 3
+        keys = {key: key for key in script.replica._entities}
+        for msgs, stamp in zip(drops, stamps):
+            assert len(msgs) == len(script.droppers)
+            for m in msgs:
+                entity = m.payload[0][0]
+                assert m.payload[1] is stamp and script.replica.stamp_of(entity) is stamp
+                assert keys[entity] is entity
+
     def test_applies_deletes_and_rejects_every_other_kind(self):
         engine, script, ledger, sink = self.small_script()
         script.dropper_tick(0)
@@ -801,11 +821,20 @@ class TestOneStampPerBall:
                                "dispatcher", ledger)
         network.register_handler("dispatcher", dispatcher.dispatcher_relay)
         network.register_handler("physics-1", physics.on_message)
+        # ids past the interpreter's cached small ints, so that the check
+        # below that both replicas key a ball by one int object is not void
+        script._entities = itertools.count(10**6)
         script.start()
         engine.run_until(seconds_to_us(0.05))
         assert ledger.creates_delivered == geo.total_balls == 12
-        for entity in range(1, 13):
+        ids = range(10**6, 10**6 + 12)
+        for entity in ids:
             assert physics.replica.stamp_of(entity) is script.replica.stamp_of(entity)
+        # one drop of 12 balls, one stamp
+        assert len({id(physics.replica.stamp_of(e)) for e in ids}) == 1
+        script_keys = {key: key for key in script.replica._entities}
+        assert sorted(physics.replica._entities) == list(ids)
+        assert all(key is script_keys[key] for key in physics.replica._entities)
 
     def test_the_gaining_replica_holds_the_losing_replicas_stamp(self):
         engine, ledger, losing, gaining = wire_split(self.GEO, 8)

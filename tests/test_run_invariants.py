@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvesim.actors import GaltonGeometry, PhysicsActor, ScriptActor
+from dvesim.engine import Engine
 from dvesim.harness import GaltonExperimentConfig, export, run_galton
 from dvesim.harness.galton import ConservationViolation
 from dvesim.netsim import Link, Network
@@ -117,6 +118,10 @@ def _observed_run(config: GaltonExperimentConfig, out: Path):
             ScriptActor, "__init__", recording(ScriptActor, seen.scripts)))
         patches.enter_context(mock.patch.object(Network, "send", record_send))
         patches.enter_context(mock.patch.object(Link, "pop_due", record_delivery))
+        # run_galton drops a finished run's pending events, handlers and
+        # links before it returns; kept, the run drains below
+        patches.enter_context(mock.patch.object(Engine, "clear"))
+        patches.enter_context(mock.patch.object(Network, "close"))
         report = run_galton(config)
         seen.at_report = {link_id: (len(seen.sent[link_id]), len(seen.delivered[link_id]))
                           for link_id in set(seen.sent) | set(seen.delivered)}
