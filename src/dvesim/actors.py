@@ -19,7 +19,6 @@ import itertools
 import json
 from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .engine import Engine, seconds_to_us
 from .netsim import Message, Network
 from .partition import MigrationAck, MigrationTracker, PartitionMap, RegionSpec, TransferMessage
 from .rules import at_least, check_fields
-from .scene import EXISTENCE, ApplyResult, PropertyUpdate, SceneReplica, Stamp
+from .scene import ApplyResult, ExistenceUpdate, SceneReplica, Stamp
 
 
 class UnroutableMessage(KeyError):
@@ -164,8 +163,8 @@ class ScriptActor:
     """Drops one ball per dropper every period until each dropper runs dry."""
 
     def __init__(self, node_id: str, engine: Engine, network: Network,
-                 dispatcher_id: str, geometry: GaltonGeometry, period_s: float,
-                 ledger: RunLedger):
+                 dispatcher_id: str, table: OwnerTable, geometry: GaltonGeometry,
+                 period_s: float, ledger: RunLedger):
         self.node_id = node_id
         self.engine = engine
         self.network = network
@@ -178,10 +177,9 @@ class ScriptActor:
         self.replica = SceneReplica(node_id)
         self.clock = engine.clock(node_id)
         self._entities = itertools.count(1)
-        self.droppers = [(box, row, d)
-                         for box in range(geometry.boxes)
-                         for row in range(geometry.rows_per_box)
-                         for d in range(geometry.droppers_per_row)]
+        #: the drop key of each dropper, box by box and row by row
+        self.drop_keys = [key for keys in table[1] for key in keys
+                          for _ in range(geometry.droppers_per_row)]
         #: balls each dropper still has to drop; every dropper drops on
         #: every tick, so one countdown serves them all
         self.remaining = geometry.balls_per_dropper
@@ -200,12 +198,12 @@ class ScriptActor:
         if self.remaining <= 0:
             return []
         self.remaining -= 1
-        ids = list(itertools.islice(self._entities, len(self.droppers)))
+        ids = list(itertools.islice(self._entities, len(self.drop_keys)))
         stamp = self.replica.create_entities(ids, self.engine.local_now_us(self.clock),
                                              self.node_id)
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
-        msgs = [send(node, dispatcher, "create", ((entity, box, row, 0, 0, 0, now_us), stamp))
-                for entity, (box, row, _) in zip(ids, self.droppers)]
+        msgs = [send(node, dispatcher, "create", ((0, 0, key, entity, now_us), stamp))
+                for entity, key in zip(ids, self.drop_keys)]
         self.ledger.created += len(msgs)
         return msgs
 
@@ -225,32 +223,39 @@ class ScriptActor:
 # physics node
 # ----------------------------------------------------------------------
 
-# A create and a transfer ship a ball as one record, ``(row, stamp)``: its
-# 7-field row is id, box, row, level, column, progress, created_at_us, and
-# its stamp is the existence stamp object that the sending replica holds,
-# which the receiving replica stores as it is.  Both are exact tuples of
-# atomic values, which the cyclic collector stops tracking.
+# A ball's one record is its ring row, five ints: progress, level, key, id
+# and creation time.  The key names the ball's box, row and column, which
+# only ``owner_table`` lays out; everything else looks the key up.  A create
+# and a transfer ship a ball as ``(row, stamp)``, where the stamp is the
+# existence stamp object that the sending replica holds, which the receiving
+# replica stores as it is.  Both are exact tuples of atomic values, which the
+# cyclic collector stops tracking.
+_FIELDS = 5
+_PROGRESS, _LEVEL, _KEY, _ENTITY, _CREATED = range(_FIELDS)
 
-#: (owners, lanes): a flat owner table, -1 off the region, and the offset of
-#: each (box, row) lane in it
-OwnerTable = tuple[list[int], list[list[int]]]
+#: (owners, drops, buckets): the owning partition of every key, -1 off the
+#: region; per [box][row], the key of that dropper row's drop position; and
+#: the bucket that a ball landing at each key falls into, -1 off the histogram
+OwnerTable = tuple[list[int], list[list[int]], list[int]]
 
 
 def owner_table(geometry: GaltonGeometry, pmap: PartitionMap) -> OwnerTable:
-    """Owner of every position a ball can take, looked up once per run.
+    """Owner and final bucket of every position a ball can take, looked up
+    once per run.
 
     A ball's position depends only on its box, row and column, so the
-    owners are looked up through ``ball_x_m`` and ``box_center_y_m`` over
-    broadcast arrays.  A ball's key is its (box, row) lane's offset plus its
-    column; column 0 is the lane's drop position.  Each lane pads the board
-    with off-region columns, so that a seated ball's step never leaves it.
+    owners are looked up through ``ball_x_m`` and ``box_center_y_m``, and
+    the buckets through ``final_bucket``, over broadcast arrays.  A ball's
+    key is its (box, row) lane's offset plus its column; column 0 is the
+    lane's drop position.  Each lane pads the board with off-region columns,
+    so that a seated ball's step never leaves it.
     """
     geom, region = geometry, pmap.region
     n = geom.n_levels
     col_lo = -n - 4 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
-    cols = np.arange(col_lo, 2 * geom.bucket_count - n + 3, dtype=np.float64)
-    rows = np.arange(geom.rows_per_box, dtype=np.float64)
-    boxes = np.arange(geom.boxes, dtype=np.float64)
+    cols = np.arange(col_lo, 2 * geom.bucket_count - n + 3)
+    rows = np.arange(geom.rows_per_box)
+    boxes = np.arange(geom.boxes)
     x = geom.ball_x_m(region, rows[:, None], cols[None, :])
     y = geom.box_center_y_m(region, boxes)
     shape = (geom.boxes, geom.rows_per_box, len(cols))
@@ -259,14 +264,13 @@ def owner_table(geometry: GaltonGeometry, pmap: PartitionMap) -> OwnerTable:
     inside = (xs >= 0.0) & (xs < region.width_m)
     table = np.full(shape, -1, dtype=np.int64)
     table[inside] = pmap.owners_xy(xs[inside], ys[inside])
-    lanes = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
-    return table.ravel().tolist(), lanes.tolist()
+    drops = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
+    bucket = geom.final_bucket(cols[None, :], rows[:, None])
+    bucket[(bucket < 0) | (bucket >= geom.bucket_count)] = -1
+    return (table.ravel().tolist(), drops.tolist(),
+            np.broadcast_to(bucket, shape).ravel().tolist())
 
 
-#: fields of a ring row: a tick reads and moves the first three, and a
-#: leaver's id and creation time go out with it
-_FIELDS = 5
-_PROGRESS, _LEVEL, _KEY, _ENTITY, _CREATED = range(_FIELDS)
 #: a ring row as one record, moved in one copy: a mask over 6,000 rows takes
 #: 137 µs on (n, 4) int64 and 12 µs on records (2-core x86-64, numpy 2.4.6)
 _HOT = np.dtype((np.void, _FIELDS * 8))
@@ -277,9 +281,7 @@ _BLOCK = 1024
 class PhysicsActor:
     """Capacity-limited descent simulation for one partition.
 
-    A ring holds one 40-byte row per ball in service order from ``_head``:
-    progress, level, owner-table key, id and creation time.  The key
-    encodes the ball's box, row and column, which ``_leave`` decodes.
+    A ring holds each ball's 40-byte row in service order from ``_head``.
     Arrivals join the ring's back when the next tick starts.  Each tick
     serves the first ``min(population, capacity)`` balls and moves the
     survivors to the back, so under overload every ball is served at the
@@ -310,10 +312,7 @@ class PhysicsActor:
         self.tracker = MigrationTracker()
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = level_us = geometry.level_time_us
-        self._owners, self._lanes = table
-        #: a key is lane * width + column - col_lo, lane = box * rows_per_box + row
-        self._width = len(self._owners) // (geometry.boxes * geometry.rows_per_box)
-        self._col_lo = -self._lanes[0][0]
+        self._owners, _, self._buckets = table
         #: a seated ball lies in this partition, so a step onto a key owned
         #: elsewhere leaves it: off the region (-1) or into a neighbour
         self._away = np.array(self._owners) != partition_id
@@ -386,12 +385,11 @@ class PhysicsActor:
         else:
             raise UnroutableMessage(kind)
 
-    def _arrive(self, ball: Sequence[int], stamp: Stamp) -> None:
+    def _arrive(self, row: tuple[int, ...], stamp: Stamp) -> None:
         """Register a ball in the scene under the stamp it came with; buffer
         its row for the next tick, which this schedules if none is pending."""
-        entity, box, row, level, column, progress, created = ball
-        self.replica.apply_update(tuple.__new__(PropertyUpdate, (entity, EXISTENCE, True, stamp)))
-        self._arrivals += (progress, level, self._lanes[box][row] + column, entity, created)
+        self.replica.apply_update(tuple.__new__(ExistenceUpdate, (row[_ENTITY], True, stamp)))
+        self._arrivals += row
         if not self._ticking:
             self._ticking = True
             next_tick = (self.engine.now_us // self.tick_us + 1) * self.tick_us
@@ -467,34 +465,28 @@ class PhysicsActor:
 
     def _leave(self, rows: np.ndarray, now_us: int) -> None:
         """Collect the landed balls, then discard those off the region, then
-        ghost the rest and ship each one's full row with the stamp this
+        ghost the rest and ship each one's row as it is, with the stamp this
         replica holds, each group in service order.  A ball that lands off
         the histogram, or leaves the region, is dropped from the results;
         either way it is deleted from the scene, and this replica forgets
         it: no later update for it reaches this node."""
-        owners, n_levels = self._owners, self.geometry.n_levels
-        width, rows_per_box, col_lo = self._width, self.geometry.rows_per_box, self._col_lo
+        owners, buckets, n_levels = self._owners, self._buckets, self.geometry.n_levels
         landed, off, migrating = [], [], []
-        for prog, level, key, eid, created in rows.tolist():
-            lane, column = divmod(key, width)
-            box, row = divmod(lane, rows_per_box)
-            column += col_lo
-            owner = owners[key]
+        for row in rows.tolist():
+            _, level, key, eid, created = row
             if level >= n_levels:
-                landed.append((eid, row, column, created))
-            elif owner < 0:
+                landed.append((eid, buckets[key], created))
+            elif owners[key] < 0:
                 off.append(eid)
             else:
-                migrating.append((eid, owner, (eid, box, row, level, column, prog, created)))
+                migrating.append((eid, owners[key], tuple(row)))
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         ledger, partition = self.ledger, self.partition_id
         if landed or off:
             ts = self.engine.local_now_us(self.clock)
             delete, forget = self.replica.delete_entity, self.replica.forget
-            final_bucket, buckets = self.geometry.final_bucket, self.geometry.bucket_count
-            for eid, row, column, created in landed:
-                bucket = final_bucket(column, row)
-                if 0 <= bucket < buckets:
+            for eid, bucket, created in landed:
+                if bucket >= 0:
                     ledger.collections.extend((now_us, now_us - created, partition, bucket))
                 else:
                     ledger.discarded += 1
@@ -507,9 +499,9 @@ class PhysicsActor:
         if migrating:
             begin, stamp_of = self.tracker.begin_migration, self.replica.stamp_of
             ledger.transfers_sent += len(migrating)
-            for eid, owner, ball in migrating:
+            for eid, owner, row in migrating:
                 ledger.migrated_entities[eid] = 1
-                (transfer,) = begin(eid, partition, owner, now_us, (ball, stamp_of(eid)))
+                (transfer,) = begin(eid, partition, owner, now_us, (row, stamp_of(eid)))
                 send(node, dispatcher, "migrate", transfer)
 
 
@@ -527,10 +519,9 @@ class DispatcherActor:
         self.script_id = script_id
         #: partition id -> owning node
         self._nodes = partitions
-        owners, lanes = table
-        #: [box][row] -> node owning that dropper row's drop position, column 0
-        self._create_nodes = [[partitions[owners[lane]] for lane in box_lanes]
-                              for box_lanes in lanes]
+        owners, drops, _ = table
+        #: drop key -> node owning that drop position
+        self._create_nodes = {key: partitions[owners[key]] for keys in drops for key in keys}
 
     def dispatcher_relay(self, msg: Message) -> list[Message]:
         """Forward a message on its kind's fixed route; never filters or
@@ -543,8 +534,7 @@ class DispatcherActor:
         elif kind == "ack":
             node = self._nodes[msg.payload.from_partition]
         elif kind == "create":
-            ball = msg.payload[0]
-            node = self._create_nodes[ball[1]][ball[2]]
+            node = self._create_nodes[msg.payload[0][_KEY]]
         elif kind == "delete":
             node = self.script_id
         else:

@@ -33,7 +33,8 @@ from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
 from ..rules import SPAN, at_least, check_fields, read_json, rules_of
-from ..stats import BucketHistogram, EmpiricalBaseline, rmse, theoretical_distribution
+from ..stats import (BucketHistogram, EmpiricalBaseline, linear_quantile, rmse,
+                     theoretical_distribution)
 from .report import ExperimentReport, NodeSeries, window_interval_means
 
 
@@ -244,9 +245,9 @@ def run_galton(config: GaltonExperimentConfig,
         latency, rate, jitter = _link_params(config, src, dst)
         network.add_link(src, dst, latency, rate, jitter_s=jitter)
 
-    script = ScriptActor(SCRIPT, engine, network, DISPATCHER, geometry,
-                         config.period_t_s, ledger)
     table = owner_table(geometry, pmap)
+    script = ScriptActor(SCRIPT, engine, network, DISPATCHER, table, geometry,
+                         config.period_t_s, ledger)
     dispatcher = DispatcherActor(DISPATCHER, network, pmap.partitions, table, SCRIPT)
     physics = {}
     for pid, node in sorted(pmap.partitions.items()):
@@ -465,4 +466,4 @@ def rmse_envelope(config: GaltonExperimentConfig, seeds: list[int],
     # map drops each report once its float is read; a comprehension's loop
     # variable would keep the last report alive through the next run
     values = list(map(attrgetter("rmse_theoretical"), run_galton_series(config, seeds)))
-    return float(np.quantile(values, quantile)), values
+    return linear_quantile(values, quantile), values

@@ -270,8 +270,13 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
         for name in ("units", "total_requests", "inventory_requests"))
     completed = (client.inventory_done_s is not None
                  and client.assets_done_s is not None)
-    return LoginRunResult(units, totals, inv, client.inventory_done_s,
-                          client.assets_done_s, completed)
+    result = LoginRunResult(units, totals, inv, client.inventory_done_s,
+                            client.assets_done_s, completed)
+    # the servers' scheduled replies and the handlers hold the engine and
+    # the network: dropped, a repeat is freed by reference counting
+    engine.clear()
+    network.close()
+    return result
 
 
 def run_login(config: LoginExperimentConfig) -> LoginReport:

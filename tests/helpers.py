@@ -1,8 +1,8 @@
-"""Shared test machinery: randomized LWW delivery schedules, a plain
-last-writer-wins model of the scene, the scalar owner lookup, descent and
-crossing model that the owner table and the physics tick oracle are
-checked against, a way to seat a ball on a physics node without a script
-or a dispatcher, the list-of-tuples window statistics that the
+"""Shared test machinery: randomized LWW delivery schedules, the scene's
+convergence digest and a plain last-writer-wins model of the scene, the
+scalar key layout, owner lookup, descent and crossing model that the owner
+table and the physics tick oracle are checked against, a way to seat a
+ball on a physics node without a script or a dispatcher, the list-of-tuples window statistics that the
 columnar report code is checked against, the series shape checks and
 report series that acceptance criteria 3 and 4 judge a run by, a reader
 of an exported histogram.csv, and the benchmark's pin table."""
@@ -20,26 +20,35 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dvesim.actors import PhysicsActor
+from dvesim.actors import GaltonGeometry, PhysicsActor
 from dvesim.harness.report import ExperimentReport, window_interval_means
 from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
-    EXISTENCE,
     ApplyResult,
     DuplicateCreate,
-    PropertyUpdate,
+    ExistenceUpdate,
     SceneReplica,
     UnknownEntity,
-    digest,
 )
 from dvesim.stats import BucketHistogram, InvalidParameter
 
-PROPS = ["position", "velocity", "color"]
+
+def digest(replica: SceneReplica) -> str:
+    """Order-independent hash of the replica's visible state, the live
+    entities and their existence stamps.
+
+    Two replicas that applied the same update set in any order produce the
+    same digest; any visible difference produces a different one.
+    """
+    h = hashlib.sha256()
+    for entity, floor in sorted(replica._entities.items()):
+        h.update(f"E{entity}:{floor!r}\n".encode())
+    return h.hexdigest()
 
 
 def random_update_set(rng: random.Random, max_entities: int = 10,
-                      max_updates: int = 200) -> list[PropertyUpdate]:
-    """An update multiset over a few entities: creates, deletes, writes.
+                      max_updates: int = 200) -> list[ExistenceUpdate]:
+    """An update multiset over a few entities: creates, deletes, re-creates.
 
     Every touched entity gets at least a creation update, so any at-least-once
     delivery schedule can make progress.
@@ -47,28 +56,20 @@ def random_update_set(rng: random.Random, max_entities: int = 10,
     n_entities = rng.randint(1, max_entities)
     origins = ["node-a", "node-b", "node-c"]
     seqs = {o: itertools.count() for o in origins}
-    updates: list[PropertyUpdate] = []
+    updates: list[ExistenceUpdate] = []
     for e in range(1, n_entities + 1):
         o = rng.choice(origins)
-        updates.append(PropertyUpdate(e, EXISTENCE, True, (rng.randint(0, 50), o,
-                                                           next(seqs[o]))))
+        updates.append(ExistenceUpdate(e, True, (rng.randint(0, 50), o, next(seqs[o]))))
     extra = rng.randint(0, max_updates - len(updates))
     for _ in range(extra):
         e = rng.randint(1, n_entities)
         o = rng.choice(origins)
         ts = rng.randint(0, 1000)
-        kind = rng.random()
-        if kind < 0.15:
-            updates.append(PropertyUpdate(e, EXISTENCE, False, (ts, o, next(seqs[o]))))
-        elif kind < 0.30:
-            updates.append(PropertyUpdate(e, EXISTENCE, True, (ts, o, next(seqs[o]))))
-        else:
-            updates.append(PropertyUpdate(e, rng.choice(PROPS), rng.randint(0, 99),
-                                          (ts, o, next(seqs[o]))))
+        updates.append(ExistenceUpdate(e, rng.random() < 0.5, (ts, o, next(seqs[o]))))
     return updates
 
 
-def deliver_schedule(replica: SceneReplica, updates: list[PropertyUpdate],
+def deliver_schedule(replica: SceneReplica, updates: list[ExistenceUpdate],
                      rng: random.Random, duplicate_frac: float = 0.3) -> None:
     """At-least-once delivery: a random permutation plus random duplicates.
 
@@ -102,46 +103,23 @@ def run_lww_trial(rng: random.Random) -> tuple[str, str]:
 
 
 class LwwModel:
-    """The scene as two plain dicts of last-writer-wins registers: each
-    entity's existence ``(stamp, alive)`` and each ``(entity, property)``'s
-    ``(stamp, value)``.  A property is visible while its entity is alive
-    and its stamp is not older than the entity's existence stamp."""
+    """The scene as one plain dict of last-writer-wins registers: each
+    entity's existence ``(stamp, alive)``."""
 
     def __init__(self):
         self.stamps: dict = {}
-        self.registers: dict = {}
         self.seq = 0
 
-    def apply_update(self, u: PropertyUpdate) -> ApplyResult:
-        stamp = u.stamp
+    def apply_update(self, u: ExistenceUpdate) -> ApplyResult:
         if u.entity not in self.stamps:
-            if u.property != EXISTENCE or not u.value:
+            if not u.alive:
                 raise UnknownEntity(u.entity)
-            self.stamps[u.entity] = (stamp, True)
+            self.stamps[u.entity] = (u.stamp, True)
             return ApplyResult.ACCEPTED
-        floor = self.stamps[u.entity][0]
-        if u.property == EXISTENCE:
-            if stamp <= floor:
-                return ApplyResult.SUPERSEDED
-            self.stamps[u.entity] = (stamp, bool(u.value))
-            return ApplyResult.ACCEPTED
-        key = (u.entity, u.property)
-        if stamp <= floor or (key in self.registers and stamp <= self.registers[key][0]):
+        if u.stamp <= self.stamps[u.entity][0]:
             return ApplyResult.SUPERSEDED
-        self.registers[key] = (stamp, u.value)
+        self.stamps[u.entity] = (u.stamp, bool(u.alive))
         return ApplyResult.ACCEPTED
-
-    def create_entity(self, entity, initial, ts_us, origin) -> list[PropertyUpdate]:
-        if self.stamps.get(entity, (None, False))[1]:
-            raise DuplicateCreate(entity)
-        names = [EXISTENCE] + sorted(initial)
-        updates = [PropertyUpdate(entity, name, True if name == EXISTENCE else initial[name],
-                                  (ts_us, origin, self.seq + i))
-                   for i, name in enumerate(names)]
-        self.seq += len(updates)
-        for u in updates:
-            self.apply_update(u)
-        return updates
 
     def create_entities(self, entities, ts_us, origin):
         """A batch create: one existence update on one seq for every id,
@@ -152,13 +130,13 @@ class LwwModel:
         stamp = (ts_us, origin, self.seq)
         self.seq += 1
         for e in entities:
-            self.apply_update(PropertyUpdate(e, EXISTENCE, True, stamp))
+            self.apply_update(ExistenceUpdate(e, True, stamp))
         return stamp
 
-    def delete_entity(self, entity, ts_us, origin) -> PropertyUpdate:
+    def delete_entity(self, entity, ts_us, origin) -> ExistenceUpdate:
         if entity not in self.stamps:
             raise UnknownEntity(entity)
-        u = PropertyUpdate(entity, EXISTENCE, False, (ts_us, origin, self.seq))
+        u = ExistenceUpdate(entity, False, (ts_us, origin, self.seq))
         self.seq += 1
         self.apply_update(u)
         return u
@@ -167,22 +145,16 @@ class LwwModel:
         if entity not in self.stamps:
             raise UnknownEntity(entity)
         del self.stamps[entity]
-        self.registers = {key: reg for key, reg in self.registers.items()
-                          if key[0] != entity}
 
     def live_count(self) -> int:
         return sum(alive for _, alive in self.stamps.values())
 
     def digest(self) -> str:
-        """The visible state in ``scene.digest``'s format."""
+        """The visible state in ``digest``'s format."""
         h = hashlib.sha256()
         for entity, (floor, alive) in sorted(self.stamps.items()):
-            if not alive:
-                continue
-            h.update(f"E{entity}:{floor!r}\n".encode())
-            for (e, name), (stamp, value) in sorted(self.registers.items()):
-                if e == entity and stamp >= floor:
-                    h.update(f"P{entity}.{name}={value!r}@{stamp!r}\n".encode())
+            if alive:
+                h.update(f"E{entity}:{floor!r}\n".encode())
         return h.hexdigest()
 
 
@@ -202,12 +174,34 @@ class Ball:
     state: str = FALLING
 
 
+def key_layout(geometry: GaltonGeometry) -> tuple[int, int]:
+    """(lowest column, columns per lane) of the owner table's keys: each
+    (box, row) lane pads the board's columns with off-region ones."""
+    n = geometry.n_levels
+    col_lo = -n - 4 - 2 * (geometry.rows_per_box - 1) * geometry.row_offset_buckets
+    return col_lo, 2 * geometry.bucket_count - n + 3 - col_lo
+
+
+def ball_key(geometry: GaltonGeometry, box: int, row: int, column: int) -> int:
+    """The owner-table key of a ball at a column of a (box, row) lane."""
+    col_lo, width = key_layout(geometry)
+    return (box * geometry.rows_per_box + row) * width + column - col_lo
+
+
+def decode_key(geometry: GaltonGeometry, key: int) -> tuple[int, int, int]:
+    """The (box, row, column) that an owner-table key names."""
+    col_lo, width = key_layout(geometry)
+    lane, column = divmod(key, width)
+    box, row = divmod(lane, geometry.rows_per_box)
+    return box, row, column + col_lo
+
+
 def seat(actor: PhysicsActor, ball: Ball, scene_seq: int = 0) -> None:
     """Seat ``ball`` on ``actor`` as a delivered create would: counted as
     created and delivered, and ticked from the next tick boundary.  The ball
     must lie in the actor's partition, at a column of its lane."""
-    actor._arrive((ball.id, ball.box, ball.row, ball.level, ball.column, 0,
-                   ball.created_at_us), (0, "script", scene_seq))
+    key = ball_key(actor.geometry, ball.box, ball.row, ball.column)
+    actor._arrive((0, ball.level, key, ball.id, ball.created_at_us), (0, "script", scene_seq))
     actor.ledger.created += 1
     actor.ledger.creates_delivered += 1
 

@@ -22,9 +22,18 @@ from dvesim.actors import (
 from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import Message, Network
 from dvesim.partition import MigrationTracker, PartitionMap, RegionSpec
-from dvesim.scene import EXISTENCE, PropertyUpdate, UnknownEntity
+from dvesim.scene import ExistenceUpdate, UnknownEntity
 from dvesim.stats import binomial_pmf
-from helpers import Ball, descend_one_level, detect_crossing, owner_of, seat
+from helpers import (
+    Ball,
+    ball_key,
+    decode_key,
+    descend_one_level,
+    detect_crossing,
+    key_layout,
+    owner_of,
+    seat,
+)
 
 
 class TestGeometry:
@@ -130,7 +139,7 @@ class TestPhysicsMessages:
         # a physics node deletes only the balls it simulates, itself
         engine, actor, ledger = wire_physics(self.GEO, capacity=10)
         seat(actor, Ball(id=1, box=0, row=0))
-        delete = PropertyUpdate(1, EXISTENCE, False, (10, "physics-2", 0))
+        delete = ExistenceUpdate(1, False, (10, "physics-2", 0))
         with pytest.raises(UnroutableMessage):
             actor.on_message(Message(kind, "dispatcher", "physics-1", 256, delete, 0, 0))
         assert actor.replica.live_count() == actor.active_count == 1
@@ -485,39 +494,52 @@ class TestOwnerTable:
         geo = self.GEO
         region = RegionSpec()
         pmap = layout_map(layout, region)
-        owners, lanes = owner_table(geo, pmap)
-        # every lane spans the same columns, and box 0 row 0's starts the table
-        width = len(owners) // (geo.boxes * geo.rows_per_box)
-        columns = range(-lanes[0][0], width - lanes[0][0])
-        want, keys = [], []
-        for box in range(geo.boxes):
-            for row in range(geo.rows_per_box):
-                for column in columns:
-                    x = geo.ball_x_m(region, row, column)
-                    y = geo.box_center_y_m(region, box)
-                    inside = 0.0 <= x < region.width_m
-                    want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
-                                if inside else -1)
-                    keys.append(lanes[box][row] + column)
-                    # a seated ball's step, either way, stays in its lane
-                    if inside:
-                        assert columns[0] < column < columns[-1]
-        assert [owners[key] for key in keys] == want
+        owners, drops, _ = owner_table(geo, pmap)
+        _, width = key_layout(geo)
+        assert len(owners) == geo.boxes * geo.rows_per_box * width
+        want = []
+        for key in range(len(owners)):
+            box, row, column = decode_key(geo, key)
+            x = geo.ball_x_m(region, row, column)
+            y = geo.box_center_y_m(region, box)
+            inside = 0.0 <= x < region.width_m
+            want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
+                        if inside else -1)
+            # a seated ball's step, either way, stays in its lane
+            if inside:
+                assert decode_key(geo, key - 1) == (box, row, column - 1)
+                assert decode_key(geo, key + 1) == (box, row, column + 1)
+        assert owners == want
         assert set(want) == set(pmap.partitions) | {-1}
-        # the lanes tile the table: each (box, row) has a lane of its own
-        assert sorted(keys) == list(range(len(owners)))
+        # each (box, row) lane drops its balls at its column 0
+        assert drops == [[ball_key(geo, box, row, 0) for row in range(geo.rows_per_box)]
+                         for box in range(geo.boxes)]
+
+    def test_buckets_match_the_scalar_decode(self):
+        # a 2-box, 3-row board, so that a key's lane decodes to a different
+        # (box, row) under the box count than under the rows per box
+        geo = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, row_offset_buckets=2)
+        _, _, buckets = owner_table(geo, PartitionMap.single(RegionSpec(), 1, "physics-1"))
+        want = []
+        for key in range(len(buckets)):
+            box, row, column = decode_key(geo, key)
+            bucket = geo.final_bucket(column, row)
+            want.append(bucket if 0 <= bucket < geo.bucket_count else -1)
+        assert buckets == want
+        assert set(want) == set(range(-1, geo.bucket_count))
 
     @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
     def test_create_routes_equal_owner_of(self, layout):
-        # a create is routed from the table's column 0, the drop position
+        # a create is routed by its drop key, the lane's column 0
         region = RegionSpec()
         pmap = layout_map(layout, region)
         for geo in (self.GEO, self.OFFSET):
             dispatcher = DispatcherActor("dispatcher", Network(Engine(seed=1)),
                                          pmap.partitions, owner_table(geo, pmap), "script")
-            want = [[pmap.partitions[owner_of(pmap, geo.ball_x_m(region, row, 0),
-                                              geo.box_center_y_m(region, box))]
-                     for row in range(geo.rows_per_box)] for box in range(geo.boxes)]
+            want = {ball_key(geo, box, row, 0):
+                    pmap.partitions[owner_of(pmap, geo.ball_x_m(region, row, 0),
+                                             geo.box_center_y_m(region, box))]
+                    for box in range(geo.boxes) for row in range(geo.rows_per_box)}
             assert dispatcher._create_nodes == want
 
 
@@ -542,7 +564,8 @@ class TestScriptActor:
         network.add_link("script", "dispatcher", 0.001, 1e9)
         sink = []
         network.register_handler("dispatcher", sink.append)
-        script = ScriptActor("script", engine, network, "dispatcher", geo,
+        table = owner_table(geo, PartitionMap.single(RegionSpec(), 1, "physics-1"))
+        script = ScriptActor("script", engine, network, "dispatcher", table, geo,
                              period_s, ledger)
         return engine, script, ledger, sink
 
@@ -577,15 +600,18 @@ class TestScriptActor:
         assert slow["sent_bytes"] == fast["sent_bytes"]
 
     def test_create_ships_a_ball_record(self):
-        # the (row, stamp) record a transfer ships, at level, column and
-        # progress 0, with the stamp object the script's replica stored:
-        # exact tuples of atomic values, which the cyclic collector stops
-        # tracking
+        # the (row, stamp) record a transfer ships: a ring row at progress
+        # and level 0 on its dropper's drop key, with the stamp object the
+        # script's replica stored: exact tuples of atomic values, which the
+        # cyclic collector stops tracking
         engine, script, ledger, sink = self.small_script()
+        geo = script.geometry
         msgs = script.dropper_tick(0)
-        assert [m.payload[0] for m in msgs[:2]] == [(1, 0, 0, 0, 0, 0, 0),
-                                                    (2, 0, 0, 0, 0, 0, 0)]
-        assert all(m.payload[1] is script.replica.stamp_of(m.payload[0][0]) for m in msgs)
+        drops = [ball_key(geo, box, row, 0) for box in range(geo.boxes)
+                 for row in range(geo.rows_per_box) for _ in range(geo.droppers_per_row)]
+        assert [m.payload[0] for m in msgs] == [(0, 0, key, entity, 0)
+                                                for entity, key in enumerate(drops, 1)]
+        assert all(m.payload[1] is script.replica.stamp_of(m.payload[0][_ENTITY]) for m in msgs)
         assert {m.payload[1][1] for m in msgs} == {"script"}
         # the first collection untracks the rows, the next the records
         gc.collect()
@@ -605,9 +631,9 @@ class TestScriptActor:
         assert len({id(stamp) for stamp in stamps}) == 3
         keys = {key: key for key in script.replica._entities}
         for msgs, stamp in zip(drops, stamps):
-            assert len(msgs) == len(script.droppers)
+            assert len(msgs) == len(script.drop_keys)
             for m in msgs:
-                entity = m.payload[0][0]
+                entity = m.payload[0][_ENTITY]
                 assert m.payload[1] is stamp and script.replica.stamp_of(entity) is stamp
                 assert keys[entity] is entity
 
@@ -615,7 +641,7 @@ class TestScriptActor:
         engine, script, ledger, sink = self.small_script()
         script.dropper_tick(0)
         live = script.replica.live_count()
-        delete = PropertyUpdate(1, EXISTENCE, False, (10, "physics-1", 0))
+        delete = ExistenceUpdate(1, False, (10, "physics-1", 0))
         script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
         assert script.replica.live_count() == live - 1
         for kind in ("create", "migrate", "ack", "update"):
@@ -627,7 +653,7 @@ class TestScriptActor:
         engine, script, ledger, sink = self.small_script()
         script.dropper_tick(0)
         live = script.replica.live_count()
-        delete = PropertyUpdate(1, EXISTENCE, False, (10**6, "physics-1", 0))
+        delete = ExistenceUpdate(1, False, (10**6, "physics-1", 0))
         script.on_message(Message("delete", "dispatcher", "script", 256, delete, 0, 0))
         assert 1 not in script.replica._entities and 1 not in script.replica._tombs
         with pytest.raises(UnknownEntity):
@@ -635,7 +661,7 @@ class TestScriptActor:
         # stamped before ball 2's creation: superseded, so the ball stays
         # live and held
         created_ts = script.replica._entities[2][0]
-        stale = PropertyUpdate(2, EXISTENCE, False, (created_ts - 1, "physics-1", 1))
+        stale = ExistenceUpdate(2, False, (created_ts - 1, "physics-1", 1))
         script.on_message(Message("delete", "dispatcher", "script", 256, stale, 0, 0))
         assert 2 in script.replica._entities
         assert script.replica.live_count() == live - 1
@@ -657,13 +683,14 @@ class TestDispatcher:
 
     def test_create_routes_to_owning_partition(self):
         engine, network, dispatcher = self.wire()
-        # (id, box, row, level, column, progress, created), then the stamp
-        spawn = ((1, 0, 0, 0, 0, 0, 0), (0, "script", 0))
+        geo = GaltonGeometry()
+        # (progress, level, key, id, created), then the stamp
+        spawn = ((0, 0, ball_key(geo, 0, 0, 0), 1, 0), (0, "script", 0))
         msg = Message("create", "script", "dispatcher", 1024, spawn, 0, 0)
         out = dispatcher.dispatcher_relay(msg)
         assert len(out) == 1
         assert out[0].dst == "physics-1"  # row 0 drops left of the split
-        spawn2 = ((2, 0, 2, 0, 0, 0, 0), (0, "script", 1))
+        spawn2 = ((0, 0, ball_key(geo, 0, 2, 0), 2, 0), (0, "script", 1))
         out2 = dispatcher.dispatcher_relay(
             Message("create", "script", "dispatcher", 1024, spawn2, 0, 0))
         assert out2[0].dst == "physics-2"
@@ -805,7 +832,10 @@ class TestOneStampPerBall:
     LANES = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=1,
                            balls_per_dropper=1, nominal_descent_s=1.0)
 
-    def test_a_delivered_create_holds_the_script_replicas_stamp(self):
+    def drop_once(self):
+        """One drop of 12 balls from a script through a dispatcher to one
+        physics node, delivered before the node's first tick; returns the
+        engine, the script, the node, the ledger and the creates sent."""
         geo = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                              balls_per_dropper=1, nominal_descent_s=10.0)
         engine = Engine(seed=2)
@@ -815,7 +845,7 @@ class TestOneStampPerBall:
         ledger = RunLedger(geo.total_balls)
         for a, b in (("script", "dispatcher"), ("dispatcher", "physics-1")):
             network.add_link(a, b, 0.001, 1e9)
-        script = ScriptActor("script", engine, network, "dispatcher", geo, 1.0, ledger)
+        script = ScriptActor("script", engine, network, "dispatcher", table, geo, 1.0, ledger)
         dispatcher = DispatcherActor("dispatcher", network, pmap.partitions, table, "script")
         physics = PhysicsActor("physics-1", 1, table, geo, 100, 0.1, engine, network,
                                "dispatcher", ledger)
@@ -824,9 +854,21 @@ class TestOneStampPerBall:
         # ids past the interpreter's cached small ints, so that the check
         # below that both replicas key a ball by one int object is not void
         script._entities = itertools.count(10**6)
+        sent, drop = [], script.dropper_tick
+
+        def recorded_drop(now_us):
+            msgs = drop(now_us)
+            sent.extend(msgs)
+            return msgs
+
+        script.dropper_tick = recorded_drop
         script.start()
         engine.run_until(seconds_to_us(0.05))
-        assert ledger.creates_delivered == geo.total_balls == 12
+        assert ledger.creates_delivered == geo.total_balls == len(sent) == 12
+        return engine, script, physics, ledger, sent
+
+    def test_a_delivered_create_holds_the_script_replicas_stamp(self):
+        engine, script, physics, ledger, sent = self.drop_once()
         ids = range(10**6, 10**6 + 12)
         for entity in ids:
             assert physics.replica.stamp_of(entity) is script.replica.stamp_of(entity)
@@ -835,6 +877,16 @@ class TestOneStampPerBall:
         script_keys = {key: key for key in script.replica._entities}
         assert sorted(physics.replica._entities) == list(ids)
         assert all(key is script_keys[key] for key in physics.replica._entities)
+
+    def test_a_create_row_is_the_row_the_node_seats(self):
+        engine, script, physics, ledger, sent = self.drop_once()
+        rows = [m.payload[0] for m in sent]
+        # buffered as they came, then seated by the next tick, which adds
+        # its length to the progress of every ball it serves
+        assert physics._arrivals == [field for row in rows for field in row]
+        physics.physics_tick(engine.now_us)
+        ring = physics._ring[:physics._n].view(np.int64).reshape(-1, _FIELDS)
+        assert list(map(tuple, ring.tolist())) == [(physics.tick_us, *row[1:]) for row in rows]
 
     def test_the_gaining_replica_holds_the_losing_replicas_stamp(self):
         engine, ledger, losing, gaining = wire_split(self.GEO, 8)
@@ -847,27 +899,36 @@ class TestOneStampPerBall:
         for entity in moved:
             assert gaining.replica.stamp_of(entity) is held[entity]
 
-    def test_a_transfer_ships_the_position_its_key_encodes(self):
+    def test_a_transfer_ships_the_position_its_key_encodes(self, monkeypatch):
         # per lane, balls sit on the last column left of the split and take
-        # one step in the first tick: those that step right migrate, with
-        # the box, row and column their key encodes and the stamp that the
-        # losing replica holds, whose ack never comes back
+        # one step in the first tick: those that step right migrate.  Each
+        # ships the ring row it left with, unchanged, whose key names its
+        # box, row and new column, and the stamp that the losing replica
+        # holds, whose ack never comes back
+        geo = self.LANES
         engine = Engine(seed=6)
         network = Network(engine)
         pmap = PartitionMap.split(RegionSpec(), 0, 128.0, (1, "physics-1"), (2, "physics-2"))
-        owners, lanes = table = owner_table(self.LANES, pmap)
+        owners, _, _ = table = owner_table(geo, pmap)
         ledger = RunLedger(48)
         network.add_link("physics-1", "dispatcher", 0.001, 1e9)
         shipped = []
         network.register_handler("dispatcher", shipped.append)
-        actor = PhysicsActor("physics-1", 1, table, self.LANES, 100, 0.1, engine, network,
+        actor = PhysicsActor("physics-1", 1, table, geo, 100, 0.1, engine, network,
                              "dispatcher", ledger)
+        left, leave = {}, actor._leave
+
+        def recorded_leave(rows, now_us):
+            left.update((row[_ENTITY], tuple(row)) for row in rows.tolist())
+            leave(rows, now_us)
+
+        monkeypatch.setattr(actor, "_leave", recorded_leave)
         seated = {}
         for box in range(2):
             for row in range(3):
                 column = next(c for c in range(-20, 20)
-                              if owners[lanes[box][row] + c] == 1
-                              and owners[lanes[box][row] + c + 1] == 2)
+                              if owners[ball_key(geo, box, row, c)] == 1
+                              and owners[ball_key(geo, box, row, c + 1)] == 2)
                 for entity in range(len(seated) + 1, len(seated) + 9):
                     seat(actor, Ball(id=entity, box=box, row=row, column=column,
                                      created_at_us=1000 + entity), scene_seq=entity)
@@ -880,7 +941,8 @@ class TestOneStampPerBall:
         for t in transfers:
             ball, stamp = t.state
             box, row, column = seated[t.entity]
-            assert ball == (t.entity, box, row, 1, column + 1, 0, 1000 + t.entity)
+            assert ball == left[t.entity]
+            assert ball == (0, 1, ball_key(geo, box, row, column + 1), t.entity, 1000 + t.entity)
             assert stamp is actor.replica.stamp_of(t.entity)
 
     def test_a_seated_ball_costs_at_most_100_bytes(self):
@@ -891,7 +953,8 @@ class TestOneStampPerBall:
         slab row, its free slot list and a stamp of its own reads 231 B."""
         n = 20_000
         engine, actor, ledger = wire_physics(self.GEO, capacity=1)
-        records = [((e, 0, 0, 0, 0, 0, e), (0, "script", e)) for e in range(1, n + 1)]
+        key = ball_key(self.GEO, 0, 0, 0)
+        records = [((0, 0, key, e, e), (0, "script", e)) for e in range(1, n + 1)]
         gc.collect()
         tracemalloc.start()
         try:

@@ -46,7 +46,7 @@ from dvesim.harness.report import (
     report_metric,
     window_interval_means,
 )
-from dvesim.netsim import Network
+from dvesim.netsim import Link, Network
 from dvesim.partition import PartitionMap
 from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
@@ -61,6 +61,22 @@ from helpers import (
 
 TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                       balls_per_dropper=5, nominal_descent_s=12.0)
+
+
+def imports_numpy_ma(code: str, config_path, *args) -> bool:
+    """Whether ``code`` imports numpy.ma in a fresh interpreter, which this
+    one may already have imported; ``config`` is the Galton config read from
+    ``sys.argv[1]``, and ``args`` follow it."""
+    src = str(Path(dvesim.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from dvesim.harness import GaltonExperimentConfig\n"
+            "config = GaltonExperimentConfig.from_file(sys.argv[1])\n"
+            + code + "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(config_path), *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {"True": True, "False": False}[done.stdout.strip()]
 
 
 def tiny_config(**kw):
@@ -182,8 +198,7 @@ class TestRunGalton:
             finally:
                 tracemalloc.stop()
 
-        # first-run imports and caches, such as np.quantile's import of
-        # numpy.ma, are not counted
+        # first-run imports and caches are not counted
         rmse_envelope(tiny_config(), [1])
         one = traced_peak(run_galton, tiny_config(seed=1))
         ten = traced_peak(rmse_envelope, tiny_config(), list(range(1, 11)))
@@ -210,17 +225,15 @@ class TestRunGalton:
         and exports a centre-split run, since this one may have imported it."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(tiny_config(topology="B", split="center_x").to_dict()))
-        code = ("import sys\n"
-                "from dvesim.harness import GaltonExperimentConfig, export, run_galton\n"
-                "config = GaltonExperimentConfig.from_file(sys.argv[1])\n"
-                "export(run_galton(config), sys.argv[2])\n"
-                "print('numpy.ma' in sys.modules)\n")
-        src = str(Path(dvesim.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False"]
+        assert imports_numpy_ma("from dvesim.harness import export, run_galton\n"
+                                "export(run_galton(config), sys.argv[2])\n",
+                                config, tmp_path / "out") is False
+
+    def test_an_envelope_does_not_import_numpy_ma(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_config().to_dict()))
+        assert imports_numpy_ma("from dvesim.harness import rmse_envelope\n"
+                                "rmse_envelope(config, [1, 2, 3])\n", config) is False
 
     def test_capacity_jitter_series(self):
         reports = run_galton_series(tiny_config(), seeds=[1, 2, 3, 4, 5],
@@ -489,6 +502,20 @@ class TestLogin:
         else:
             assert 1 - ss_res / ss_tot > 0.999
         assert slope == pytest.approx(expected_slope, abs=1e-9)
+
+    def test_a_login_run_leaves_no_cyclic_garbage(self):
+        """Each repeat's engine, network and links are freed by reference
+        counting: a collection after the run finds none of them unreachable."""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_login(login_cfg())
+            gc.collect()
+            left = {type(o) for o in gc.garbage} & {Engine, Network, Link}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not left
 
     def test_repeats_are_deterministic(self):
         report = run_login(login_cfg(repeats=4))

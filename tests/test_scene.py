@@ -7,24 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvesim.scene import (
-    EXISTENCE,
     ApplyResult,
     DuplicateCreate,
-    PropertyUpdate,
+    ExistenceUpdate,
     SceneReplica,
     UnknownEntity,
-    digest,
 )
-from helpers import LwwModel, run_lww_trial
+from helpers import LwwModel, digest, run_lww_trial
 
 
-def upd(entity, prop, value, ts, origin="node-a", seq=0):
-    return PropertyUpdate(entity, prop, value, (ts, origin, seq))
+def upd(entity, alive, ts, origin="node-a", seq=0):
+    return ExistenceUpdate(entity, alive, (ts, origin, seq))
 
 
-#: the existence update that creating entity 1 at ts 1 on a fresh replica
-#: stamps, as the ``replica`` fixture does
-CREATED = upd(1, EXISTENCE, True, ts=1, seq=0)
+#: the update that creating entity 1 at ts 1 on a fresh replica stamps, as
+#: the ``replica`` fixture does
+CREATED = upd(1, True, ts=1, seq=0)
 
 
 def assert_visible(replica, *winners):
@@ -39,36 +37,36 @@ def assert_visible(replica, *winners):
 @pytest.fixture
 def replica():
     r = SceneReplica("r")
-    r.create_entity(1, {"position": 0}, ts_us=1, origin="node-a")
+    r.create_entities([1], ts_us=1, origin="node-a")
     return r
 
 
 class TestApplyUpdate:
     def test_higher_timestamp_wins(self, replica):
-        replica.apply_update(upd(1, "position", 10, ts=3, seq=10))
-        result = replica.apply_update(upd(1, "position", 20, ts=5, seq=11))
+        replica.apply_update(upd(1, True, ts=3, seq=10))
+        result = replica.apply_update(upd(1, True, ts=5, seq=11))
         assert result is ApplyResult.ACCEPTED
-        assert_visible(replica, CREATED, upd(1, "position", 20, ts=5, seq=11))
+        assert replica.stamp_of(1) == (5, "node-a", 11)
+        assert_visible(replica, upd(1, True, ts=5, seq=11))
 
     def test_lower_timestamp_superseded(self, replica):
-        replica.apply_update(upd(1, "position", 10, ts=5, seq=10))
-        result = replica.apply_update(upd(1, "position", 99, ts=3, seq=11))
+        replica.apply_update(upd(1, True, ts=5, seq=10))
+        result = replica.apply_update(upd(1, False, ts=3, seq=11))
         assert result is ApplyResult.SUPERSEDED
-        assert_visible(replica, CREATED, upd(1, "position", 10, ts=5, seq=10))
+        assert_visible(replica, upd(1, True, ts=5, seq=10))
 
     def test_timestamp_tie_broken_by_origin(self, replica):
-        replica.apply_update(upd(1, "position", 10, ts=5, origin="node-b", seq=0))
-        result = replica.apply_update(upd(1, "position", 20, ts=5, origin="node-c", seq=0))
+        replica.apply_update(upd(1, True, ts=5, origin="node-b", seq=0))
+        result = replica.apply_update(upd(1, False, ts=5, origin="node-c", seq=0))
         assert result is ApplyResult.ACCEPTED
-        assert_visible(replica, CREATED,
-                       upd(1, "position", 20, ts=5, origin="node-c", seq=0))
+        assert_visible(replica)
 
     def test_unknown_entity_raises(self, replica):
         with pytest.raises(UnknownEntity):
-            replica.apply_update(upd(99, "position", 1, ts=5))
+            replica.apply_update(upd(99, False, ts=5))
 
     def test_idempotent(self, replica):
-        u = upd(1, "position", 10, ts=3, seq=10)
+        u = upd(1, True, ts=3, seq=10)
         replica.apply_update(u)
         before = digest(replica)
         assert replica.apply_update(u) is ApplyResult.SUPERSEDED
@@ -76,24 +74,24 @@ class TestApplyUpdate:
 
 
 class TestEntityLifecycle:
-    def test_create_makes_properties_readable(self):
+    def test_create_makes_the_entity_live(self):
         r = SceneReplica("r")
-        r.create_entity(1, {"position": 5}, ts_us=1, origin="node-a")
-        assert_visible(r, CREATED, upd(1, "position", 5, ts=1, seq=1))
+        assert r.create_entities([1], ts_us=1, origin="node-a") == CREATED.stamp
+        assert r.live_count() == 1 and r.stamp_of(1) == CREATED.stamp
+        assert_visible(r, CREATED)
 
     def test_duplicate_create_rejected(self, replica):
         with pytest.raises(DuplicateCreate):
-            replica.create_entity(1, {}, ts_us=9, origin="node-a")
+            replica.create_entities([1], ts_us=9, origin="node-a")
 
     def test_recreation_after_tombstone(self):
         # hand-enumerated two-op schedule: delete@5 then create@7 revives
         r = SceneReplica("r")
-        r.create_entity(1, {}, ts_us=1, origin="node-a")
+        r.create_entities([1], ts_us=1, origin="node-a")
         r.delete_entity(1, ts_us=5, origin="node-a")
         assert_visible(r)
-        r.create_entity(1, {"position": 3}, ts_us=7, origin="node-a")
-        assert_visible(r, upd(1, EXISTENCE, True, ts=7, seq=2),
-                       upd(1, "position", 3, ts=7, seq=3))
+        r.create_entities([1], ts_us=7, origin="node-a")
+        assert_visible(r, upd(1, True, ts=7, seq=2))
 
     def test_delete_with_higher_ts_wins(self, replica):
         replica.delete_entity(1, ts_us=9, origin="node-a")
@@ -101,22 +99,21 @@ class TestEntityLifecycle:
 
     def test_stale_delete_superseded(self, replica):
         # existence was re-stamped at ts=8; a ts=4 delete is stale
-        replica.apply_update(upd(1, EXISTENCE, True, ts=8, seq=50))
-        result = replica.apply_update(upd(1, EXISTENCE, False, ts=4, seq=51))
+        replica.apply_update(upd(1, True, ts=8, seq=50))
+        result = replica.apply_update(upd(1, False, ts=4, seq=51))
         assert result is ApplyResult.SUPERSEDED
-        # alive, and the position written at ts=1 predates the re-stamp
-        assert_visible(replica, upd(1, EXISTENCE, True, ts=8, seq=50))
+        assert_visible(replica, upd(1, True, ts=8, seq=50))
 
-    def test_stale_property_update_blocked_by_tombstone(self, replica):
-        # hand-enumerated: delete@9, then a position write stamped 4 arrives
+    def test_stale_create_blocked_by_tombstone(self, replica):
+        # hand-enumerated: delete@9, then a re-creation stamped 4 arrives
         replica.delete_entity(1, ts_us=9, origin="node-a")
-        result = replica.apply_update(upd(1, "position", 123, ts=4, seq=60))
+        result = replica.apply_update(upd(1, True, ts=4, seq=60))
         assert result is ApplyResult.SUPERSEDED
         r2 = SceneReplica("r2")
         # reversed arrival order converges to the same visible state
-        for u in [upd(1, EXISTENCE, True, 1, "node-a", 0),
-                  upd(1, "position", 123, 4, "node-a", 60),
-                  upd(1, EXISTENCE, False, 9, "node-a", 1)]:
+        for u in [upd(1, True, 1, "node-a", 0),
+                  upd(1, True, 4, "node-a", 60),
+                  upd(1, False, 9, "node-a", 1)]:
             r2.apply_update(u)
         assert digest(replica) == digest(r2)
 
@@ -127,18 +124,15 @@ class TestEntityLifecycle:
 
     def test_local_updates_are_stamped_in_order_on_consecutive_seqs(self):
         r = SceneReplica("r")
-        created = r.create_entity(1, {"b": 2, "a": 1}, ts_us=5, origin="o")
-        assert created == [upd(1, EXISTENCE, True, 5, "o", 0),
-                           upd(1, "a", 1, 5, "o", 1),
-                           upd(1, "b", 2, 5, "o", 2)]
-        assert r.delete_entity(1, ts_us=7, origin="o") == upd(1, EXISTENCE, False, 7, "o", 3)
-        assert r.create_entity(1, {}, ts_us=9, origin="o") == [
-            upd(1, EXISTENCE, True, 9, "o", 4)]
+        assert r.create_entities([1], ts_us=5, origin="o") == (5, "o", 0)
+        assert r.delete_entity(1, ts_us=7, origin="o") == upd(1, False, 7, "o", 1)
+        assert r.create_entities([1, 2], ts_us=9, origin="o") == (9, "o", 2)
+        assert r.delete_entity(2, ts_us=9, origin="o") == upd(2, False, 9, "o", 3)
 
 
 class TestBatchCreate:
     def test_a_batch_is_one_update_on_one_seq(self, replica):
-        replica.create_entity(2, {}, ts_us=1, origin="node-a")
+        replica.create_entities([2], ts_us=1, origin="node-a")
         replica.delete_entity(2, ts_us=2, origin="node-a")
         seq = replica._seq
         stamp = replica.create_entities([5, 2, 3], ts_us=4, origin="node-a")
@@ -147,20 +141,20 @@ class TestBatchCreate:
         # apply_update, the fresh ones directly
         assert all(replica.stamp_of(e) is stamp for e in (5, 2, 3))
         assert not replica._tombs and replica.live_count() == 4
-        created = [upd(e, EXISTENCE, True, ts=4, seq=seq) for e in (5, 2, 3)]
-        assert_visible(replica, CREATED, upd(1, "position", 0, ts=1, seq=1), *created)
+        created = [upd(e, True, ts=4, seq=seq) for e in (5, 2, 3)]
+        assert_visible(replica, CREATED, *created)
 
     def test_a_batch_older_than_a_tombstone_leaves_it_dead(self, replica):
         replica.delete_entity(1, ts_us=9, origin="node-a")
         stamp = replica.create_entities([1, 2], ts_us=5, origin="node-a")
-        assert replica._tombs == {1: (9, "node-a", 2)}
+        assert replica._tombs == {1: (9, "node-a", 1)}
         assert replica._entities == {2: stamp}
 
     @pytest.mark.parametrize("batch", [[3, 1], [3, 3], [4, 2, 4]])
     def test_a_refused_batch_leaves_the_replica_unchanged(self, replica, batch):
         """A live id (1) or a repeated one refuses the whole batch, also
         when it holds a fresh id (3, 4) or a tombstoned one (2)."""
-        replica.create_entity(2, {}, ts_us=1, origin="node-a")
+        replica.create_entities([2], ts_us=1, origin="node-a")
         replica.delete_entity(2, ts_us=2, origin="node-a")
         before = (dict(replica._entities), dict(replica._tombs), replica._seq,
                   digest(replica))
@@ -175,24 +169,29 @@ class TestDigest:
 
     def test_order_independent(self):
         updates = [
-            upd(1, EXISTENCE, True, 1, "node-a", 0),
-            upd(1, "position", 10, 2, "node-a", 1),
-            upd(1, "position", 20, 3, "node-b", 0),
-            upd(2, EXISTENCE, True, 1, "node-b", 1),
-            upd(2, "velocity", 7, 4, "node-a", 2),
+            upd(1, True, 1, "node-a", 0),
+            upd(1, False, 2, "node-a", 1),
+            upd(1, True, 3, "node-b", 0),
+            upd(2, True, 1, "node-b", 1),
+            upd(2, False, 4, "node-a", 2),
+            upd(3, True, 2, "node-a", 3),
         ]
         r1, r2 = SceneReplica("r1"), SceneReplica("r2")
         for u in updates:
             r1.apply_update(u)
-        for u in [updates[3], updates[0], updates[4], updates[2], updates[1]]:
+        for u in [updates[3], updates[5], updates[0], updates[4], updates[2], updates[1]]:
             r2.apply_update(u)
         assert digest(r1) == digest(r2)
 
     def test_value_difference_changes_digest(self):
-        r1, r2 = SceneReplica("r1"), SceneReplica("r2")
-        r1.create_entity(1, {"position": 1}, ts_us=1, origin="node-a")
-        r2.create_entity(1, {"position": 2}, ts_us=1, origin="node-a")
-        assert digest(r1) != digest(r2)
+        # a live entity differs from a deleted one, and from one created
+        # under another stamp
+        r1, r2, r3 = SceneReplica("r1"), SceneReplica("r2"), SceneReplica("r3")
+        for r in (r1, r2):
+            r.create_entities([1], ts_us=1, origin="node-a")
+        r2.delete_entity(1, ts_us=2, origin="node-a")
+        r3.create_entities([1], ts_us=2, origin="node-a")
+        assert len({digest(r1), digest(r2), digest(r3)}) == 3
 
 
 class TestConvergence:
@@ -204,38 +203,36 @@ class TestConvergence:
             assert d1 == d2
 
     def test_stored_stamp_never_decreases(self):
+        # a live entity's stamp, or a deleted one's tombstone
         rng = random.Random(99)
         r = SceneReplica("r")
-        r.create_entity(1, {}, ts_us=0, origin="node-a")
+        r.create_entities([1], ts_us=0, origin="node-a")
         last = (0, "", 0)
         for i in range(500):
-            u = upd(1, "position", i, ts=rng.randint(0, 100), origin="node-b", seq=i)
+            u = upd(1, rng.random() < 0.5, ts=rng.randint(0, 100), origin="node-b", seq=i)
             r.apply_update(u)
-            register = r._props.get(1, {}).get("position")
-            if register is not None:
-                assert register[1] >= last
-                last = register[1]
+            stored = r._entities.get(1) or r._tombs[1]
+            assert stored >= last
+            last = stored
 
 
 class TestEntityRecords:
-    def test_entities_without_property_updates_share_no_props_container(self):
+    def test_each_record_is_its_bare_stamp(self):
         r = SceneReplica("r")
         for entity in (1, 2):
-            r.create_entity(entity, {}, ts_us=entity, origin="node-a")
+            r.create_entities([entity], ts_us=entity, origin="node-a")
         r.delete_entity(2, ts_us=12, origin="node-a")
-        # each record is its bare stamp, an exact tuple, live or tombstoned,
-        # with no props entry beside it
+        # each record is its bare stamp, an exact tuple, live or tombstoned
         assert r._entities == {1: (1, "node-a", 0)} and r._tombs == {2: (12, "node-a", 2)}
         assert all(type(stamp) is tuple for stamp in [*r._entities.values(), *r._tombs.values()])
-        assert not r._props
 
     def test_a_record_moves_between_live_and_tombstone_and_forget_drops_it(self):
         r = SceneReplica("r")
-        r.create_entity(1, {}, ts_us=1, origin="node-a")
+        r.create_entities([1], ts_us=1, origin="node-a")
         r.delete_entity(1, ts_us=2, origin="node-a")
         assert (r._entities, r._tombs) == ({}, {1: (2, "node-a", 1)})
         # a re-creation takes the record out of the tombstones
-        r.create_entity(1, {}, ts_us=3, origin="node-a")
+        r.create_entities([1], ts_us=3, origin="node-a")
         assert (r._entities, r._tombs) == ({1: (3, "node-a", 2)}, {})
         r.delete_entity(1, ts_us=4, origin="node-a")
         r.forget(1)
@@ -244,15 +241,14 @@ class TestEntityRecords:
     @pytest.mark.parametrize("path", ["create", "apply"])
     def test_a_live_entity_costs_at_most_140_bytes(self, path):
         """Traced bytes per live entity, dict slots included, of a replica
-        that creates or applies the existence of 20,000 entities without
-        properties; inputs are built before tracing starts.  CPython 3.11
-        reads 125 B (create) and 94 B (apply); the bound leaves room for
+        that creates or applies the existence of 20,000 entities, one
+        update each; inputs are built before tracing starts.  CPython 3.11
+        reads 125 B (create) and 30 B (apply); the bound leaves room for
         other interpreters' dict and tuple layouts and still fails an
         ``(alive, stamp)`` record, which reads 181 B and 150 B."""
         n = 20_000
-        creates = [(e, {}, 10**6 + e, "script") for e in range(1, n + 1)]
-        updates = [upd(e, EXISTENCE, True, ts=t, origin=o, seq=e)
-                   for e, _, t, o in creates]
+        creates = [((e,), 10**6 + e, "script") for e in range(1, n + 1)]
+        updates = [upd(e, True, ts=t, origin=o, seq=e) for (e,), t, o in creates]
         r = SceneReplica("r")
         gc.collect()
         tracemalloc.start()
@@ -260,7 +256,7 @@ class TestEntityRecords:
             before = tracemalloc.get_traced_memory()[0]
             if path == "create":
                 for args in creates:
-                    r.create_entity(*args)
+                    r.create_entities(*args)
             else:
                 for u in updates:
                     r.apply_update(u)
@@ -292,15 +288,6 @@ class TestEntityRecords:
         assert r.live_count() == n
         assert held / n <= 50
 
-    def test_first_property_update_gives_the_entity_its_own_props(self):
-        r = SceneReplica("r")
-        r.create_entity(1, {}, ts_us=1, origin="node-a")
-        r.create_entity(2, {}, ts_us=1, origin="node-a")
-        assert r.apply_update(upd(1, "position", 5, ts=2)) is ApplyResult.ACCEPTED
-        assert_visible(r, CREATED, upd(2, EXISTENCE, True, ts=1, seq=1),
-                       upd(1, "position", 5, ts=2))
-        assert list(r._props) == [1] and list(r._props[1]) == ["position"]
-
 
 class TestForget:
     def test_forgetting_an_unknown_entity_raises(self, replica):
@@ -311,7 +298,7 @@ class TestForget:
             replica.forget(1)
 
     def test_forgetting_a_live_entity_lowers_live_count_a_tombstone_does_not(self, replica):
-        replica.create_entity(2, {}, ts_us=1, origin="node-a")
+        replica.create_entities([2], ts_us=1, origin="node-a")
         replica.delete_entity(2, ts_us=2, origin="node-a")
         assert replica.live_count() == 1
         replica.forget(2)
@@ -321,16 +308,16 @@ class TestForget:
 
     @pytest.mark.parametrize("deleted", [False, True])
     def test_forgotten_entity_is_unknown(self, replica, deleted):
-        replica.apply_update(upd(1, "position", 7, ts=3, seq=10))
+        replica.apply_update(upd(1, True, ts=3, seq=10))
         if deleted:
             replica.delete_entity(1, ts_us=4, origin="node-a")
         replica.forget(1)
         with pytest.raises(UnknownEntity):
-            replica.apply_update(upd(1, "position", 8, ts=5, seq=11))
+            replica.apply_update(upd(1, False, ts=5, seq=11))
         with pytest.raises(UnknownEntity):
             replica.delete_entity(1, ts_us=5, origin="node-a")
-        # a replayed creation, older than the forgotten tombstone, is a first
-        # incarnation: the old position does not come back with it
+        # a replayed creation, older than the forgotten stamps, is a first
+        # incarnation
         assert replica.apply_update(CREATED) is ApplyResult.ACCEPTED
         assert replica.live_count() == 1
         assert_visible(replica, CREATED)
@@ -341,10 +328,9 @@ def update_deliveries(draw):
     """A pool of stamped updates and a delivery order that reorders,
     duplicates and drops them; equal and older stamps get superseded."""
     update = st.builds(
-        PropertyUpdate,
+        ExistenceUpdate,
         entity=st.integers(min_value=1, max_value=4),
-        property=st.sampled_from([EXISTENCE, EXISTENCE, "position"]),
-        value=st.booleans(),
+        alive=st.booleans(),
         stamp=st.tuples(st.integers(min_value=0, max_value=12),
                         st.sampled_from(["node-a", "node-b"]),
                         st.integers(min_value=0, max_value=3)),
@@ -369,24 +355,19 @@ def test_live_count_matches_a_scan_of_the_records(deliveries):
 
 @st.composite
 def local_and_replicated_ops(draw):
-    """Creates with and without properties, batch creates, re-creations
-    after deletes, deletes, forgets, and replicated updates: fresh, stale,
-    or replays of the updates that earlier local operations returned."""
+    """Creates, batch creates, re-creations after deletes, deletes, forgets,
+    and replicated updates: fresh, stale, or replays of the updates that
+    earlier local operations returned."""
     entity = st.integers(min_value=1, max_value=4)
     ts = st.integers(min_value=0, max_value=12)
     origin = st.sampled_from(["node-a", "node-b"])
     op = st.one_of(
-        st.tuples(st.just("create"), entity,
-                  st.dictionaries(st.sampled_from(["color", "position"]),
-                                  st.integers(0, 3), max_size=2), ts, origin),
-        st.tuples(st.just("create_many"), st.lists(entity, min_size=1, max_size=3),
-                  ts, origin),
+        st.tuples(st.just("create"), st.lists(entity, min_size=1, max_size=1), ts, origin),
+        st.tuples(st.just("create"), st.lists(entity, min_size=1, max_size=3), ts, origin),
         st.tuples(st.just("delete"), entity, ts, origin),
         st.tuples(st.just("forget"), entity),
         st.tuples(st.just("apply"), st.builds(
-            PropertyUpdate, entity=entity,
-            property=st.sampled_from([EXISTENCE, "color", "position"]),
-            value=st.booleans(),
+            ExistenceUpdate, entity=entity, alive=st.booleans(),
             stamp=st.tuples(ts, origin, st.integers(min_value=0, max_value=6)))),
         st.tuples(st.just("replay"), st.integers(min_value=0)),
     )
@@ -411,16 +392,13 @@ def test_replica_matches_the_lww_model(ops):
             if not sent:
                 continue
             name, args = "apply", [sent[args[0] % len(sent)]]
-        method = {"create": "create_entity", "create_many": "create_entities",
-                  "delete": "delete_entity", "forget": "forget",
-                  "apply": "apply_update"}[name]
+        method = {"create": "create_entities", "delete": "delete_entity",
+                  "forget": "forget", "apply": "apply_update"}[name]
         got = outcome(getattr(replica, method), *args)
         assert got == outcome(getattr(model, method), *args)
-        if name == "create" and isinstance(got, list):
-            sent += got
-        elif name == "create_many" and isinstance(got, tuple):
-            sent += [PropertyUpdate(e, EXISTENCE, True, got) for e in args[0]]
-        elif name == "delete" and isinstance(got, PropertyUpdate):
+        if name == "create" and isinstance(got, tuple):
+            sent += [ExistenceUpdate(e, True, got) for e in args[0]]
+        elif name == "delete" and isinstance(got, ExistenceUpdate):
             sent.append(got)
         assert replica.live_count() == model.live_count()
         assert digest(replica) == model.digest()
@@ -429,7 +407,7 @@ def test_replica_matches_the_lww_model(ops):
 def test_records_of_created_and_deleted_entities_are_untracked():
     r = SceneReplica("r")
     for entity in range(1, 2001):
-        r.create_entity(entity, {}, ts_us=entity, origin="node-a")
+        r.create_entities([entity], ts_us=entity, origin="node-a")
         if entity % 2:
             r.delete_entity(entity, ts_us=entity + 1, origin="node-a")
     assert len(r._entities) == len(r._tombs) == 1000

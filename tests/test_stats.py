@@ -19,6 +19,7 @@ from dvesim.stats import (
     binomial_pmf,
     capture_baseline,
     check_regression,
+    linear_quantile,
     rmse,
     theoretical_distribution,
 )
@@ -120,6 +121,21 @@ class TestRmse:
     def test_accepts_histogram(self):
         h = BucketHistogram(np.array([1, 3]))
         assert rmse(h, [2.0, 2.0]) == pytest.approx(1.0)
+
+
+class TestLinearQuantile:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1,
+                           max_size=40),
+           q=st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                       st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.99, 1.0])))
+    def test_equals_np_quantile(self, values, q):
+        assert linear_quantile(values, q) == float(np.quantile(values, q))
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01])
+    def test_q_outside_the_unit_interval_rejected(self, q):
+        with pytest.raises(InvalidParameter):
+            linear_quantile([1.0, 2.0], q)
 
 
 def fake_run(counts, interval=124.8, load=0.3, geometry_hash="g", seed=1):
