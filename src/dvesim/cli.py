@@ -5,9 +5,9 @@ can gate CI jobs directly.  Bad input prints one ``error:`` line and exits
 2, never read as a failed verdict: an input file that is missing, not
 JSON or of the wrong shape, a bad config, an unknown metric name, a spec
 that is invalid, lacks a field or whose ``k`` differs from the number of
-reports, a baseline over fewer than 3, stressed or mixed-geometry runs
-or runs whose histograms differ in length, and search bounds that do not
-bracket the threshold.
+reports, a baseline over fewer than 3, stressed or mixed-geometry runs or
+runs whose histograms differ in length or hold a negative count, and search
+bounds that do not bracket the threshold.
 """
 
 from __future__ import annotations

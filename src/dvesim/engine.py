@@ -15,7 +15,7 @@ import hashlib
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -147,25 +147,18 @@ class Engine:
     # clocks
     # ------------------------------------------------------------------
 
-    def clock(self, node_id: str, offset_us: Optional[int] = None) -> NodeClock:
+    def clock(self, node_id: str) -> NodeClock:
         """Return the node's clock, creating it on first use.
 
-        Without an explicit offset the clock gets a deterministic offset in
-        [-epsilon_max, +epsilon_max] drawn from the node's own named stream,
-        so wiring order cannot change any node's clock.
+        The clock gets a deterministic offset in [-epsilon_max, +epsilon_max]
+        drawn from the node's own named stream, so wiring order cannot change
+        any node's clock.
         """
-        existing = self._clocks.get(node_id)
-        if existing is not None:
-            return existing
-        if offset_us is None:
+        clock = self._clocks.get(node_id)
+        if clock is None:
             u = self.stream(f"clock-offset:{node_id}").uniform()
-            offset_us = int(round((2.0 * u - 1.0) * self.epsilon_max_us))
-        if abs(offset_us) > self.epsilon_max_us:
-            raise ValueError(
-                f"clock offset {offset_us} us exceeds epsilon_max {self.epsilon_max_us} us"
-            )
-        clock = NodeClock(node_id, offset_us)
-        self._clocks[node_id] = clock
+            clock = NodeClock(node_id, int(round((2.0 * u - 1.0) * self.epsilon_max_us)))
+            self._clocks[node_id] = clock
         return clock
 
     def local_now_us(self, clock: NodeClock) -> int:

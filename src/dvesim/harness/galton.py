@@ -33,8 +33,7 @@ from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
 from ..rules import SPAN, at_least, check_fields, read_json, rules_of
-from ..stats import (BucketHistogram, EmpiricalBaseline, linear_quantile, rmse,
-                     theoretical_distribution)
+from ..stats import EmpiricalBaseline, linear_quantile, rmse, theoretical_distribution
 from .report import ExperimentReport, NodeSeries, window_interval_means
 
 
@@ -335,7 +334,7 @@ def run_galton(config: GaltonExperimentConfig,
         series[n].mean_interval_s = window_interval_means(collections, times_us, pid)
     end_time_s = t / 1e6
     expected = theoretical_distribution(geometry)
-    histogram = BucketHistogram(np.bincount(collections[:, 3], minlength=geometry.bucket_count))
+    histogram = np.bincount(collections[:, 3], minlength=geometry.bucket_count)
     interval_mean_s = float(collections[:, 1].mean() / 1e6) if len(collections) else float("nan")
     rmse_th = rmse(histogram, expected)
     rmse_base = None
@@ -394,26 +393,15 @@ def run_galton(config: GaltonExperimentConfig,
     return report
 
 
-def run_galton_series(config: GaltonExperimentConfig, seeds: list[int],
-                      capacity_jitter_frac: float = 0.0) -> Iterator[ExperimentReport]:
-    """Repeat a configuration over seeds, optionally jittering capacity.
+def run_galton_series(config: GaltonExperimentConfig,
+                      seeds: list[int]) -> Iterator[ExperimentReport]:
+    """Repeat a configuration over seeds.
 
-    Jitter applies evenly spaced per-run factors spanning
-    1 +- capacity_jitter_frac, so "+-50% per run" means the k runs cover
-    0.5x .. 1.5x capacity deterministically.  Every run's config is built,
-    and so checked, by this call; the runs happen as the returned iterator
-    is read, one report at a time, so a caller that keeps what it reads of
-    a report holds one report, not k.
+    Every run's config is built, and so checked, by this call; the runs
+    happen as the returned iterator is read, one report at a time, so a
+    caller that keeps what it reads of a report holds one report, not k.
     """
-    k = len(seeds)
-    configs = []
-    for i, seed in enumerate(seeds):
-        factor = 1.0
-        if capacity_jitter_frac and k > 1:
-            factor = 1.0 + capacity_jitter_frac * (2.0 * i / (k - 1) - 1.0)
-        configs.append(replace(config, seed=seed,
-                               capacity_factor=config.capacity_factor * factor))
-    return map(run_galton, configs)
+    return map(run_galton, [replace(config, seed=seed) for seed in seeds])
 
 
 # ----------------------------------------------------------------------
@@ -460,10 +448,10 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
     return SearchResult(hi, probes)
 
 
-def rmse_envelope(config: GaltonExperimentConfig, seeds: list[int],
-                  quantile: float = 0.99) -> tuple[float, list[float]]:
-    """Monte Carlo acceptance envelope: RMSE quantile over unstressed runs."""
+def rmse_envelope(config: GaltonExperimentConfig,
+                  seeds: list[int]) -> tuple[float, list[float]]:
+    """Monte Carlo acceptance envelope: 99th-percentile RMSE over unstressed runs."""
     # map drops each report once its float is read; a comprehension's loop
     # variable would keep the last report alive through the next run
     values = list(map(attrgetter("rmse_theoretical"), run_galton_series(config, seeds)))
-    return linear_quantile(values, quantile), values
+    return linear_quantile(values, 0.99), values

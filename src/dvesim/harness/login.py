@@ -31,14 +31,6 @@ INVENTORY = "inventory"
 TOPOLOGY_PROXIED = "proxied"
 TOPOLOGY_DEDICATED = "dedicated_inventory"
 
-# Table-driven presets for the study's light/heavy factor levels.
-LIGHT_INVENTORY = (0, 0)            # folders, items
-HEAVY_INVENTORY = (8977, 31986)
-LIGHT_SCENE = (2, 2)                # objects, assets
-HEAVY_SCENE = (238, 1171)
-LIGHT_AVATAR_COST = 10.0
-HEAVY_AVATAR_COST = 33.0            # scaled by the avatar payload ratio
-
 
 @dataclass(frozen=True)
 class LoginExperimentConfig(ConfigFile):
@@ -47,7 +39,7 @@ class LoginExperimentConfig(ConfigFile):
     inventory_items: int = field(default=0, metadata=at_least(0))
     scene_objects: int = field(default=2, metadata=at_least(0))
     scene_assets: int = field(default=2, metadata=at_least(0))
-    avatar_cost: float = field(default=LIGHT_AVATAR_COST, metadata=at_least(0))
+    avatar_cost: float = field(default=10.0, metadata=at_least(0))
     proxy_cost: float = field(default=1.0, metadata=at_least(0))
     central_serve_cost: float = field(default=0.5, metadata=at_least(0))
     inventory_serve_cost: float = field(default=0.5, metadata=at_least(0))

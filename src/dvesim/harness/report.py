@@ -19,7 +19,7 @@ import numpy as np
 
 from ..netsim import QueueSample
 from ..rules import is_a, read_json
-from ..stats import BucketHistogram, InvalidParameter, RegressionSpec, Verdict, check_regression
+from ..stats import InvalidParameter, RegressionSpec, Verdict, check_regression
 
 
 class UnknownMetric(KeyError):
@@ -116,7 +116,8 @@ class ExperimentReport:
     physics_nodes: list[str]
     queue_samples: list[QueueSample]
     link_totals: dict[str, dict]
-    histogram: BucketHistogram
+    #: int64 observed count per bucket
+    histogram: np.ndarray
     discarded: int
     created_total: int
     collected_total: int
@@ -159,7 +160,7 @@ class ExperimentReport:
             "code_version": self.code_version,
             "geometry_hash": self.geometry_hash,
             "nominal_descent_s": self.nominal_descent_s,
-            "histogram": [int(c) for c in self.histogram.counts],
+            "histogram": self.histogram.tolist(),
             "discarded": self.discarded,
             "created_total": self.created_total,
             "collected_total": self.collected_total,
@@ -237,10 +238,10 @@ def export(report: ExperimentReport, directory) -> list[Path]:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["bucket_index", "observed", "expected_theoretical",
                     "baseline_mean", "baseline_sd"])
-        for b in range(len(report.histogram.counts)):
+        for b, observed in enumerate(report.histogram.tolist()):
             w.writerow([
                 b,
-                int(report.histogram.counts[b]),
+                observed,
                 _fmt(expected[b] if expected is not None else None),
                 _fmt(baseline_mean[b] if baseline_mean is not None else None),
                 _fmt(baseline_sd[b] if baseline_sd is not None else None),

@@ -21,7 +21,6 @@ from .engine import Engine, RandomStream, seconds_to_us
 #: a message is size/byte_rate serialization plus link latency; these sizes
 #: are configuration estimates and can be overridden per run.
 DEFAULT_MESSAGE_SIZES: dict[str, int] = {
-    "update": 256,
     "create": 1024,
     "delete": 256,
     "migrate": 1024,
@@ -160,8 +159,7 @@ class Network:
     # traffic
     # ------------------------------------------------------------------
 
-    def send(self, src: str, dst: str, kind: str, payload: Any,
-             size_bytes: Optional[int] = None) -> Message:
+    def send(self, src: str, dst: str, kind: str, payload: Any) -> Message:
         """Queue a message on the src->dst link and schedule its delivery.
 
         It waits for the messages ahead of it to serialize, then takes its
@@ -170,10 +168,7 @@ class Network:
             link, action, jitter = self._routes[src, dst]
         except KeyError:
             raise KeyError(f"no link {src}->{dst}") from None
-        if size_bytes is None:
-            size_bytes = self.message_sizes[kind]
-        elif size_bytes <= 0:
-            raise ValueError("message size must be positive")
+        size_bytes = self.message_sizes[kind]
         now_us = self.engine.now_us
         start = link._busy_until_us
         if now_us > start:

@@ -109,33 +109,13 @@ def theoretical_distribution(geometry: "GaltonGeometry") -> np.ndarray:
     return expected
 
 
-@dataclass
-class BucketHistogram:
-    """Observed bucket counts for one run."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if (self.counts < 0).any():
-            raise InvalidParameter("bucket counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-def rmse(observed: Sequence[float] | BucketHistogram,
-         baseline: Sequence[float]) -> float:
+def rmse(observed: Sequence[float], baseline: Sequence[float]) -> float:
     """Root mean square error between two equally long bucket vectors."""
-    obs = observed.counts if isinstance(observed, BucketHistogram) else np.asarray(observed, dtype=float)
+    obs = np.asarray(observed, dtype=float)
     base = np.asarray(baseline, dtype=float)
     if obs.shape != base.shape:
         raise LengthMismatch(f"{obs.shape} vs {base.shape}")
-    diff = obs.astype(float) - base
+    diff = obs - base
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -145,6 +125,8 @@ def linear_quantile(values: Sequence[float], q: float) -> float:
     if not 0 <= q <= 1:
         raise InvalidParameter(f"q must be in [0, 1], got {q!r}")
     xs = sorted(values)
+    if not xs:
+        raise InvalidParameter("the quantile of no values is undefined")
     h = (len(xs) - 1) * q
     i = math.floor(h)
     a, b, t = xs[i], xs[min(i + 1, len(xs) - 1)], h - i
@@ -225,7 +207,9 @@ def capture_baseline(runs: Sequence[dict]) -> EmpiricalBaseline:
     lengths = [len(r["histogram"]) for r in runs]
     if len(set(lengths)) != 1:
         raise InvalidParameter(f"runs' histograms differ in length: {lengths}")
-    buckets = np.stack([BucketHistogram(r["histogram"]).counts for r in runs]).astype(float)
+    buckets = np.array([r["histogram"] for r in runs], dtype=float)
+    if (buckets < 0).any():
+        raise InvalidParameter("bucket counts must be non-negative")
     intervals = np.array([r["interval_mean_s"] for r in runs], dtype=float)
     return EmpiricalBaseline(
         geometry_hash=next(iter(geometry_hashes)),

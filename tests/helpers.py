@@ -4,8 +4,10 @@ scalar key layout, owner lookup, descent and crossing model that the owner
 table and the physics tick oracle are checked against, a way to seat a
 ball on a physics node without a script or a dispatcher, the list-of-tuples window statistics that the
 columnar report code is checked against, the series shape checks and
-report series that acceptance criteria 3 and 4 judge a run by, a reader
-of an exported histogram.csv, and the benchmark's pin table."""
+report series that acceptance criteria 3 and 4 judge a run by, the
+capacity-jittered series that criterion 9 must flag, the login study's
+light and heavy presets, a reader of an exported histogram.csv, and the
+benchmark's pin table."""
 
 from __future__ import annotations
 
@@ -14,13 +16,14 @@ import hashlib
 import importlib.util
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from dvesim.actors import GaltonGeometry, PhysicsActor
+from dvesim.harness.galton import GaltonExperimentConfig
 from dvesim.harness.report import ExperimentReport, window_interval_means
 from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
@@ -30,7 +33,7 @@ from dvesim.scene import (
     SceneReplica,
     UnknownEntity,
 )
-from dvesim.stats import BucketHistogram, InvalidParameter
+from dvesim.stats import InvalidParameter
 
 
 def digest(replica: SceneReplica) -> str:
@@ -333,14 +336,40 @@ def queue_depth_series(report: ExperimentReport,
     return times, depths
 
 
-def read_histogram_csv(path) -> BucketHistogram:
+def jittered_configs(config: GaltonExperimentConfig, seeds: list[int],
+                     capacity_jitter_frac: float) -> list[GaltonExperimentConfig]:
+    """A series' configs with capacity jittered per run.
+
+    Jitter applies evenly spaced per-run factors spanning
+    1 +- capacity_jitter_frac, so "+-50% per run" means the k runs cover
+    0.5x .. 1.5x capacity deterministically.
+    """
+    k = len(seeds)
+    configs = []
+    for i, seed in enumerate(seeds):
+        factor = 1.0
+        if capacity_jitter_frac and k > 1:
+            factor = 1.0 + capacity_jitter_frac * (2.0 * i / (k - 1) - 1.0)
+        configs.append(replace(config, seed=seed,
+                               capacity_factor=config.capacity_factor * factor))
+    return configs
+
+
+# The login study's light and heavy factor levels.
+LIGHT_INVENTORY = (0, 0)            # folders, items
+HEAVY_INVENTORY = (8977, 31986)
+LIGHT_SCENE = (2, 2)                # objects, assets
+HEAVY_SCENE = (238, 1171)
+
+
+def read_histogram_csv(path) -> np.ndarray:
     """The observed counts of an exported histogram.csv."""
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     counts = np.zeros(len(rows), dtype=np.int64)
     for row in rows:
         counts[int(row["bucket_index"])] = int(row["observed"])
-    return BucketHistogram(counts)
+    return counts
 
 
 def _load_bench_checks():

@@ -24,19 +24,20 @@ from dvesim.harness import (
     run_login,
 )
 from dvesim.harness.login import (
-    HEAVY_INVENTORY,
-    LIGHT_INVENTORY,
-    LIGHT_SCENE,
     LoginExperimentConfig,
     TOPOLOGY_DEDICATED,
     TOPOLOGY_PROXIED,
 )
 from dvesim.stats import RegressionSpec, check_regression
 from helpers import (
+    HEAVY_INVENTORY,
+    LIGHT_INVENTORY,
+    LIGHT_SCENE,
     bench_checks,
     increasing_trend,
     interval_series,
     is_convex_increasing,
+    jittered_configs,
     physics_balls_series,
     queue_depth_series,
     run_lww_trial,
@@ -91,7 +92,7 @@ def masked_b():
 def test_criterion_01_distribution_correctness(stable_a):
     geo = GaltonGeometry()
     assert len(stable_a.histogram) == 96
-    assert stable_a.histogram.total + stable_a.discarded == 37_800
+    assert stable_a.histogram.sum() + stable_a.discarded == 37_800
     assert stable_a.rmse_theoretical < RMSE_P99_ENVELOPE
     _report_line("1 distribution correctness",
                  f"96 buckets, sum+discarded=37800, rmse "
@@ -217,8 +218,7 @@ def test_criterion_09_regression_harness():
     # workload with a finite capacity margin
     jitter_cfg = GaltonExperimentConfig(topology="A", period_t_s=2.6, seed=0)
     jittered = list(map(attrgetter("interval_mean_s"),
-                        run_galton_series(jitter_cfg, seeds=[1, 2, 3, 4, 5],
-                                          capacity_jitter_frac=0.5)))
+                        map(run_galton, jittered_configs(jitter_cfg, [1, 2, 3, 4, 5], 0.5))))
     bad = check_regression(jittered, INTERVAL_SPEC)
     assert not bad.passed
     _report_line("9 regression harness",

@@ -314,9 +314,9 @@ class TestPhysicsTickOracle:
             migrations.append((entity, now_us))
             return begin(entity, from_partition, to_partition, now_us, state)
 
-        def record_send(src, dst, kind, payload, size_bytes=None):
+        def record_send(src, dst, kind, payload):
             sends.append((engine.now_us, kind, payload.entity))
-            return send(src, dst, kind, payload, size_bytes)
+            return send(src, dst, kind, payload)
 
         monkeypatch.setattr(actor.tracker, "begin_migration", record)
         monkeypatch.setattr(network, "send", record_send)

@@ -1,8 +1,9 @@
 """No code that only tests call: every function, method and class defined
-under ``src/dvesim`` is named by the code in ``src/`` or ``perfbench/``
-outside the lines that define that name.  Code that only tests need belongs
-in ``tests/``, as an oracle, or goes.  Dunder methods are called by the
-interpreter, so they are exempt."""
+under ``src/dvesim``, and every module-level constant bound there to one
+name, is named by the code in ``src/`` or ``perfbench/`` outside the lines
+that define that name.  Code that only tests need belongs in ``tests/``, as
+an oracle, or goes.  Dunder names are read by the interpreter, so they are
+exempt."""
 
 import ast
 import re
@@ -17,10 +18,17 @@ NAME_STRING = re.compile(r"[rRuU]?(['\"])(\w+)\1")
 
 
 def definitions(path: Path):
-    """(line number, name) of every function, method and class in a file."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    """(line number, name) of every function, method and class in a file,
+    and of every module-level ``NAME = ...`` or ``NAME: T = ...``."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if len(targets) == 1 and isinstance(targets[0], ast.Name):
+            yield node.lineno, targets[0].id
 
 
 def names(path: Path):

@@ -65,12 +65,12 @@ def test_deterministic_event_log():
 
 def test_local_now_applies_offset():
     eng = Engine(seed=1)
-    a = eng.clock("a", offset_us=0)
-    b = eng.clock("b", offset_us=50_000)
+    clocks = [eng.clock(f"node-{i}") for i in range(5)]
+    assert len({c.offset_us for c in clocks}) > 1
     eng.schedule(seconds_to_us(100.0), lambda: None)
     eng.run_until(seconds_to_us(100.0))
-    assert eng.local_now_us(a) == seconds_to_us(100.0)
-    assert eng.local_now_us(b) == seconds_to_us(100.05)
+    for c in clocks:
+        assert eng.local_now_us(c) == seconds_to_us(100.0) + c.offset_us
 
 
 def test_clock_offsets_differ_and_skew_is_bounded():
@@ -82,12 +82,6 @@ def test_clock_offsets_differ_and_skew_is_bounded():
     for a in clocks:
         for b in clocks:
             assert abs(eng.local_now_us(a) - eng.local_now_us(b)) <= 2 * eps
-
-
-def test_explicit_offset_above_bound_rejected():
-    eng = Engine(seed=5, epsilon_max_s=0.05)
-    with pytest.raises(ValueError):
-        eng.clock("z", offset_us=60_000)
 
 
 def test_clock_is_stable_per_node():

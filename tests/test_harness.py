@@ -32,14 +32,7 @@ from dvesim.harness import (
     run_galton_series,
     run_login,
 )
-from dvesim.harness.login import (
-    HEAVY_INVENTORY,
-    HEAVY_SCENE,
-    LIGHT_INVENTORY,
-    LIGHT_SCENE,
-    TOPOLOGY_DEDICATED,
-    TOPOLOGY_PROXIED,
-)
+from dvesim.harness.login import TOPOLOGY_DEDICATED, TOPOLOGY_PROXIED
 from dvesim.harness.report import (
     SCALAR_METRICS,
     ExperimentReport,
@@ -52,8 +45,13 @@ from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
 from dvesim import cli
 from helpers import (
+    HEAVY_INVENTORY,
+    HEAVY_SCENE,
+    LIGHT_INVENTORY,
+    LIGHT_SCENE,
     bench_checks,
     intervals_in_window_scalar,
+    jittered_configs,
     queue_depth_series,
     read_histogram_csv,
     window_interval_means_scalar,
@@ -117,12 +115,12 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="repeats"):
             replace(login_cfg(), repeats=0)
 
-    def test_jittered_series_is_checked_before_any_run(self):
-        # at +-100% the first run's capacity factor is 0: its replace fails
+    def test_series_is_checked_before_any_run(self):
+        # the last seed is negative: its replace fails before the first run
         from dvesim.harness import galton as galton_module
         with mock.patch.object(galton_module, "run_galton") as run, \
-                pytest.raises(ConfigInvalid, match="capacity_factor"):
-            run_galton_series(tiny_config(), [1, 2, 3], capacity_jitter_frac=1.0)
+                pytest.raises(ConfigInvalid, match="seed"):
+            run_galton_series(tiny_config(), [1, 2, -1])
         assert not run.called
 
     def test_only_geometry_errors_name_the_geometry(self):
@@ -143,13 +141,13 @@ class TestRunGalton:
     def test_histograms_deterministic_across_runs(self):
         a = run_galton(tiny_config())
         b = run_galton(tiny_config())
-        assert a.histogram.counts.tolist() == b.histogram.counts.tolist()
+        assert a.histogram.tolist() == b.histogram.tolist()
         assert a.interval_mean_s == b.interval_mean_s
 
     def test_different_seeds_differ(self):
         a = run_galton(tiny_config(seed=1))
         b = run_galton(tiny_config(seed=2))
-        assert a.histogram.counts.tolist() != b.histogram.counts.tolist()
+        assert a.histogram.tolist() != b.histogram.tolist()
 
     def test_monotone_load_in_period(self):
         # dropping faster never lowers the peak ball population
@@ -181,10 +179,14 @@ class TestRunGalton:
 
     def test_rmse_envelope_is_a_quantile_of_the_seeds_rmse(self):
         seeds = [1, 2, 3, 4]
-        envelope, values = rmse_envelope(tiny_config(), seeds, quantile=0.75)
+        envelope, values = rmse_envelope(tiny_config(), seeds)
         assert values == [run_galton(tiny_config(seed=s)).rmse_theoretical for s in seeds]
         assert len(set(values)) > 1
-        assert envelope == float(np.quantile(values, 0.75))
+        assert envelope == float(np.quantile(values, 0.99))
+
+    def test_rmse_envelope_of_no_seeds_rejected(self):
+        with pytest.raises(InvalidParameter, match="no values"):
+            rmse_envelope(tiny_config(), [])
 
     def test_rmse_envelope_holds_one_report_at_a_time(self):
         # a finished run is freed when run_galton returns, so the peak
@@ -236,10 +238,9 @@ class TestRunGalton:
                                 "rmse_envelope(config, [1, 2, 3])\n", config) is False
 
     def test_capacity_jitter_series(self):
-        reports = run_galton_series(tiny_config(), seeds=[1, 2, 3, 4, 5],
-                                    capacity_jitter_frac=0.5)
-        factors = [r.config["capacity_factor"] for r in reports]
-        assert factors == [0.5, 0.75, 1.0, 1.25, 1.5]
+        configs = jittered_configs(tiny_config(), [1, 2, 3, 4, 5], 0.5)
+        factors = [(c.seed, c.capacity_factor) for c in configs]
+        assert factors == [(1, 0.5), (2, 0.75), (3, 1.0), (4, 1.25), (5, 1.5)]
 
     def test_between_boxes_split_has_zero_border_traffic(self):
         cfg = tiny_config(topology="B", split="between_boxes")
@@ -283,7 +284,7 @@ class TestExport:
         for name in ("metrics.csv", "queues.csv", "histogram.csv", "report.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
         reimported = read_histogram_csv(d1 / "histogram.csv")
-        assert reimported.counts.tolist() == report.histogram.counts.tolist()
+        assert reimported.tolist() == report.histogram.tolist()
 
     def test_jittered_center_split_export_is_pinned(self, tmp_path):
         # no canonical config has link jitter; this run pins the jitter
@@ -309,7 +310,7 @@ class TestExport:
         export(report, tmp_path)
         summary = load_report_summary(tmp_path / "report.json")
         assert report_metric(summary, "interval_mean_s") == pytest.approx(report.interval_mean_s)
-        assert sum(summary["histogram"]) == report.histogram.total
+        assert sum(summary["histogram"]) == report.histogram.sum()
 
 
 class TestCollectionColumns:
@@ -581,8 +582,8 @@ STRICT_CASES = [
         "dispatcher->physics-1": {"jitter_s": -0.1}}), "jitter_s"),
     ("unknown message kind", "galton", galton_dict(message_sizes={"updtae": 10}),
      "updtae"),
-    ("zero message size", "galton", galton_dict(message_sizes={"update": 0}),
-     "update"),
+    ("zero message size", "galton", galton_dict(message_sizes={"delete": 0}),
+     "delete"),
     ("byte rate below 1 B/s", "galton", galton_dict(link_byte_rate=0.5),
      "link_byte_rate"),
     ("override byte rate below 1 B/s", "galton", galton_dict(link_overrides={
@@ -605,8 +606,8 @@ STRICT_CASES = [
     ("null duration cap", "galton", galton_dict(duration_cap_s=None), "duration_cap_s"),
     ("string geometry value", "galton", galton_dict(geometry={"n_levels": "9"}),
      "n_levels"),
-    ("float message size", "galton", galton_dict(message_sizes={"update": 10.5}),
-     "update"),
+    ("float message size", "galton", galton_dict(message_sizes={"delete": 10.5}),
+     "delete"),
     ("string login repeats", "login", login_dict(repeats="5"), "repeats"),
     ("bool login delay", "login", login_dict(central_delay_s=True),
      "central_delay_s"),
@@ -925,6 +926,7 @@ class TestCliInputErrors:
               "stressed_run": "peaked at load",
               "mixed_geometries": "runs mix geometries",
               "histograms_of_two_lengths": "histograms differ in length: [3, 3, 2]",
+              "baseline_negative_count": "bucket counts must be non-negative",
               "bounds_do_not_bracket": "t_lo=1.0 is already stable",
               "config_missing": "nope.json: [Errno 2] No such file",
               "baseline_missing": "nope.json: [Errno 2] No such file",
@@ -1042,6 +1044,14 @@ class TestCliInputErrors:
                     geometry_hash="g", seed=seed)))
                 dirs.append(str(run))
             argv = ["baseline", "capture", "--runs", *dirs, "--out", str(out)]
+        elif case == "baseline_negative_count":
+            negative = tmp_path / "negative"
+            negative.mkdir()
+            data = json.loads((runs / "seed1" / "report.json").read_text())
+            data["histogram"][0] = -1
+            (negative / "report.json").write_text(json.dumps(data))
+            argv = ["baseline", "capture", "--runs", str(negative),
+                    *(str(runs / f"seed{s}") for s in (2, 3)), "--out", str(out)]
         elif case in logins:
             path = tmp_path / "login.json"
             path.write_text(json.dumps(login_dict(**logins[case])))

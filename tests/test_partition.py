@@ -267,10 +267,10 @@ def test_ghost_count_is_the_open_handshakes_at_every_sample():
             ghosts[self.node_id].remove(msg.payload.entity)
         on_message(self, msg)
 
-    def record_transfer(self, src, dst, kind, payload, size_bytes=None):
+    def record_transfer(self, src, dst, kind, payload):
         if kind == "migrate" and src.startswith("physics"):
             ghosts[src].add(payload.entity)
-        return send(self, src, dst, kind, payload, size_bytes)
+        return send(self, src, dst, kind, payload)
 
     def check(self, t_us):
         for actor in actors:

@@ -155,7 +155,7 @@ def test_small_runs_keep_every_invariant(config):
     assert not report.hit_cap and report.audit_ok
     assert report.collected_total + report.discarded == report.created_total
     assert report.created_total == config.geometry.total_balls
-    assert int(report.histogram.counts.sum()) + report.discarded == report.created_total
+    assert int(report.histogram.sum()) + report.discarded == report.created_total
 
     # the links' own counts are what was observed, so an observation that
     # misses sends or deliveries fails here, not vacuously in the FIFO check

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dvesim.actors import GaltonGeometry
 from dvesim.stats import (
-    BucketHistogram,
     EmpiricalBaseline,
     InvalidParameter,
     LengthMismatch,
@@ -119,7 +118,8 @@ class TestRmse:
             rmse([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_accepts_histogram(self):
-        h = BucketHistogram(np.array([1, 3]))
+        # a run's histogram is its int64 count array
+        h = np.bincount([0, 1, 1, 1], minlength=2)
         assert rmse(h, [2.0, 2.0]) == pytest.approx(1.0)
 
 
@@ -136,6 +136,10 @@ class TestLinearQuantile:
     def test_q_outside_the_unit_interval_rejected(self, q):
         with pytest.raises(InvalidParameter):
             linear_quantile([1.0, 2.0], q)
+
+    def test_no_values_rejected(self):
+        with pytest.raises(InvalidParameter, match="no values"):
+            linear_quantile([], 0.5)
 
 
 def fake_run(counts, interval=124.8, load=0.3, geometry_hash="g", seed=1):
@@ -155,6 +159,12 @@ class TestCaptureBaseline:
         runs = [fake_run([5, 5, 5], seed=s) for s in (1, 2)]
         runs.append(fake_run([5, 5, 5], load=0.9, seed=3))
         with pytest.raises(StressedRunIncluded):
+            capture_baseline(runs)
+
+    def test_negative_bucket_count_rejected(self):
+        runs = [fake_run([5, 5, 5], seed=s) for s in (1, 2)]
+        runs.append(fake_run([5, -1, 5], seed=3))
+        with pytest.raises(InvalidParameter, match="non-negative"):
             capture_baseline(runs)
 
     def test_too_few_runs(self):
