@@ -175,7 +175,7 @@ class ScriptActor:
             raise ValueError("drop period must be positive")
         self.ledger = ledger
         self.replica = SceneReplica(node_id)
-        self.clock = engine.clock(node_id)
+        self.offset_us = engine.clock(node_id)
         self._entities = itertools.count(1)
         #: the drop key of each dropper, box by box and row by row
         self.drop_keys = [key for keys in table[1] for key in keys
@@ -199,7 +199,7 @@ class ScriptActor:
             return []
         self.remaining -= 1
         ids = list(itertools.islice(self._entities, len(self.drop_keys)))
-        stamp = self.replica.create_entities(ids, self.engine.local_now_us(self.clock),
+        stamp = self.replica.create_entities(ids, self.engine.now_us + self.offset_us,
                                              self.node_id)
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         msgs = [send(node, dispatcher, "create", ((0, 0, key, entity, now_us), stamp))
@@ -308,7 +308,7 @@ class PhysicsActor:
         self.dispatcher_id = dispatcher_id
         self.ledger = ledger
         self.replica = SceneReplica(node_id)
-        self.clock = engine.clock(node_id)
+        self.offset_us = engine.clock(node_id)
         self.tracker = MigrationTracker()
         self._stream = engine.stream(f"{node_id}:descent")
         self._level_us = level_us = geometry.level_time_us
@@ -420,8 +420,6 @@ class PhysicsActor:
         load = n / self.capacity
         if load > self.peak_load:
             self.peak_load = load
-        if n == 0:
-            return {"stepped": 0}
         k = min(n, self.capacity)
         self.steps_executed += k
         ring, head = self._ring, self._head
@@ -483,7 +481,7 @@ class PhysicsActor:
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         ledger, partition = self.ledger, self.partition_id
         if landed or off:
-            ts = self.engine.local_now_us(self.clock)
+            ts = self.engine.now_us + self.offset_us
             delete, forget = self.replica.delete_entity, self.replica.forget
             for eid, bucket, created in landed:
                 if bucket >= 0:

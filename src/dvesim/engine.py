@@ -35,18 +35,6 @@ class SchedulingInPast(Exception):
     """Raised when an event is scheduled before the current virtual time."""
 
 
-@dataclass(frozen=True)
-class NodeClock:
-    """A node's wall clock: the shared timeline plus a constant offset.
-
-    The offset is bounded by the engine's configured maximum skew, so for
-    any two clocks the mutual disagreement never exceeds twice that bound.
-    """
-
-    node_id: str
-    offset_us: int
-
-
 @dataclass
 class EngineStats:
     events_processed: int = 0
@@ -93,7 +81,7 @@ class Engine:
         #: (fire_at_us, seq) only
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._streams: dict[str, RandomStream] = {}
-        self._clocks: dict[str, NodeClock] = {}
+        self._clocks: dict[str, int] = {}
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
@@ -147,23 +135,18 @@ class Engine:
     # clocks
     # ------------------------------------------------------------------
 
-    def clock(self, node_id: str) -> NodeClock:
-        """Return the node's clock, creating it on first use.
+    def clock(self, node_id: str) -> int:
+        """The node's clock: its constant offset (us) from the timeline.
 
-        The clock gets a deterministic offset in [-epsilon_max, +epsilon_max]
-        drawn from the node's own named stream, so wiring order cannot change
-        any node's clock.
+        Drawn on first use, in [-epsilon_max, +epsilon_max], from the node's
+        own named stream, so wiring order cannot change any node's clock.
         """
-        clock = self._clocks.get(node_id)
-        if clock is None:
+        offset_us = self._clocks.get(node_id)
+        if offset_us is None:
             u = self.stream(f"clock-offset:{node_id}").uniform()
-            clock = NodeClock(node_id, int(round((2.0 * u - 1.0) * self.epsilon_max_us)))
-            self._clocks[node_id] = clock
-        return clock
-
-    def local_now_us(self, clock: NodeClock) -> int:
-        """The node's wall-clock reading at the current instant."""
-        return self.now_us + clock.offset_us
+            offset_us = int(round((2.0 * u - 1.0) * self.epsilon_max_us))
+            self._clocks[node_id] = offset_us
+        return offset_us
 
     # ------------------------------------------------------------------
     # randomness

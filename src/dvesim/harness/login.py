@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -59,23 +61,11 @@ class LoginExperimentConfig(ConfigFile):
             raise ConfigInvalid(f"unknown topology {self.topology!r}")
 
 
-@dataclass(frozen=True)
-class _Request:
-    category: str       # auth | avatar | folder | asset
-    index: int
-    origin: str         # node the response chain ends at
-    via: Optional[str]  # proxy node for the return path, if any
-
-
-@dataclass(frozen=True)
-class _Response:
-    category: str
-    index: int
-    origin: str
-
-
-class _Server:
-    """A backend role: accrues cost per request and answers after a delay."""
+class _Backend:
+    """The central or the inventory server: accrues its cost per request
+    and answers after a delay, to the proxy a request came through or else
+    to the client.  A request's payload is ``(category, via)``; a
+    response's is its category."""
 
     def __init__(self, node_id: str, engine: Engine, network: Network,
                  serve_cost: float, serve_delay_s: float):
@@ -89,17 +79,14 @@ class _Server:
         self.inventory_requests = 0
 
     def on_message(self, msg: Message) -> None:
-        req: _Request = msg.payload
+        category, via = msg.payload
         self.total_requests += 1
-        if req.category == "folder":
+        if category == "folder":
             self.inventory_requests += 1
         self.units += self.serve_cost
-        reply_to = req.via if req.via is not None else req.origin
-        response = _Response(req.category, req.index, req.origin)
         self.engine.schedule(
             self.engine.now_us + self.serve_delay_us,
-            lambda: self.network.send(self.node_id, reply_to, "response", response),
-        )
+            partial(self.network.send, self.node_id, via or CLIENT, "response", category))
 
 
 class _SpaceServer:
@@ -107,7 +94,6 @@ class _SpaceServer:
 
     def __init__(self, engine: Engine, network: Network,
                  config: LoginExperimentConfig):
-        self.node_id = SIM
         self.engine = engine
         self.network = network
         self.config = config
@@ -117,90 +103,70 @@ class _SpaceServer:
         self.proxy_delay_us = seconds_to_us(config.sim_proxy_delay_s)
 
     def on_message(self, msg: Message) -> None:
-        payload = msg.payload
-        if isinstance(payload, _Response):
-            # backend answer on its way to the client; relaying is free
-            self.network.send(self.node_id, payload.origin, "response", payload)
+        if msg.kind == "response":
+            # a backend answer on its way to the client; relaying is free
+            self.network.send(SIM, CLIENT, "response", msg.payload)
             return
-        req: _Request = payload
+        category, _ = msg.payload
         self.total_requests += 1
-        if req.category == "avatar":
+        if category == "avatar":
             self.units += self.config.avatar_cost
-            response = _Response(req.category, req.index, req.origin)
-            self.network.send(self.node_id, req.origin, "response", response)
+            self.network.send(SIM, CLIENT, "response", category)
             return
         # proxied backend request
         self.units += self.config.proxy_cost
-        if req.category == "folder":
+        if category == "folder":
             self.inventory_requests += 1
-        elif req.category == "asset":
+        elif category == "asset":
             self.units += self.config.per_asset_cost
-        forwarded = _Request(req.category, req.index, req.origin, self.node_id)
         self.engine.schedule(
             self.engine.now_us + self.proxy_delay_us,
-            lambda: self.network.send(self.node_id, CENTRAL, "request", forwarded),
-        )
+            partial(self.network.send, SIM, CENTRAL, "request", (category, SIM)))
 
 
 class _Client:
-    """Drives the login sequence: auth, avatar, then folder and asset chains."""
+    """Drives the login sequence: auth, avatar, then folder and asset chains.
+
+    Each category is a chain of requests sent one at a time, the next on
+    the previous one's response; auth and avatar are chains of one."""
 
     def __init__(self, engine: Engine, network: Network,
                  config: LoginExperimentConfig):
-        self.node_id = CLIENT
         self.engine = engine
         self.network = network
-        self.config = config
-        self.folders_done = 0
-        self.assets_done = 0
-        self.inventory_done_s: Optional[float] = None
-        self.assets_done_s: Optional[float] = None
+        inventory = SIM if config.topology == TOPOLOGY_PROXIED else INVENTORY
+        #: category -> [requests still to send, the server they go to];
+        #: authentication is the only direct client contact with central
+        self._chains = {"auth": [1, CENTRAL], "avatar": [1, SIM],
+                        "folder": [config.inventory_folders, inventory],
+                        "asset": [config.scene_assets, SIM]}
+        #: category -> the time its chain ended
+        self.done_s: dict[str, float] = {}
 
     def start(self) -> None:
-        self.engine.schedule(0, self._send_auth)
+        self.engine.schedule(0, partial(self._next, "auth"))
 
-    def _send_auth(self) -> None:
-        # the only direct client contact with the central server
-        self.network.send(CLIENT, CENTRAL, "request",
-                          _Request("auth", 0, CLIENT, None))
-
-    def _send_folder(self, index: int) -> None:
-        target = SIM if self.config.topology == TOPOLOGY_PROXIED else INVENTORY
-        self.network.send(CLIENT, target, "request",
-                          _Request("folder", index, CLIENT, None))
-
-    def _send_asset(self, index: int) -> None:
-        self.network.send(CLIENT, SIM, "request",
-                          _Request("asset", index, CLIENT, None))
+    def _next(self, category: str) -> None:
+        """Send the chain's next request, or end the chain if none is left."""
+        chain = self._chains[category]
+        if chain[0]:
+            chain[0] -= 1
+            self.network.send(CLIENT, chain[1], "request", (category, None))
+        else:
+            self.done_s[category] = self.engine.now_s
 
     def on_message(self, msg: Message) -> None:
-        resp: _Response = msg.payload
-        if resp.category == "auth":
-            self.network.send(CLIENT, SIM, "request",
-                              _Request("avatar", 0, CLIENT, None))
-        elif resp.category == "avatar":
-            # inventory folders and scene assets retrieve concurrently,
-            # each as a sequential breadth-first chain
-            if self.config.inventory_folders > 0:
-                self._send_folder(0)
-            else:
-                self.inventory_done_s = self.engine.now_s
-            if self.config.scene_assets > 0:
-                self._send_asset(0)
-            else:
-                self.assets_done_s = self.engine.now_s
-        elif resp.category == "folder":
-            self.folders_done += 1
-            if self.folders_done < self.config.inventory_folders:
-                self._send_folder(self.folders_done)
-            else:
-                self.inventory_done_s = self.engine.now_s
-        elif resp.category == "asset":
-            self.assets_done += 1
-            if self.assets_done < self.config.scene_assets:
-                self._send_asset(self.assets_done)
-            else:
-                self.assets_done_s = self.engine.now_s
+        category = msg.payload
+        if category == "auth":
+            self._next("avatar")
+        elif category == "avatar":
+            # inventory folders and scene assets retrieve concurrently, each
+            # as a sequential breadth-first chain; the folder request goes
+            # first, so in the proxied topology it serializes first
+            self._next("folder")
+            self._next("asset")
+        else:
+            self._next(category)
 
 
 @dataclass
@@ -232,26 +198,19 @@ class LoginReport:
 def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
     engine = Engine(seed=seed)
     network = Network(engine)
-    nodes = [CLIENT, SIM, CENTRAL]
-    if config.topology == TOPOLOGY_DEDICATED:
-        nodes.append(INVENTORY)
-    for a in nodes:
-        for b in nodes:
-            if a != b:
-                network.add_link(a, b, config.link_latency_s, config.link_byte_rate)
-
     client = _Client(engine, network, config)
     servers: dict[str, object] = {
         SIM: _SpaceServer(engine, network, config),
-        CENTRAL: _Server(CENTRAL, engine, network, config.central_serve_cost,
-                         config.central_delay_s),
+        CENTRAL: _Backend(CENTRAL, engine, network, config.central_serve_cost,
+                          config.central_delay_s),
     }
     if config.topology == TOPOLOGY_DEDICATED:
-        servers[INVENTORY] = _Server(INVENTORY, engine, network,
-                                     config.inventory_serve_cost,
-                                     config.inventory_delay_s)
-    network.register_handler(CLIENT, client.on_message)
-    for node, actor in servers.items():
+        servers[INVENTORY] = _Backend(INVENTORY, engine, network,
+                                      config.inventory_serve_cost,
+                                      config.inventory_delay_s)
+    for a, b in permutations([CLIENT, *servers], 2):
+        network.add_link(a, b, config.link_latency_s, config.link_byte_rate)
+    for node, actor in {CLIENT: client, **servers}.items():
         network.register_handler(node, actor.on_message)
 
     client.start()
@@ -260,10 +219,9 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
     units, totals, inv = (
         {node: getattr(server, name) for node, server in servers.items()}
         for name in ("units", "total_requests", "inventory_requests"))
-    completed = (client.inventory_done_s is not None
-                 and client.assets_done_s is not None)
-    result = LoginRunResult(units, totals, inv, client.inventory_done_s,
-                            client.assets_done_s, completed)
+    inventory_done_s, assets_done_s = map(client.done_s.get, ("folder", "asset"))
+    result = LoginRunResult(units, totals, inv, inventory_done_s, assets_done_s,
+                            None not in (inventory_done_s, assets_done_s))
     # the servers' scheduled replies and the handlers hold the engine and
     # the network: dropped, a repeat is freed by reference counting
     engine.clear()
@@ -274,12 +232,7 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
 def run_login(config: LoginExperimentConfig) -> LoginReport:
     """Repeat the login procedure and aggregate per-server statistics."""
     runs = [_run_once(config, config.seed + i) for i in range(config.repeats)]
-    servers = sorted(runs[0].units)
-    units_mean = {}
-    units_sd = {}
-    for s in servers:
-        vals = np.array([r.units[s] for r in runs])
-        units_mean[s] = float(vals.mean())
-        units_sd[s] = float(vals.std())
+    units = {s: np.array([r.units[s] for r in runs]) for s in sorted(runs[0].units)}
     return LoginReport(config.to_dict(), config.config_hash(), runs,
-                       units_mean, units_sd)
+                       {s: float(v.mean()) for s, v in units.items()},
+                       {s: float(v.std()) for s, v in units.items()})

@@ -36,19 +36,17 @@ class NodeSeries:
 
 
 def window_interval_means(collections: np.ndarray, times_us: Sequence[int],
-                          partition: Optional[int] = None) -> list[Optional[float]]:
-    """Mean interval (s) of the balls collected in each sample window.
+                          partition: int) -> list[Optional[float]]:
+    """Mean interval (s) of a partition's balls collected in each window.
 
     Window i holds the collections with time in (times_us[i-1], times_us[i]];
     ``collections`` is an (n, 4) int64 array of (t_us, interval_us,
-    partition id, bucket) rows in time order, and ``times_us`` rises.  With
-    ``partition`` only its collections count.  A window's mean is its integer
+    partition id, bucket) rows in time order, and ``times_us`` rises.  Only
+    the partition's collections count.  A window's mean is its integer
     interval sum over its count; without collections it is None.
     """
-    t_us, interval_us = collections[:, 0], collections[:, 1]
-    if partition is not None:
-        mine = collections[:, 2] == partition
-        t_us, interval_us = t_us[mine], interval_us[mine]
+    mine = collections[:, 2] == partition
+    t_us, interval_us = collections[mine, 0], collections[mine, 1]
     ends = np.searchsorted(t_us, times_us, side="right")
     totals = np.diff(np.concatenate(([0], np.cumsum(interval_us)))[ends], prepend=0)
     counts = np.diff(ends, prepend=0)

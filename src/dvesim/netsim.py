@@ -137,9 +137,6 @@ class Network:
         self._routes[(from_node, to_node)] = (link, partial(self.deliver_due, link), jitter)
         return link
 
-    def link(self, from_node: str, to_node: str) -> Link:
-        return self._routes[(from_node, to_node)][0]
-
     def links(self) -> list[Link]:
         """Every link, in link id order."""
         return sorted((route[0] for route in self._routes.values()),

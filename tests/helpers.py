@@ -24,7 +24,7 @@ import numpy as np
 
 from dvesim.actors import GaltonGeometry, PhysicsActor
 from dvesim.harness.galton import GaltonExperimentConfig
-from dvesim.harness.report import ExperimentReport, window_interval_means
+from dvesim.harness.report import ExperimentReport
 from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
     ApplyResult,
@@ -326,7 +326,8 @@ def physics_balls_series(report: ExperimentReport) -> list[int]:
 def interval_series(report: ExperimentReport) -> tuple[list[float], list[Optional[float]]]:
     """Windowed mean interval per sample window (None when no landings)."""
     times_us = [round(t * 1_000_000) for t in report.times_s]
-    return list(report.times_s), window_interval_means(report.collections, times_us)
+    return list(report.times_s), window_interval_means_scalar(report.collections.tolist(),
+                                                              times_us)
 
 
 def queue_depth_series(report: ExperimentReport,

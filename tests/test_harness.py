@@ -39,7 +39,7 @@ from dvesim.harness.report import (
     report_metric,
     window_interval_means,
 )
-from dvesim.netsim import Link, Network
+from dvesim.netsim import DEFAULT_MESSAGE_SIZES, Link, Network
 from dvesim.partition import PartitionMap
 from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
@@ -330,7 +330,7 @@ class TestCollectionColumns:
         times = sorted(set(rng.integers(0, 12 * 10**7, rng.integers(1, 60)).tolist()
                            + rng.choice(rows[:, 0], min(n, 10)).tolist()))
         tuples = [tuple(r) for r in rows.tolist()]
-        for partition in (None, 1, 2, 3):
+        for partition in (1, 2, 3):
             want = window_interval_means_scalar(tuples, times, partition)
             assert window_interval_means(rows, times, partition) == want
             if n >= 300 and partition != 3:
@@ -470,6 +470,32 @@ class TestLogin:
         report = run_login(cfg)
         assert report.runs[0].inventory_requests["sim"] == 8977
         assert report.runs[0].completed
+
+    @staticmethod
+    def round_trip_us(cfg, delay_s):
+        """A request and its response over idle links, each taking
+        ceil(size * 1e6 / rate) us of serialization plus the latency, with
+        the server's delay between them."""
+        return sum(math.ceil(DEFAULT_MESSAGE_SIZES[kind] * 1e6 / cfg.link_byte_rate)
+                   + seconds_to_us(cfg.link_latency_s)
+                   for kind in ("request", "response")) + seconds_to_us(delay_s)
+
+    def test_empty_login_ends_both_chains_at_the_avatar_response(self):
+        # auth to the central server, then the avatar, which the space
+        # server answers at once
+        cfg = LoginExperimentConfig(inventory_folders=0, scene_assets=0, repeats=1)
+        avatar_us = self.round_trip_us(cfg, cfg.central_delay_s) + self.round_trip_us(cfg, 0)
+        assert avatar_us == 8026
+        run = run_login(cfg).runs[0]
+        assert run.inventory_done_s == run.assets_done_s == avatar_us / 1e6
+        assert run.completed
+
+    def test_dedicated_folder_chain_ends_one_round_trip_after_the_avatar(self):
+        cfg = LoginExperimentConfig(topology=TOPOLOGY_DEDICATED, inventory_folders=1,
+                                    repeats=1)
+        done_us = 8026 + self.round_trip_us(cfg, cfg.inventory_delay_s)
+        assert done_us == 13539
+        assert run_login(cfg).runs[0].inventory_done_s == done_us / 1e6
 
     def test_dedicated_sim_load_independent_of_folders(self):
         heavy = run_login(login_cfg(topology=TOPOLOGY_DEDICATED,

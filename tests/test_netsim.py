@@ -63,7 +63,8 @@ def test_queue_growth_matches_closed_form():
         engine.schedule(at, lambda: send_sized(network, "a", "b", None, size))
     network.register_handler("b", lambda m: None)
     engine.run_until(seconds_to_us(T))
-    depth = network.link("a", "b").depth
+    [link] = network.links()
+    depth = link.depth
     expected = (send_rate - 100) * T
     assert depth == pytest.approx(expected, rel=0.02)
 
@@ -72,13 +73,14 @@ def test_deliver_due_empty():
     engine, network = make_net()
     handled = []
     network.register_handler("b", handled.append)
-    assert network.deliver_due(network.link("a", "b")) == []
+    [link] = network.links()
+    assert network.deliver_due(link) == []
     assert handled == []
 
 
 def test_deliver_due_returns_in_enqueue_order():
     engine, network = make_net(latency_s=0.0, byte_rate=1e9)
-    link = network.link("a", "b")
+    [link] = network.links()
     handled = []
     network.register_handler("b", handled.append)
     sent = [network.send("a", "b", "request", i) for i in range(3)]
@@ -95,7 +97,7 @@ def test_same_instant_events_fire_in_scheduling_order():
     engine = Engine(seed=1)
     network = Network(engine)
     network.add_link("a", "c", 0.0015, 1e6)
-    network.add_link("b", "c", 0.002, 2e6)
+    bc = network.add_link("b", "c", 0.002, 2e6)
     handled = []
     network.register_handler("c", lambda m: handled.append(m.payload))
     due_us = seconds_to_us(0.0015) + 1000  # 1,000 bytes at 1 MB/s
@@ -106,13 +108,14 @@ def test_same_instant_events_fire_in_scheduling_order():
     send_sized(network, "b", "c", "b2", 1)
     engine.run_until(due_us)
     assert handled == ["b1", "action", "a1"]
-    assert engine.now_us == due_us and network.link("b", "c").depth == 1
+    assert engine.now_us == due_us and bc.depth == 1
 
 
 def test_work_conservation_after_send():
     engine, network = make_net()
     network.send("a", "b", "request", None)
-    assert network.link("a", "b").depth == 1
+    [link] = network.links()
+    assert link.depth == 1
     assert engine.pending() == 1  # the delivery event exists
 
 
@@ -125,7 +128,7 @@ def test_bandwidth_accounting():
                         lambda: send_sized(network, "a", "b", None, 512))
     window = 1.0
     engine.run_until(seconds_to_us(window))
-    link = network.link("a", "b")
+    [link] = network.links()
     assert link.delivered_bytes <= 50_000.0 * window + 512
 
 
@@ -170,8 +173,7 @@ def test_unknown_link_rejected():
 def test_jitter_delays_within_bounds():
     engine = Engine(seed=4)
     network = Network(engine)
-    network.add_link("a", "b", 0.001, 1e9, jitter_s=0.010)
-    link = network.link("a", "b")
+    link = network.add_link("a", "b", 0.001, 1e9, jitter_s=0.010)
     arrivals = []
     network.register_handler("b", lambda m: arrivals.append(engine.now_us))
     base = seconds_to_us(0.001) + serialization_us(128, 1e9)
@@ -187,7 +189,8 @@ def test_jitter_delays_within_bounds():
 
 def test_default_links_are_jitter_free():
     engine, network = make_net()
-    assert network.link("a", "b").jitter_us == 0
+    [link] = network.links()
+    assert link.jitter_us == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,8 +203,7 @@ def test_default_links_are_jitter_free():
 def test_delivery_never_beats_latency_plus_serialization(sizes, gaps_ms, latency_ms, byte_rate):
     engine = Engine(seed=1)
     network = Network(engine)
-    network.add_link("a", "b", latency_ms / 1000, float(byte_rate))
-    link = network.link("a", "b")
+    link = network.add_link("a", "b", latency_ms / 1000, float(byte_rate))
     t = 0
     for size, gap in zip(sizes, gaps_ms):
         t += gap * 1000
@@ -226,10 +228,9 @@ def test_delivery_never_beats_latency_plus_serialization(sizes, gaps_ms, latency
 def test_bytes_pending_is_the_sum_of_queued_sizes(ops, jitter_ms):
     engine = Engine(seed=2)
     network = Network(engine)
-    network.add_link("a", "b", 0.001, 200_000.0, jitter_s=jitter_ms / 1000)
+    link = network.add_link("a", "b", 0.001, 200_000.0, jitter_s=jitter_ms / 1000)
     received = []
     network.register_handler("b", lambda m: received.append(m.size_bytes))
-    link = network.link("a", "b")
 
     def check():
         assert link.bytes_pending == sum(m.size_bytes for m in link._queue)
@@ -288,9 +289,8 @@ def test_jittered_link_matches_reference_model(sends, latency_ms, jitter_ms,
     sends = [(t, size) for t, (_, size) in zip(instants, sends)]
     engine = Engine(seed=seed)
     network = Network(engine)
-    network.add_link("a", "b", latency_ms / 1000, float(byte_rate),
-                     jitter_s=jitter_ms / 1000)
-    link = network.link("a", "b")
+    link = network.add_link("a", "b", latency_ms / 1000, float(byte_rate),
+                            jitter_s=jitter_ms / 1000)
     handled = []
     network.register_handler("b", lambda m: handled.append((engine.now_us, m)))
     for i, (t_us, size) in enumerate(sends):
