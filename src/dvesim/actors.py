@@ -169,7 +169,6 @@ class ScriptActor:
         self.engine = engine
         self.network = network
         self.dispatcher_id = dispatcher_id
-        self.geometry = geometry
         self.period_us = seconds_to_us(period_s)
         if self.period_us <= 0:
             raise ValueError("drop period must be positive")
@@ -199,8 +198,7 @@ class ScriptActor:
             return []
         self.remaining -= 1
         ids = list(itertools.islice(self._entities, len(self.drop_keys)))
-        stamp = self.replica.create_entities(ids, self.engine.now_us + self.offset_us,
-                                             self.node_id)
+        stamp = self.replica.create_entities(ids, self.engine.now_us + self.offset_us)
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         msgs = [send(node, dispatcher, "create", ((0, 0, key, entity, now_us), stamp))
                 for entity, key in zip(ids, self.drop_keys)]
@@ -324,8 +322,6 @@ class PhysicsActor:
         #: the rows of the balls that arrived since the last tick, flat
         self._arrivals: list[int] = []
         self._ticking = False
-        self.ticks = 0
-        self.steps_executed = 0
         self.peak_load = 0.0
 
     # ---- ball table --------------------------------------------------
@@ -416,12 +412,10 @@ class PhysicsActor:
             self._push(np.array(self._arrivals, dtype=np.int64).view(_HOT))
             self._arrivals = []
         n = self._n
-        self.ticks += 1
         load = n / self.capacity
         if load > self.peak_load:
             self.peak_load = load
         k = min(n, self.capacity)
-        self.steps_executed += k
         ring, head = self._ring, self._head
         end = head + k
         in_place = end <= len(ring)
@@ -488,11 +482,11 @@ class PhysicsActor:
                     ledger.collections.extend((now_us, now_us - created, partition, bucket))
                 else:
                     ledger.discarded += 1
-                send(node, dispatcher, "delete", delete(eid, ts, node))
+                send(node, dispatcher, "delete", delete(eid, ts))
                 forget(eid)
             ledger.discarded += len(off)
             for eid in off:
-                send(node, dispatcher, "delete", delete(eid, ts, node))
+                send(node, dispatcher, "delete", delete(eid, ts))
                 forget(eid)
         if migrating:
             begin, stamp_of = self.tracker.begin_migration, self.replica.stamp_of

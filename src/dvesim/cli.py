@@ -98,7 +98,8 @@ def _cmd_regress(args) -> int:
     for v in verdicts:
         status = "PASS" if v.passed else f"FAIL ({v.reason})"
         ok = ok and v.passed
-        print(f"{v.metric}: {status}")
+        cv = "-" if v.cv is None else f"{v.cv:.4g}"
+        print(f"{v.metric}: {status} mean={v.mean:.6g} cv={cv}")
     return 0 if ok else 1
 
 

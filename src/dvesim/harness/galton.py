@@ -363,7 +363,6 @@ def run_galton(config: GaltonExperimentConfig,
         nominal_descent_s=geometry.nominal_descent_s,
         times_s=[t_us / 1e6 for t_us in times_us],
         nodes=series,
-        physics_nodes=physics_ids,
         queue_samples=list(network.samples),
         link_totals=link_totals,
         histogram=histogram,

@@ -111,7 +111,6 @@ class ExperimentReport:
     nominal_descent_s: float
     times_s: list[float]
     nodes: dict[str, NodeSeries]
-    physics_nodes: list[str]
     queue_samples: list[QueueSample]
     link_totals: dict[str, dict]
     #: int64 observed count per bucket

@@ -34,8 +34,6 @@ class Message(NamedTuple):
     """One message, built once by ``Network.send`` and queued on its link."""
 
     kind: str
-    src: str
-    dst: str
     size_bytes: int
     payload: Any
     enqueued_at_us: int
@@ -175,7 +173,7 @@ class Network:
         deliver_at_us = busy + link.latency_us
         if jitter is not None:
             deliver_at_us += int(round(jitter.uniform() * link.jitter_us))
-        msg = _new_tuple(Message, (kind, src, dst, size_bytes, payload, now_us, deliver_at_us))
+        msg = _new_tuple(Message, (kind, size_bytes, payload, now_us, deliver_at_us))
         link._queue.append(msg)
         link.sent_count += 1
         link.sent_bytes += size_bytes

@@ -114,13 +114,9 @@ class PartitionMap:
 # ----------------------------------------------------------------------
 
 class MigrationRecord(NamedTuple):
-    """A settled handshake, as ``complete_migration`` returns it."""
+    """A settled handshake's span, as ``complete_migration`` returns it."""
 
-    entity: int
-    from_partition: int
-    to_partition: int
     initiated_at_us: int
-    token: int
     completed_at_us: int
 
 
@@ -146,8 +142,8 @@ class MigrationTracker:
     """Bookkeeping for one node's outbound migrations."""
 
     def __init__(self):
-        #: entity -> (from_partition, to_partition, initiated_at_us, token)
-        self._in_flight: dict[int, tuple[int, int, int, int]] = {}
+        #: entity -> (initiated_at_us, token)
+        self._in_flight: dict[int, tuple[int, int]] = {}
         self._tokens = itertools.count()
 
     def begin_migration(self, entity: int, from_partition: int, to_partition: int,
@@ -157,7 +153,7 @@ class MigrationTracker:
         if entity in self._in_flight:
             raise AlreadyMigrating(entity)
         token = next(self._tokens)
-        self._in_flight[entity] = (from_partition, to_partition, now_us, token)
+        self._in_flight[entity] = (now_us, token)
         return [tuple.__new__(TransferMessage, (entity, from_partition, to_partition, token, state))]
 
     @staticmethod
@@ -171,10 +167,10 @@ class MigrationTracker:
         duplicate ack or a stale token is unknown."""
         entity, token, _ = ack
         pending = self._in_flight.get(entity)
-        if pending is None or pending[3] != token:
+        if pending is None or pending[1] != token:
             raise UnknownMigration((entity, token))
         del self._in_flight[entity]
-        return tuple.__new__(MigrationRecord, (entity, *pending, now_us))
+        return tuple.__new__(MigrationRecord, (pending[0], now_us))
 
     def in_flight_count(self) -> int:
         return len(self._in_flight)

@@ -45,6 +45,7 @@ class SceneReplica:
     """One node's copy of the scene, converging under last-writer-wins."""
 
     def __init__(self, node_id: str):
+        #: the origin in the stamp of every update this replica makes
         self.node_id = node_id
         #: live entity -> existence stamp, and deleted entity -> deletion
         #: stamp: an entity is in at most one of the two.  A stamp is a tuple
@@ -82,8 +83,9 @@ class SceneReplica:
     # entity-level operations
     # ------------------------------------------------------------------
 
-    def create_entities(self, entities: Sequence[int], ts_us: int, origin: str) -> Stamp:
-        """Create entities locally as one update; returns its stamp.
+    def create_entities(self, entities: Sequence[int], ts_us: int) -> Stamp:
+        """Create entities locally as one update, stamped by this replica;
+        returns its stamp.
 
         The entities share one existence stamp on one seq, which every
         replica that applies their creates stores as it is.  A local create
@@ -95,7 +97,7 @@ class SceneReplica:
         ids = set(entities)
         if len(ids) < len(entities) or not live.keys().isdisjoint(ids):
             raise DuplicateCreate(sorted(ids & live.keys()) or list(entities))
-        stamp = (ts_us, origin, self._seq)
+        stamp = (ts_us, self.node_id, self._seq)
         self._seq += 1
         for entity in entities:
             if entity in tombs:
@@ -104,11 +106,12 @@ class SceneReplica:
                 live[entity] = stamp
         return stamp
 
-    def delete_entity(self, entity: int, ts_us: int, origin: str) -> ExistenceUpdate:
-        """Delete a known entity locally; returns the update to replicate."""
+    def delete_entity(self, entity: int, ts_us: int) -> ExistenceUpdate:
+        """Delete a known entity locally, stamped by this replica; returns
+        the update to replicate."""
         if entity not in self._entities and entity not in self._tombs:
             raise UnknownEntity(entity)
-        u = tuple.__new__(ExistenceUpdate, (entity, False, (ts_us, origin, self._seq)))
+        u = tuple.__new__(ExistenceUpdate, (entity, False, (ts_us, self.node_id, self._seq)))
         self._seq += 1
         self.apply_update(u)
         return u

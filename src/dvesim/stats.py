@@ -273,17 +273,13 @@ def check_regression(samples: Sequence[float], spec: RegressionSpec) -> Verdict:
             f"{spec.metric}: spec expects {spec.k} samples, got {len(samples)}")
     xs = np.asarray(samples, dtype=float)
     mean = float(xs.mean())
-    sd = float(xs.std())  # population sd
+    # population sd over the mean's magnitude; no cv divides by a zero mean
+    cv = float(xs.std()) / abs(mean) if mean != 0 else None
     if not spec.lo <= mean <= spec.hi:
-        cv = sd / mean if mean != 0 else None
         return Verdict(spec.metric, False,
                        f"mean {mean:.6g} outside [{spec.lo:.6g}, {spec.hi:.6g}]",
                        mean, cv)
-    if mean == 0.0:
-        # in the window, so the window holds 0; no cv divides by it
-        return Verdict(spec.metric, True, None, mean, None)
-    cv = sd / abs(mean)
-    if cv > spec.max_cv:
+    if cv is not None and cv > spec.max_cv:
         return Verdict(spec.metric, False,
                        f"cv {cv:.4g} exceeds bound {spec.max_cv:.4g}", mean, cv)
     return Verdict(spec.metric, True, None, mean, cv)

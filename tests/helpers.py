@@ -107,9 +107,11 @@ def run_lww_trial(rng: random.Random) -> tuple[str, str]:
 
 class LwwModel:
     """The scene as one plain dict of last-writer-wins registers: each
-    entity's existence ``(stamp, alive)``."""
+    entity's existence ``(stamp, alive)``.  Its local updates are stamped
+    by ``node_id``, as a replica's are."""
 
-    def __init__(self):
+    def __init__(self, node_id):
+        self.node_id = node_id
         self.stamps: dict = {}
         self.seq = 0
 
@@ -124,22 +126,22 @@ class LwwModel:
         self.stamps[u.entity] = (u.stamp, bool(u.alive))
         return ApplyResult.ACCEPTED
 
-    def create_entities(self, entities, ts_us, origin):
+    def create_entities(self, entities, ts_us):
         """A batch create: one existence update on one seq for every id,
         refused whole if an id is live or repeats."""
         if len(set(entities)) < len(entities) or any(
                 self.stamps.get(e, (None, False))[1] for e in entities):
             raise DuplicateCreate(entities)
-        stamp = (ts_us, origin, self.seq)
+        stamp = (ts_us, self.node_id, self.seq)
         self.seq += 1
         for e in entities:
             self.apply_update(ExistenceUpdate(e, True, stamp))
         return stamp
 
-    def delete_entity(self, entity, ts_us, origin) -> ExistenceUpdate:
+    def delete_entity(self, entity, ts_us) -> ExistenceUpdate:
         if entity not in self.stamps:
             raise UnknownEntity(entity)
-        u = ExistenceUpdate(entity, False, (ts_us, origin, self.seq))
+        u = ExistenceUpdate(entity, False, (ts_us, self.node_id, self.seq))
         self.seq += 1
         self.apply_update(u)
         return u
@@ -314,12 +316,17 @@ def increasing_trend(series: Sequence[float], ratio: float = 2.0) -> bool:
     return tail > ratio * max(head, 1.0)
 
 
+def physics_nodes(report: ExperimentReport) -> list[str]:
+    """The run's physics nodes, in id order."""
+    return [n for n in report.nodes if n.startswith("physics")]
+
+
 def physics_balls_series(report: ExperimentReport) -> list[int]:
     """Sum of actively simulated balls over the physics nodes, per sample."""
     out = []
     for i in range(len(report.times_s)):
         out.append(sum(report.nodes[n].balls_in_scene[i] or 0
-                       for n in report.physics_nodes))
+                       for n in physics_nodes(report)))
     return out
 
 

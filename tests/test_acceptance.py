@@ -39,6 +39,7 @@ from helpers import (
     is_convex_increasing,
     jittered_configs,
     physics_balls_series,
+    physics_nodes,
     queue_depth_series,
     run_lww_trial,
 )
@@ -124,7 +125,7 @@ def test_criterion_03_superlinear_divergence(overload_a):
 def test_criterion_04_masking(masked_b, stable_b):
     # the dispatcher->physics queues grow without bound...
     growing = []
-    for node in masked_b.physics_nodes:
+    for node in physics_nodes(masked_b):
         _, depths = queue_depth_series(masked_b, f"dispatcher->{node}")
         depths = np.array(depths, dtype=float)
         assert depths[-1] > 2 * max(depths[0], 1.0)

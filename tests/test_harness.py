@@ -414,8 +414,9 @@ class TestMetricRegistry:
         specs = [RegressionSpec(n, 0.0, 50.0, 0.2, 3) for n in names]
         live = evaluate(dicts, specs)
         assert {v.passed for v in live} == {True, False}
-        expected = "".join(f"{v.metric}: PASS\n" if v.passed
-                           else f"{v.metric}: FAIL ({v.reason})\n" for v in live)
+        expected = "".join(
+            f"{v.metric}: {'PASS' if v.passed else f'FAIL ({v.reason})'} mean={v.mean:.6g} "
+            f"cv={'-' if v.cv is None else f'{v.cv:.4g}'}\n" for v in live)
         specs_path = tmp_path / "specs.json"
         specs_path.write_text(json.dumps([asdict(s) for s in specs]))
         capsys.readouterr()

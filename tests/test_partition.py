@@ -129,14 +129,13 @@ class TestMigrationHandshake:
         with pytest.raises(UnknownMigration):
             tracker.complete_migration(ack, now_us=301)
 
-    def test_settled_record_has_all_six_fields(self):
+    def test_settled_record_is_the_handshake_span(self):
         tracker = MigrationTracker()
         tracker.begin_migration(3, 2, 1, now_us=50, state={})
         (t,) = tracker.begin_migration(7, 1, 2, now_us=100, state={})
         record = tracker.complete_migration(MigrationTracker.acknowledge(t), now_us=300)
-        assert record._fields == ("entity", "from_partition", "to_partition",
-                                  "initiated_at_us", "token", "completed_at_us")
-        assert record == (7, 1, 2, 100, 1, 300) and t.token == 1
+        assert record._fields == ("initiated_at_us", "completed_at_us")
+        assert record == (100, 300) and t.token == 1
         assert tracker.in_flight_count() == 1
 
     def test_stale_token_and_duplicate_ack_are_unknown(self):
@@ -150,7 +149,7 @@ class TestMigrationHandshake:
         # the open handshake outlives the stale ack
         assert tracker.in_flight_count() == 1
         ack = MigrationTracker.acknowledge(second)
-        assert tracker.complete_migration(ack, now_us=500) == (7, 2, 1, 300, 1, 500)
+        assert tracker.complete_migration(ack, now_us=500) == (300, 500)
         with pytest.raises(UnknownMigration):
             tracker.complete_migration(ack, now_us=501)
         assert tracker.in_flight_count() == 0

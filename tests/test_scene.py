@@ -36,8 +36,8 @@ def assert_visible(replica, *winners):
 
 @pytest.fixture
 def replica():
-    r = SceneReplica("r")
-    r.create_entities([1], ts_us=1, origin="node-a")
+    r = SceneReplica("node-a")
+    r.create_entities([1], ts_us=1)
     return r
 
 
@@ -75,26 +75,26 @@ class TestApplyUpdate:
 
 class TestEntityLifecycle:
     def test_create_makes_the_entity_live(self):
-        r = SceneReplica("r")
-        assert r.create_entities([1], ts_us=1, origin="node-a") == CREATED.stamp
+        r = SceneReplica("node-a")
+        assert r.create_entities([1], ts_us=1) == CREATED.stamp
         assert r.live_count() == 1 and r.stamp_of(1) == CREATED.stamp
         assert_visible(r, CREATED)
 
     def test_duplicate_create_rejected(self, replica):
         with pytest.raises(DuplicateCreate):
-            replica.create_entities([1], ts_us=9, origin="node-a")
+            replica.create_entities([1], ts_us=9)
 
     def test_recreation_after_tombstone(self):
         # hand-enumerated two-op schedule: delete@5 then create@7 revives
-        r = SceneReplica("r")
-        r.create_entities([1], ts_us=1, origin="node-a")
-        r.delete_entity(1, ts_us=5, origin="node-a")
+        r = SceneReplica("node-a")
+        r.create_entities([1], ts_us=1)
+        r.delete_entity(1, ts_us=5)
         assert_visible(r)
-        r.create_entities([1], ts_us=7, origin="node-a")
+        r.create_entities([1], ts_us=7)
         assert_visible(r, upd(1, True, ts=7, seq=2))
 
     def test_delete_with_higher_ts_wins(self, replica):
-        replica.delete_entity(1, ts_us=9, origin="node-a")
+        replica.delete_entity(1, ts_us=9)
         assert_visible(replica)
 
     def test_stale_delete_superseded(self, replica):
@@ -106,7 +106,7 @@ class TestEntityLifecycle:
 
     def test_stale_create_blocked_by_tombstone(self, replica):
         # hand-enumerated: delete@9, then a re-creation stamped 4 arrives
-        replica.delete_entity(1, ts_us=9, origin="node-a")
+        replica.delete_entity(1, ts_us=9)
         result = replica.apply_update(upd(1, True, ts=4, seq=60))
         assert result is ApplyResult.SUPERSEDED
         r2 = SceneReplica("r2")
@@ -118,24 +118,24 @@ class TestEntityLifecycle:
         assert digest(replica) == digest(r2)
 
     def test_delete_unknown_entity_raises(self):
-        r = SceneReplica("r")
+        r = SceneReplica("node-a")
         with pytest.raises(UnknownEntity):
-            r.delete_entity(42, ts_us=1, origin="node-a")
+            r.delete_entity(42, ts_us=1)
 
     def test_local_updates_are_stamped_in_order_on_consecutive_seqs(self):
-        r = SceneReplica("r")
-        assert r.create_entities([1], ts_us=5, origin="o") == (5, "o", 0)
-        assert r.delete_entity(1, ts_us=7, origin="o") == upd(1, False, 7, "o", 1)
-        assert r.create_entities([1, 2], ts_us=9, origin="o") == (9, "o", 2)
-        assert r.delete_entity(2, ts_us=9, origin="o") == upd(2, False, 9, "o", 3)
+        r = SceneReplica("o")
+        assert r.create_entities([1], ts_us=5) == (5, "o", 0)
+        assert r.delete_entity(1, ts_us=7) == upd(1, False, 7, "o", 1)
+        assert r.create_entities([1, 2], ts_us=9) == (9, "o", 2)
+        assert r.delete_entity(2, ts_us=9) == upd(2, False, 9, "o", 3)
 
 
 class TestBatchCreate:
     def test_a_batch_is_one_update_on_one_seq(self, replica):
-        replica.create_entities([2], ts_us=1, origin="node-a")
-        replica.delete_entity(2, ts_us=2, origin="node-a")
+        replica.create_entities([2], ts_us=1)
+        replica.delete_entity(2, ts_us=2)
         seq = replica._seq
-        stamp = replica.create_entities([5, 2, 3], ts_us=4, origin="node-a")
+        stamp = replica.create_entities([5, 2, 3], ts_us=4)
         assert stamp == (4, "node-a", seq) and replica._seq == seq + 1
         # every id holds the returned object: the tombstoned id through
         # apply_update, the fresh ones directly
@@ -145,8 +145,8 @@ class TestBatchCreate:
         assert_visible(replica, CREATED, *created)
 
     def test_a_batch_older_than_a_tombstone_leaves_it_dead(self, replica):
-        replica.delete_entity(1, ts_us=9, origin="node-a")
-        stamp = replica.create_entities([1, 2], ts_us=5, origin="node-a")
+        replica.delete_entity(1, ts_us=9)
+        stamp = replica.create_entities([1, 2], ts_us=5)
         assert replica._tombs == {1: (9, "node-a", 1)}
         assert replica._entities == {2: stamp}
 
@@ -154,12 +154,12 @@ class TestBatchCreate:
     def test_a_refused_batch_leaves_the_replica_unchanged(self, replica, batch):
         """A live id (1) or a repeated one refuses the whole batch, also
         when it holds a fresh id (3, 4) or a tombstoned one (2)."""
-        replica.create_entities([2], ts_us=1, origin="node-a")
-        replica.delete_entity(2, ts_us=2, origin="node-a")
+        replica.create_entities([2], ts_us=1)
+        replica.delete_entity(2, ts_us=2)
         before = (dict(replica._entities), dict(replica._tombs), replica._seq,
                   digest(replica))
         with pytest.raises(DuplicateCreate):
-            replica.create_entities(batch, ts_us=5, origin="node-a")
+            replica.create_entities(batch, ts_us=5)
         assert (replica._entities, replica._tombs, replica._seq, digest(replica)) == before
 
 
@@ -186,11 +186,11 @@ class TestDigest:
     def test_value_difference_changes_digest(self):
         # a live entity differs from a deleted one, and from one created
         # under another stamp
-        r1, r2, r3 = SceneReplica("r1"), SceneReplica("r2"), SceneReplica("r3")
+        r1, r2, r3 = (SceneReplica("node-a") for _ in range(3))
         for r in (r1, r2):
-            r.create_entities([1], ts_us=1, origin="node-a")
-        r2.delete_entity(1, ts_us=2, origin="node-a")
-        r3.create_entities([1], ts_us=2, origin="node-a")
+            r.create_entities([1], ts_us=1)
+        r2.delete_entity(1, ts_us=2)
+        r3.create_entities([1], ts_us=2)
         assert len({digest(r1), digest(r2), digest(r3)}) == 3
 
 
@@ -205,8 +205,8 @@ class TestConvergence:
     def test_stored_stamp_never_decreases(self):
         # a live entity's stamp, or a deleted one's tombstone
         rng = random.Random(99)
-        r = SceneReplica("r")
-        r.create_entities([1], ts_us=0, origin="node-a")
+        r = SceneReplica("node-a")
+        r.create_entities([1], ts_us=0)
         last = (0, "", 0)
         for i in range(500):
             u = upd(1, rng.random() < 0.5, ts=rng.randint(0, 100), origin="node-b", seq=i)
@@ -218,23 +218,23 @@ class TestConvergence:
 
 class TestEntityRecords:
     def test_each_record_is_its_bare_stamp(self):
-        r = SceneReplica("r")
+        r = SceneReplica("node-a")
         for entity in (1, 2):
-            r.create_entities([entity], ts_us=entity, origin="node-a")
-        r.delete_entity(2, ts_us=12, origin="node-a")
+            r.create_entities([entity], ts_us=entity)
+        r.delete_entity(2, ts_us=12)
         # each record is its bare stamp, an exact tuple, live or tombstoned
         assert r._entities == {1: (1, "node-a", 0)} and r._tombs == {2: (12, "node-a", 2)}
         assert all(type(stamp) is tuple for stamp in [*r._entities.values(), *r._tombs.values()])
 
     def test_a_record_moves_between_live_and_tombstone_and_forget_drops_it(self):
-        r = SceneReplica("r")
-        r.create_entities([1], ts_us=1, origin="node-a")
-        r.delete_entity(1, ts_us=2, origin="node-a")
+        r = SceneReplica("node-a")
+        r.create_entities([1], ts_us=1)
+        r.delete_entity(1, ts_us=2)
         assert (r._entities, r._tombs) == ({}, {1: (2, "node-a", 1)})
         # a re-creation takes the record out of the tombstones
-        r.create_entities([1], ts_us=3, origin="node-a")
+        r.create_entities([1], ts_us=3)
         assert (r._entities, r._tombs) == ({1: (3, "node-a", 2)}, {})
-        r.delete_entity(1, ts_us=4, origin="node-a")
+        r.delete_entity(1, ts_us=4)
         r.forget(1)
         assert (r._entities, r._tombs) == ({}, {})
 
@@ -247,9 +247,9 @@ class TestEntityRecords:
         other interpreters' dict and tuple layouts and still fails an
         ``(alive, stamp)`` record, which reads 181 B and 150 B."""
         n = 20_000
-        creates = [((e,), 10**6 + e, "script") for e in range(1, n + 1)]
-        updates = [upd(e, True, ts=t, origin=o, seq=e) for (e,), t, o in creates]
-        r = SceneReplica("r")
+        creates = [((e,), 10**6 + e) for e in range(1, n + 1)]
+        updates = [upd(e, True, ts=t, origin="script", seq=e) for (e,), t in creates]
+        r = SceneReplica("script")
         gc.collect()
         tracemalloc.start()
         try:
@@ -275,13 +275,13 @@ class TestEntityRecords:
         n = 20_000
         ids = list(range(1, n + 1))
         drops = [(ids[i:i + 108], 10**6 + i) for i in range(0, n, 108)]
-        r = SceneReplica("r")
+        r = SceneReplica("script")
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for batch, ts in drops:
-                r.create_entities(batch, ts, "script")
+                r.create_entities(batch, ts)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -298,8 +298,8 @@ class TestForget:
             replica.forget(1)
 
     def test_forgetting_a_live_entity_lowers_live_count_a_tombstone_does_not(self, replica):
-        replica.create_entities([2], ts_us=1, origin="node-a")
-        replica.delete_entity(2, ts_us=2, origin="node-a")
+        replica.create_entities([2], ts_us=1)
+        replica.delete_entity(2, ts_us=2)
         assert replica.live_count() == 1
         replica.forget(2)
         assert replica.live_count() == 1
@@ -310,12 +310,12 @@ class TestForget:
     def test_forgotten_entity_is_unknown(self, replica, deleted):
         replica.apply_update(upd(1, True, ts=3, seq=10))
         if deleted:
-            replica.delete_entity(1, ts_us=4, origin="node-a")
+            replica.delete_entity(1, ts_us=4)
         replica.forget(1)
         with pytest.raises(UnknownEntity):
             replica.apply_update(upd(1, False, ts=5, seq=11))
         with pytest.raises(UnknownEntity):
-            replica.delete_entity(1, ts_us=5, origin="node-a")
+            replica.delete_entity(1, ts_us=5)
         # a replayed creation, older than the forgotten stamps, is a first
         # incarnation
         assert replica.apply_update(CREATED) is ApplyResult.ACCEPTED
@@ -346,7 +346,7 @@ def update_deliveries(draw):
 def test_live_count_matches_a_scan_of_the_records(deliveries):
     """The replica's count of live records matches the LWW model's scan of
     its own records, and no entity is both live and tombstoned."""
-    r, model = SceneReplica("r"), LwwModel()
+    r, model = SceneReplica("r"), LwwModel("r")
     for u in deliveries:
         assert outcome(r.apply_update, u) == outcome(model.apply_update, u)
         assert r.live_count() == model.live_count()
@@ -357,14 +357,15 @@ def test_live_count_matches_a_scan_of_the_records(deliveries):
 def local_and_replicated_ops(draw):
     """Creates, batch creates, re-creations after deletes, deletes, forgets,
     and replicated updates: fresh, stale, or replays of the updates that
-    earlier local operations returned."""
+    earlier local operations returned.  A local operation is stamped by the
+    replica, node-a; a replicated update comes from node-a or node-b."""
     entity = st.integers(min_value=1, max_value=4)
     ts = st.integers(min_value=0, max_value=12)
     origin = st.sampled_from(["node-a", "node-b"])
     op = st.one_of(
-        st.tuples(st.just("create"), st.lists(entity, min_size=1, max_size=1), ts, origin),
-        st.tuples(st.just("create"), st.lists(entity, min_size=1, max_size=3), ts, origin),
-        st.tuples(st.just("delete"), entity, ts, origin),
+        st.tuples(st.just("create"), st.lists(entity, min_size=1, max_size=1), ts),
+        st.tuples(st.just("create"), st.lists(entity, min_size=1, max_size=3), ts),
+        st.tuples(st.just("delete"), entity, ts),
         st.tuples(st.just("forget"), entity),
         st.tuples(st.just("apply"), st.builds(
             ExistenceUpdate, entity=entity, alive=st.booleans(),
@@ -385,7 +386,7 @@ def outcome(call, *args):
 @settings(max_examples=300, deadline=None)
 @given(ops=local_and_replicated_ops())
 def test_replica_matches_the_lww_model(ops):
-    replica, model = SceneReplica("r"), LwwModel()
+    replica, model = SceneReplica("node-a"), LwwModel("node-a")
     sent = []  # every update a local operation returned, to replay
     for name, *args in ops:
         if name == "replay":
@@ -405,11 +406,11 @@ def test_replica_matches_the_lww_model(ops):
 
 
 def test_records_of_created_and_deleted_entities_are_untracked():
-    r = SceneReplica("r")
+    r = SceneReplica("node-a")
     for entity in range(1, 2001):
-        r.create_entities([entity], ts_us=entity, origin="node-a")
+        r.create_entities([entity], ts_us=entity)
         if entity % 2:
-            r.delete_entity(entity, ts_us=entity + 1, origin="node-a")
+            r.delete_entity(entity, ts_us=entity + 1)
     assert len(r._entities) == len(r._tombs) == 1000
     # a tuple is untracked once a collection sees that it holds no tracked
     # object.  A full collection checks the youngest generation's tuples

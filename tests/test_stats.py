@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,15 @@ class TestCheckRegression:
         assert not verdict.passed
         assert "mean" in verdict.reason
 
+    @pytest.mark.parametrize("lo, hi", [(-100.0, 100.0), (9.0, 11.0)])
+    def test_cv_is_the_sd_over_the_magnitude_of_a_negative_mean(self, lo, hi):
+        # the same cv whether the mean is inside the window or outside it
+        spec = RegressionSpec("m", lo, hi, 0.5, 3)
+        verdict = check_regression([-5.0, -10.0, -15.0], spec)
+        assert verdict.mean == -10.0
+        assert verdict.cv == pytest.approx(np.std([5.0, 10.0, 15.0]) / 10.0)
+        assert verdict.passed is (lo <= -10.0)
+
     def test_wrong_sample_count(self):
         spec = RegressionSpec("m", 9.0, 11.0, 0.2, 5)
         with pytest.raises(WrongSampleCount):
@@ -235,7 +245,10 @@ class TestCheckRegression:
 
     def test_zero_mean_skips_cv_when_window_contains_zero(self):
         spec = RegressionSpec("m", -1.0, 1.0, 0.2, 3)
-        assert check_regression([0.0, 0.0, 0.0], spec).passed
+        verdict = check_regression([0.0, 0.0, 0.0], spec)
+        assert verdict.passed and verdict.cv is None
+        # outside the window a zero mean has no cv either
+        assert check_regression([0.0, 0.0, 0.0], replace(spec, lo=1.0, hi=2.0)).cv is None
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):
