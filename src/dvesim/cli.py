@@ -68,16 +68,12 @@ def _cmd_search_rate(args) -> int:
 
 
 def _cmd_run_login(args) -> int:
-    config = LoginExperimentConfig.from_file(args.config)
-    if args.repeats is not None:
-        config = replace(config, repeats=args.repeats)
-    report = run_login(config)
+    report = run_login(LoginExperimentConfig.from_file(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "login_report.json")
-    for server in sorted(report.units_mean):
-        print(f"{server}: units={report.units_mean[server]:.2f} "
-              f"+- {report.units_sd[server]:.2f}")
+    for server in sorted(report.units):
+        print(f"{server}: units={report.units[server]:.2f}")
     print(f"-> {out / 'login_report.json'}")
     return 0
 
@@ -124,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-login", help="run the login service-topology study")
     p.add_argument("--config", required=True)
-    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_run_login)
 

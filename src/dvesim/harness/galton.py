@@ -143,6 +143,12 @@ class GaltonExperimentConfig(ConfigFile):
         except ValueError as e:
             # what is left is the microcell multiple, which names width_m or depth_m
             raise ConfigInvalid(f"region_{e}") from e
+        try:
+            self.build_partition_map()
+        except ValueError as e:
+            # a split halves the region's width (center_x) or depth (between_boxes)
+            key = "region_width_m" if self.split == SPLIT_CENTER_X else "region_depth_m"
+            raise ConfigInvalid(f"{key}: the {e}") from e
 
     def region(self) -> RegionSpec:
         return RegionSpec(self.region_width_m, self.region_depth_m, self.microcell_m)

@@ -18,8 +18,6 @@ from functools import partial
 from itertools import permutations
 from typing import Optional
 
-import numpy as np
-
 from ..engine import Engine, seconds_to_us
 from ..netsim import Message, Network
 from ..rules import SPAN, at_least, check_fields
@@ -38,8 +36,6 @@ TOPOLOGY_DEDICATED = "dedicated_inventory"
 class LoginExperimentConfig(ConfigFile):
     topology: str = TOPOLOGY_PROXIED
     inventory_folders: int = field(default=0, metadata=at_least(0))
-    inventory_items: int = field(default=0, metadata=at_least(0))
-    scene_objects: int = field(default=2, metadata=at_least(0))
     scene_assets: int = field(default=2, metadata=at_least(0))
     avatar_cost: float = field(default=10.0, metadata=at_least(0))
     proxy_cost: float = field(default=1.0, metadata=at_least(0))
@@ -50,10 +46,8 @@ class LoginExperimentConfig(ConfigFile):
     central_delay_s: float = field(default=0.003, metadata=at_least(0))
     inventory_delay_s: float = field(default=0.003, metadata=at_least(0))
     run_length_s: float = field(default=600.0, metadata=SPAN)
-    repeats: int = field(default=5, metadata=at_least(1))
     link_latency_s: float = field(default=0.001, metadata=at_least(0))
     link_byte_rate: float = field(default=1_250_000.0, metadata=at_least(1))
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(LoginExperimentConfig, vars(self), ConfigInvalid)
@@ -170,7 +164,12 @@ class _Client:
 
 
 @dataclass
-class LoginRunResult:
+class LoginReport:
+    """Per-server load and request counts of one login, and the times its
+    folder and asset chains ended; ``None`` for a chain the run cut off."""
+
+    config: dict
+    config_hash: str
     units: dict[str, float]
     total_requests: dict[str, int]
     inventory_requests: dict[str, int]
@@ -178,25 +177,16 @@ class LoginRunResult:
     assets_done_s: Optional[float]
     completed: bool
 
-
-@dataclass
-class LoginReport:
-    """Per-server load and request counts, aggregated over the repeats."""
-
-    config: dict
-    config_hash: str
-    runs: list[LoginRunResult]
-    units_mean: dict[str, float]
-    units_sd: dict[str, float]
-
     def save(self, path) -> None:
         with open(path, "w") as f:
             json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
 
-def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
-    engine = Engine(seed=seed)
+def run_login(config: LoginExperimentConfig) -> LoginReport:
+    """Run the login procedure once.  No node draws a random number, so the
+    config alone fixes the report."""
+    engine = Engine()
     network = Network(engine)
     client = _Client(engine, network, config)
     servers: dict[str, object] = {
@@ -220,19 +210,10 @@ def _run_once(config: LoginExperimentConfig, seed: int) -> LoginRunResult:
         {node: getattr(server, name) for node, server in servers.items()}
         for name in ("units", "total_requests", "inventory_requests"))
     inventory_done_s, assets_done_s = map(client.done_s.get, ("folder", "asset"))
-    result = LoginRunResult(units, totals, inv, inventory_done_s, assets_done_s,
-                            None not in (inventory_done_s, assets_done_s))
     # the servers' scheduled replies and the handlers hold the engine and
-    # the network: dropped, a repeat is freed by reference counting
+    # the network: dropped, a run is freed by reference counting
     engine.clear()
     network.close()
-    return result
-
-
-def run_login(config: LoginExperimentConfig) -> LoginReport:
-    """Repeat the login procedure and aggregate per-server statistics."""
-    runs = [_run_once(config, config.seed + i) for i in range(config.repeats)]
-    units = {s: np.array([r.units[s] for r in runs]) for s in sorted(runs[0].units)}
-    return LoginReport(config.to_dict(), config.config_hash(), runs,
-                       {s: float(v.mean()) for s, v in units.items()},
-                       {s: float(v.std()) for s, v in units.items()})
+    return LoginReport(config.to_dict(), config.config_hash(), units, totals, inv,
+                       inventory_done_s, assets_done_s,
+                       None not in (inventory_done_s, assets_done_s))

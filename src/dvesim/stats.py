@@ -271,10 +271,17 @@ def check_regression(samples: Sequence[float], spec: RegressionSpec) -> Verdict:
     if len(samples) != spec.k:
         raise WrongSampleCount(
             f"{spec.metric}: spec expects {spec.k} samples, got {len(samples)}")
-    xs = np.asarray(samples, dtype=float)
-    mean = float(xs.mean())
+    # exactly rounded, so equal samples have their own value as the mean and
+    # a cv of 0; imported here, since a run has no other use for it.  It
+    # takes finite samples only, and a NaN or an infinity fails every window
+    from statistics import mean as exact_mean, pstdev
+    xs = [float(x) for x in samples]
+    if all(map(math.isfinite, xs)):
+        mean, sd = exact_mean(xs), pstdev(xs)
+    else:
+        mean, sd = sum(xs) / len(xs), math.nan
     # population sd over the mean's magnitude; no cv divides by a zero mean
-    cv = float(xs.std()) / abs(mean) if mean != 0 else None
+    cv = sd / abs(mean) if mean != 0 else None
     if not spec.lo <= mean <= spec.hi:
         return Verdict(spec.metric, False,
                        f"mean {mean:.6g} outside [{spec.lo:.6g}, {spec.hi:.6g}]",

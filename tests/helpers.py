@@ -363,11 +363,10 @@ def jittered_configs(config: GaltonExperimentConfig, seeds: list[int],
     return configs
 
 
-# The login study's light and heavy factor levels.
-LIGHT_INVENTORY = (0, 0)            # folders, items
-HEAVY_INVENTORY = (8977, 31986)
-LIGHT_SCENE = (2, 2)                # objects, assets
-HEAVY_SCENE = (238, 1171)
+# The login study's light and heavy factor levels: inventory folders and
+# scene assets, the two counts its cost model reads.
+LIGHT_FOLDERS, HEAVY_FOLDERS = 0, 8977
+LIGHT_ASSETS, HEAVY_ASSETS = 2, 1171
 
 
 def read_histogram_csv(path) -> np.ndarray:

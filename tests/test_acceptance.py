@@ -30,9 +30,9 @@ from dvesim.harness.login import (
 )
 from dvesim.stats import RegressionSpec, check_regression
 from helpers import (
-    HEAVY_INVENTORY,
-    LIGHT_INVENTORY,
-    LIGHT_SCENE,
+    HEAVY_FOLDERS,
+    LIGHT_ASSETS,
+    LIGHT_FOLDERS,
     bench_checks,
     increasing_trend,
     interval_series,
@@ -182,26 +182,24 @@ def test_criterion_07_conservation(stable_a, stable_b, overload_a, masked_b):
 
 
 def test_criterion_08_login_topology():
-    base = dict(inventory_items=LIGHT_INVENTORY[1],
-                scene_objects=LIGHT_SCENE[0], scene_assets=LIGHT_SCENE[1],
-                repeats=5, seed=1)
+    base = dict(scene_assets=LIGHT_ASSETS)
     proxied_light = run_login(LoginExperimentConfig(
-        topology=TOPOLOGY_PROXIED, inventory_folders=LIGHT_INVENTORY[0], **base))
+        topology=TOPOLOGY_PROXIED, inventory_folders=LIGHT_FOLDERS, **base))
     proxied_heavy = run_login(LoginExperimentConfig(
-        topology=TOPOLOGY_PROXIED, inventory_folders=HEAVY_INVENTORY[0], **base))
+        topology=TOPOLOGY_PROXIED, inventory_folders=HEAVY_FOLDERS, **base))
     dedicated_light = run_login(LoginExperimentConfig(
-        topology=TOPOLOGY_DEDICATED, inventory_folders=LIGHT_INVENTORY[0], **base))
+        topology=TOPOLOGY_DEDICATED, inventory_folders=LIGHT_FOLDERS, **base))
     dedicated_heavy = run_login(LoginExperimentConfig(
-        topology=TOPOLOGY_DEDICATED, inventory_folders=HEAVY_INVENTORY[0], **base))
+        topology=TOPOLOGY_DEDICATED, inventory_folders=HEAVY_FOLDERS, **base))
 
-    assert proxied_heavy.runs[0].inventory_requests["sim"] == 8977
-    assert proxied_heavy.units_mean["sim"] >= 10 * proxied_light.units_mean["sim"]
-    heavy_sim = dedicated_heavy.units_mean["sim"]
-    light_sim = dedicated_light.units_mean["sim"]
+    assert proxied_heavy.inventory_requests["sim"] == 8977
+    assert proxied_heavy.units["sim"] >= 10 * proxied_light.units["sim"]
+    heavy_sim = dedicated_heavy.units["sim"]
+    light_sim = dedicated_light.units["sim"]
     assert abs(heavy_sim - light_sim) <= 0.05 * light_sim
     _report_line("8 login topology",
-                 f"proxied heavy {proxied_heavy.units_mean['sim']:.1f} >= 10 x "
-                 f"light {proxied_light.units_mean['sim']:.1f}; dedicated heavy "
+                 f"proxied heavy {proxied_heavy.units['sim']:.1f} >= 10 x "
+                 f"light {proxied_light.units['sim']:.1f}; dedicated heavy "
                  f"{heavy_sim:.1f} ~ light {light_sim:.1f}; 8977 folder requests")
 
 

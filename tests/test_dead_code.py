@@ -36,8 +36,7 @@ NAME_STRING = re.compile(r"[rRuU]?(['\"])(\w+)\1")
 GETTERS = {"getattr", "attrgetter"}
 #: class -> why each of its fields has a reader though no code names it
 WRITTEN_WHOLE = {
-    "LoginExperimentConfig": "asdict writes it into login_report.json, and config_hash hashes it",
-    "LoginRunResult": "asdict writes each run into login_report.json, which the login pins hash",
+    "LoginReport": "asdict writes it into login_report.json, which the login pins hash",
 }
 
 

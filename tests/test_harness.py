@@ -45,10 +45,10 @@ from dvesim.rules import rules_of
 from dvesim.stats import InvalidParameter, RegressionSpec, capture_baseline
 from dvesim import cli
 from helpers import (
-    HEAVY_INVENTORY,
-    HEAVY_SCENE,
-    LIGHT_INVENTORY,
-    LIGHT_SCENE,
+    HEAVY_ASSETS,
+    HEAVY_FOLDERS,
+    LIGHT_ASSETS,
+    LIGHT_FOLDERS,
     bench_checks,
     intervals_in_window_scalar,
     jittered_configs,
@@ -61,20 +61,25 @@ TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                       balls_per_dropper=5, nominal_descent_s=12.0)
 
 
-def imports_numpy_ma(code: str, config_path, *args) -> bool:
-    """Whether ``code`` imports numpy.ma in a fresh interpreter, which this
-    one may already have imported; ``config`` is the Galton config read from
-    ``sys.argv[1]``, and ``args`` follow it."""
+#: modules a run has no use for: numpy.ma costs about 1.2 MB of RSS, and
+#: statistics, which only check_regression imports, about 3 ms and 0.4 MB
+UNUSED_MODULES = ("numpy.ma", "statistics")
+
+
+def imports_unused(code: str, config_path, *args) -> list:
+    """Which of ``UNUSED_MODULES`` ``code`` imports in a fresh interpreter,
+    which this one may already have imported; ``config`` is the Galton
+    config read from ``sys.argv[1]``, and ``args`` follow it."""
     src = str(Path(dvesim.__file__).resolve().parents[1])
     code = ("import sys\n"
             "from dvesim.harness import GaltonExperimentConfig\n"
             "config = GaltonExperimentConfig.from_file(sys.argv[1])\n"
-            + code + "print('numpy.ma' in sys.modules)\n")
+            + code + f"print(*(m for m in {UNUSED_MODULES!r} if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", code, str(config_path), *map(str, args)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return {"True": True, "False": False}[done.stdout.strip()]
+    return done.stdout.split()
 
 
 def tiny_config(**kw):
@@ -112,8 +117,8 @@ class TestConfig:
     def test_replace_checks_the_new_config(self):
         with pytest.raises(ConfigInvalid, match="period_t_s"):
             replace(tiny_config(), period_t_s=0.0)
-        with pytest.raises(ConfigInvalid, match="repeats"):
-            replace(login_cfg(), repeats=0)
+        with pytest.raises(ConfigInvalid, match="inventory_folders"):
+            replace(login_cfg(), inventory_folders=-1)
 
     def test_series_is_checked_before_any_run(self):
         # the last seed is negative: its replace fails before the first run
@@ -223,19 +228,19 @@ class TestRunGalton:
         assert not left
 
     def test_a_run_does_not_import_numpy_ma(self, tmp_path):
-        """numpy.ma costs a run about 1.2 MB of RSS; a fresh interpreter runs
-        and exports a centre-split run, since this one may have imported it."""
+        """Nor statistics: a fresh interpreter runs and exports a
+        centre-split run, since this one may have imported either."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(tiny_config(topology="B", split="center_x").to_dict()))
-        assert imports_numpy_ma("from dvesim.harness import export, run_galton\n"
-                                "export(run_galton(config), sys.argv[2])\n",
-                                config, tmp_path / "out") is False
+        assert imports_unused("from dvesim.harness import export, run_galton\n"
+                              "export(run_galton(config), sys.argv[2])\n",
+                              config, tmp_path / "out") == []
 
     def test_an_envelope_does_not_import_numpy_ma(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(tiny_config().to_dict()))
-        assert imports_numpy_ma("from dvesim.harness import rmse_envelope\n"
-                                "rmse_envelope(config, [1, 2, 3])\n", config) is False
+        assert imports_unused("from dvesim.harness import rmse_envelope\n"
+                              "rmse_envelope(config, [1, 2, 3])\n", config) == []
 
     def test_capacity_jitter_series(self):
         configs = jittered_configs(tiny_config(), [1, 2, 3, 4, 5], 0.5)
@@ -455,22 +460,17 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def login_cfg(**kw):
-    defaults = dict(topology=TOPOLOGY_PROXIED,
-                    inventory_folders=LIGHT_INVENTORY[0],
-                    inventory_items=LIGHT_INVENTORY[1],
-                    scene_objects=LIGHT_SCENE[0], scene_assets=LIGHT_SCENE[1],
-                    repeats=3, seed=1)
+    defaults = dict(topology=TOPOLOGY_PROXIED, inventory_folders=LIGHT_FOLDERS,
+                    scene_assets=LIGHT_ASSETS)
     defaults.update(kw)
     return LoginExperimentConfig(**defaults)
 
 
 class TestLogin:
     def test_proxied_heavy_inventory_request_count(self):
-        cfg = login_cfg(inventory_folders=HEAVY_INVENTORY[0],
-                        inventory_items=HEAVY_INVENTORY[1], repeats=1)
-        report = run_login(cfg)
-        assert report.runs[0].inventory_requests["sim"] == 8977
-        assert report.runs[0].completed
+        report = run_login(login_cfg(inventory_folders=HEAVY_FOLDERS))
+        assert report.inventory_requests["sim"] == 8977
+        assert report.completed
 
     @staticmethod
     def round_trip_us(cfg, delay_s):
@@ -484,32 +484,31 @@ class TestLogin:
     def test_empty_login_ends_both_chains_at_the_avatar_response(self):
         # auth to the central server, then the avatar, which the space
         # server answers at once
-        cfg = LoginExperimentConfig(inventory_folders=0, scene_assets=0, repeats=1)
+        cfg = LoginExperimentConfig(inventory_folders=0, scene_assets=0)
         avatar_us = self.round_trip_us(cfg, cfg.central_delay_s) + self.round_trip_us(cfg, 0)
         assert avatar_us == 8026
-        run = run_login(cfg).runs[0]
+        run = run_login(cfg)
         assert run.inventory_done_s == run.assets_done_s == avatar_us / 1e6
         assert run.completed
 
     def test_dedicated_folder_chain_ends_one_round_trip_after_the_avatar(self):
-        cfg = LoginExperimentConfig(topology=TOPOLOGY_DEDICATED, inventory_folders=1,
-                                    repeats=1)
+        cfg = LoginExperimentConfig(topology=TOPOLOGY_DEDICATED, inventory_folders=1)
         done_us = 8026 + self.round_trip_us(cfg, cfg.inventory_delay_s)
         assert done_us == 13539
-        assert run_login(cfg).runs[0].inventory_done_s == done_us / 1e6
+        assert run_login(cfg).inventory_done_s == done_us / 1e6
 
     def test_dedicated_sim_load_independent_of_folders(self):
         heavy = run_login(login_cfg(topology=TOPOLOGY_DEDICATED,
-                                    inventory_folders=HEAVY_INVENTORY[0]))
+                                    inventory_folders=HEAVY_FOLDERS))
         light = run_login(login_cfg(topology=TOPOLOGY_DEDICATED))
-        assert heavy.units_mean["sim"] == pytest.approx(light.units_mean["sim"])
-        assert heavy.runs[0].inventory_requests["inventory"] == HEAVY_INVENTORY[0]
-        assert heavy.runs[0].inventory_requests["sim"] == 0
+        assert heavy.units["sim"] == pytest.approx(light.units["sim"])
+        assert heavy.inventory_requests["inventory"] == HEAVY_FOLDERS
+        assert heavy.inventory_requests["sim"] == 0
 
     def test_light_proxied_equals_light_dedicated_sim_load(self):
         proxied = run_login(login_cfg())
         dedicated = run_login(login_cfg(topology=TOPOLOGY_DEDICATED))
-        assert proxied.units_mean["sim"] == pytest.approx(dedicated.units_mean["sim"])
+        assert proxied.units["sim"] == pytest.approx(dedicated.units["sim"])
 
     @pytest.mark.parametrize("topology,expected_slope",
                              [(TOPOLOGY_PROXIED, 1.0), (TOPOLOGY_DEDICATED, 0.0)])
@@ -517,9 +516,8 @@ class TestLogin:
         folder_counts = [0, 100, 1000, 8977]
         loads = []
         for folders in folder_counts:
-            rep = run_login(login_cfg(topology=topology,
-                                      inventory_folders=folders, repeats=1))
-            loads.append(rep.units_mean["sim"])
+            rep = run_login(login_cfg(topology=topology, inventory_folders=folders))
+            loads.append(rep.units["sim"])
         slope, intercept = np.polyfit(folder_counts, loads, 1)
         fitted = np.polyval([slope, intercept], folder_counts)
         ss_res = float(np.sum((np.array(loads) - fitted) ** 2))
@@ -532,8 +530,8 @@ class TestLogin:
         assert slope == pytest.approx(expected_slope, abs=1e-9)
 
     def test_a_login_run_leaves_no_cyclic_garbage(self):
-        """Each repeat's engine, network and links are freed by reference
-        counting: a collection after the run finds none of them unreachable."""
+        """A run's engine, network and links are freed by reference counting:
+        a collection after the run finds none of them unreachable."""
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
@@ -545,15 +543,10 @@ class TestLogin:
             gc.garbage.clear()
         assert not left
 
-    def test_repeats_are_deterministic(self):
-        report = run_login(login_cfg(repeats=4))
-        assert report.units_sd["sim"] == 0.0
-
     def test_heavy_scene_increases_sim_load(self):
-        light = run_login(login_cfg(repeats=1))
-        heavy = run_login(login_cfg(scene_objects=HEAVY_SCENE[0],
-                                    scene_assets=HEAVY_SCENE[1], repeats=1))
-        assert heavy.units_mean["sim"] > light.units_mean["sim"]
+        light = run_login(login_cfg())
+        heavy = run_login(login_cfg(scene_assets=HEAVY_ASSETS))
+        assert heavy.units["sim"] > light.units["sim"]
 
     def test_config_roundtrip(self, tmp_path):
         cfg = login_cfg(topology=TOPOLOGY_DEDICATED, inventory_folders=10)
@@ -562,8 +555,8 @@ class TestLogin:
         assert LoginExperimentConfig.from_file(path) == cfg
 
     @pytest.mark.parametrize("name,digest", [
-        ("login_proxied_heavy", "a6bbfcdc4777517f"),
-        ("login_dedicated_heavy", "fc73882e57f76b13"),
+        ("login_proxied_heavy", "0830129cc2daf0f0"),
+        ("login_dedicated_heavy", "b0fbc13d000f48fc"),
     ])
     def test_heavy_reports_are_pinned(self, tmp_path, name, digest):
         cfg = LoginExperimentConfig.from_file(CONFIGS / f"{name}.json")
@@ -575,7 +568,7 @@ class TestLogin:
         with pytest.raises(ConfigInvalid):
             login_cfg(topology="weird")
         with pytest.raises(ConfigInvalid):
-            login_cfg(repeats=0)
+            login_cfg(scene_assets=-1)
 
 
 def galton_dict(geometry=None, **changes):
@@ -635,7 +628,8 @@ STRICT_CASES = [
      "n_levels"),
     ("float message size", "galton", galton_dict(message_sizes={"delete": 10.5}),
      "delete"),
-    ("string login repeats", "login", login_dict(repeats="5"), "repeats"),
+    ("string login folders", "login", login_dict(inventory_folders="5"),
+     "inventory_folders"),
     ("bool login delay", "login", login_dict(central_delay_s=True),
      "central_delay_s"),
     ("NaN byte rate", "galton", galton_dict(link_byte_rate=float("nan")),
@@ -679,6 +673,12 @@ STRICT_CASES = [
     ("negative region width", "galton", galton_dict(region_width_m=-256.0),
      "region_width_m"),
     ("region depth off the microcell grid", "galton", galton_dict(region_depth_m=250.0),
+     "region_depth_m"),
+    # 48 m is 3 microcells of 16 m: a split through the middle misses the grid
+    ("centre split off the microcell grid", "galton",
+     galton_dict(topology="B", split="center_x", region_width_m=48.0), "region_width_m"),
+    ("between-boxes split off the microcell grid", "galton",
+     galton_dict(topology="B", split="between_boxes", region_depth_m=48.0),
      "region_depth_m"),
     ("zero microcell", "galton", galton_dict(microcell_m=0.0), "microcell_m"),
 ]
@@ -916,8 +916,7 @@ class TestCli:
         cfg_path = tmp_path / "login.json"
         cfg_path.write_text(json.dumps(login_cfg().to_dict()))
         out = tmp_path / "out"
-        rc = cli.main(["run-login", "--config", str(cfg_path), "--repeats", "2",
-                       "--out", str(out)])
+        rc = cli.main(["run-login", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
         assert (out / "login_report.json").exists()
 
@@ -956,6 +955,7 @@ class TestCliInputErrors:
               "baseline_negative_count": "bucket counts must be non-negative",
               "bounds_do_not_bracket": "t_lo=1.0 is already stable",
               "config_missing": "nope.json: [Errno 2] No such file",
+              "split_off_grid": "region_width_m: the split at 24.0 m is not on a microcell",
               "baseline_missing": "nope.json: [Errno 2] No such file",
               "spec_file_not_json": "specs.json: Expecting value",
               "report_missing": "nope.json: [Errno 2] No such file",
@@ -1036,8 +1036,12 @@ class TestCliInputErrors:
             argv = ["regress", "--report",
                     *(str(runs / f"seed{s}" / "report.json") for s in (1, 2, 3)),
                     "--specs", str(path)]
-        elif case == "config_missing":
-            argv = ["run-galton", "--config", missing, "--out", str(out)]
+        elif case in ("config_missing", "split_off_grid"):
+            config = missing
+            if case == "split_off_grid":
+                config = tmp_path / "cfg.json"
+                config.write_text(json.dumps(galton_dict(topology="B", region_width_m=48.0)))
+            argv = ["run-galton", "--config", str(config), "--out", str(out)]
         elif case == "baseline_missing" or case in bad_baselines:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(tiny_config().to_dict()))

@@ -238,6 +238,19 @@ class TestCheckRegression:
         assert verdict.cv == pytest.approx(np.std([5.0, 10.0, 15.0]) / 10.0)
         assert verdict.passed is (lo <= -10.0)
 
+    def test_equal_samples_on_the_window_edge_pass_with_cv_0(self):
+        # numpy's mean of three 124.9s is 124.90000000000002, outside the
+        # window, and its sd is about 1.4e-14
+        spec = RegressionSpec("interval_mean_s", 120.0, 124.9, 0.05, 3)
+        verdict = check_regression([124.9] * 3, spec)
+        assert verdict.passed and verdict.mean == 124.9 and verdict.cv == 0.0
+
+    @pytest.mark.parametrize("sample", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_sample_fails_the_window(self, sample):
+        spec = RegressionSpec("m", 9.0, 11.0, 0.2, 3)
+        verdict = check_regression([10.0, sample, 10.0], spec)
+        assert not verdict.passed and "mean" in verdict.reason
+
     def test_wrong_sample_count(self):
         spec = RegressionSpec("m", 9.0, 11.0, 0.2, 5)
         with pytest.raises(WrongSampleCount):
