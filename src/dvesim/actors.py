@@ -331,8 +331,10 @@ class PhysicsActor:
         ring they do not fit."""
         ring, n = self._ring, self._n
         if n + len(records) > len(ring):
-            ring = np.zeros(max(2 * len(ring), n + len(records)), dtype=_HOT)
-            ring[:len(self._ring)] = np.roll(self._ring, -self._head)
+            old, head = ring, self._head
+            ring = np.zeros(max(2 * len(old), n + len(records)), dtype=_HOT)
+            ring[:len(old) - head] = old[head:]
+            ring[len(old) - head:len(old)] = old[:head]
             self._ring, self._head = ring, 0
         start = (self._head + n) % len(ring)
         first = min(len(records), len(ring) - start)

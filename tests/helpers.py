@@ -1,5 +1,6 @@
-"""Shared test machinery: randomized LWW delivery schedules, the scene's
-convergence digest and a plain last-writer-wins model of the scene, the
+"""Shared test machinery: randomized LWW delivery schedules, a replica's
+live records, the scene's convergence digest and a plain last-writer-wins
+model of the scene, the
 scalar key layout, owner lookup, descent and crossing model that the owner
 table and the physics tick oracle are checked against, a way to seat a
 ball on a physics node without a script or a dispatcher, the list-of-tuples window statistics that the
@@ -27,6 +28,7 @@ from dvesim.harness.galton import GaltonExperimentConfig
 from dvesim.harness.report import ExperimentReport
 from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
+    PAGE_SIZE,
     ApplyResult,
     DuplicateCreate,
     ExistenceUpdate,
@@ -34,6 +36,13 @@ from dvesim.scene import (
     UnknownEntity,
 )
 from dvesim.stats import InvalidParameter
+
+
+def live_records(replica: SceneReplica) -> dict:
+    """The replica's live entities and the existence stamp each holds, read
+    out of its pages."""
+    return {key * PAGE_SIZE + slot: stamp for key, page in replica._pages.items()
+            for slot, stamp in enumerate(page[:PAGE_SIZE]) if stamp is not None}
 
 
 def digest(replica: SceneReplica) -> str:
@@ -44,7 +53,7 @@ def digest(replica: SceneReplica) -> str:
     same digest; any visible difference produces a different one.
     """
     h = hashlib.sha256()
-    for entity, floor in sorted(replica._entities.items()):
+    for entity, floor in sorted(live_records(replica).items()):
         h.update(f"E{entity}:{floor!r}\n".encode())
     return h.hexdigest()
 
@@ -54,18 +63,21 @@ def random_update_set(rng: random.Random, max_entities: int = 10,
     """An update multiset over a few entities: creates, deletes, re-creates.
 
     Every touched entity gets at least a creation update, so any at-least-once
-    delivery schedule can make progress.
+    delivery schedule can make progress.  The entities take turns over the
+    first three pages of a replica, each at a slot of its own.
     """
-    n_entities = rng.randint(1, max_entities)
+    n_entities = rng.randint(3, max_entities)
+    ids = [PAGE_SIZE * (i % 3) + slot
+           for i, slot in enumerate(rng.sample(range(PAGE_SIZE), n_entities))]
     origins = ["node-a", "node-b", "node-c"]
     seqs = {o: itertools.count() for o in origins}
     updates: list[ExistenceUpdate] = []
-    for e in range(1, n_entities + 1):
+    for e in ids:
         o = rng.choice(origins)
         updates.append(ExistenceUpdate(e, True, (rng.randint(0, 50), o, next(seqs[o]))))
     extra = rng.randint(0, max_updates - len(updates))
     for _ in range(extra):
-        e = rng.randint(1, n_entities)
+        e = rng.choice(ids)
         o = rng.choice(origins)
         ts = rng.randint(0, 1000)
         updates.append(ExistenceUpdate(e, rng.random() < 0.5, (ts, o, next(seqs[o]))))

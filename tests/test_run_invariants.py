@@ -33,6 +33,7 @@ from dvesim.harness import GaltonExperimentConfig, export, run_galton
 from dvesim.harness.galton import ConservationViolation
 from dvesim.netsim import Link, Network
 from dvesim.scene import SceneReplica
+from helpers import live_records
 
 EXPORTS = ("metrics.csv", "queues.csv", "histogram.csv", "report.json")
 
@@ -173,8 +174,11 @@ def test_small_runs_keep_every_invariant(config):
     assert len(seen.scripts) == 1
     for actor in seen.scripts + seen.physics:
         assert actor.replica.live_count() == 0
-        # no record, live or tombstoned: a node that deletes a ball forgets it
-        assert not actor.replica._entities and not actor.replica._tombs, actor.node_id
+        # no record, live or tombstoned, and no page of slots: a node that
+        # deletes a ball forgets it, and drops a page once it holds no ball
+        replica = actor.replica
+        assert not live_records(replica) and not replica._tombs, actor.node_id
+        assert not replica._pages, actor.node_id
     migrated = {m.payload.entity for msgs in seen.sent.values() for m in msgs
                 if m.kind == "migrate"}
     assert report.migrated_unique == len(migrated)

@@ -13,7 +13,7 @@ from dvesim.scene import (
     SceneReplica,
     UnknownEntity,
 )
-from helpers import LwwModel, digest, run_lww_trial
+from helpers import LwwModel, digest, live_records, run_lww_trial
 
 
 def upd(entity, alive, ts, origin="node-a", seq=0):
@@ -148,7 +148,7 @@ class TestBatchCreate:
         replica.delete_entity(1, ts_us=9)
         stamp = replica.create_entities([1, 2], ts_us=5)
         assert replica._tombs == {1: (9, "node-a", 1)}
-        assert replica._entities == {2: stamp}
+        assert live_records(replica) == {2: stamp}
 
     @pytest.mark.parametrize("batch", [[3, 1], [3, 3], [4, 2, 4]])
     def test_a_refused_batch_leaves_the_replica_unchanged(self, replica, batch):
@@ -156,11 +156,11 @@ class TestBatchCreate:
         when it holds a fresh id (3, 4) or a tombstoned one (2)."""
         replica.create_entities([2], ts_us=1)
         replica.delete_entity(2, ts_us=2)
-        before = (dict(replica._entities), dict(replica._tombs), replica._seq,
+        before = (live_records(replica), dict(replica._tombs), replica._seq,
                   digest(replica))
         with pytest.raises(DuplicateCreate):
             replica.create_entities(batch, ts_us=5)
-        assert (replica._entities, replica._tombs, replica._seq, digest(replica)) == before
+        assert (live_records(replica), replica._tombs, replica._seq, digest(replica)) == before
 
 
 class TestDigest:
@@ -211,7 +211,7 @@ class TestConvergence:
         for i in range(500):
             u = upd(1, rng.random() < 0.5, ts=rng.randint(0, 100), origin="node-b", seq=i)
             r.apply_update(u)
-            stored = r._entities.get(1) or r._tombs[1]
+            stored = live_records(r).get(1) or r._tombs[1]
             assert stored >= last
             last = stored
 
@@ -223,29 +223,30 @@ class TestEntityRecords:
             r.create_entities([entity], ts_us=entity)
         r.delete_entity(2, ts_us=12)
         # each record is its bare stamp, an exact tuple, live or tombstoned
-        assert r._entities == {1: (1, "node-a", 0)} and r._tombs == {2: (12, "node-a", 2)}
-        assert all(type(stamp) is tuple for stamp in [*r._entities.values(), *r._tombs.values()])
+        live = live_records(r)
+        assert live == {1: (1, "node-a", 0)} and r._tombs == {2: (12, "node-a", 2)}
+        assert all(type(stamp) is tuple for stamp in [*live.values(), *r._tombs.values()])
 
     def test_a_record_moves_between_live_and_tombstone_and_forget_drops_it(self):
         r = SceneReplica("node-a")
         r.create_entities([1], ts_us=1)
         r.delete_entity(1, ts_us=2)
-        assert (r._entities, r._tombs) == ({}, {1: (2, "node-a", 1)})
+        assert (live_records(r), r._tombs) == ({}, {1: (2, "node-a", 1)})
         # a re-creation takes the record out of the tombstones
         r.create_entities([1], ts_us=3)
-        assert (r._entities, r._tombs) == ({1: (3, "node-a", 2)}, {})
+        assert (live_records(r), r._tombs) == ({1: (3, "node-a", 2)}, {})
         r.delete_entity(1, ts_us=4)
         r.forget(1)
-        assert (r._entities, r._tombs) == ({}, {})
+        assert (r._pages, r._tombs) == ({}, {})
 
     @pytest.mark.parametrize("path", ["create", "apply"])
     def test_a_live_entity_costs_at_most_140_bytes(self, path):
-        """Traced bytes per live entity, dict slots included, of a replica
+        """Traced bytes per live entity, slots included, of a replica
         that creates or applies the existence of 20,000 entities, one
         update each; inputs are built before tracing starts.  CPython 3.11
-        reads 125 B (create) and 30 B (apply); the bound leaves room for
-        other interpreters' dict and tuple layouts and still fails an
-        ``(alive, stamp)`` record, which reads 181 B and 150 B."""
+        reads 104 B (create), most of it the stamp that each create builds,
+        and 8.5 B (apply), the page slots; the bound leaves room for other
+        interpreters' list and tuple layouts."""
         n = 20_000
         creates = [((e,), 10**6 + e) for e in range(1, n + 1)]
         updates = [upd(e, True, ts=t, origin="script", seq=e) for (e,), t in creates]
@@ -266,13 +267,14 @@ class TestEntityRecords:
         assert r.live_count() == n
         assert held / n <= 140
 
-    def test_an_entity_created_in_a_drop_costs_at_most_50_bytes(self):
-        """Traced bytes per live entity of a replica that creates 20,000
+    def test_an_entity_created_in_a_drop_costs_at_most_12_bytes(self):
+        """Traced bytes per live entity of a replica that creates 20,088
         entities in batches of 108, as the pegboard script drops them; ids
         and timestamps are built before tracing starts.  CPython 3.11 reads
-        30 B, its dict slots: a batch stores one stamp, where a stamp of
-        its own per entity reads 125 B."""
-        n = 20_000
+        9.1 B, its page slots: a batch stores one stamp, and the replica
+        keeps no id object.  A dict keyed by id read 30 B, and a stamp of
+        its own per entity 125 B."""
+        n = 20_088
         ids = list(range(1, n + 1))
         drops = [(ids[i:i + 108], 10**6 + i) for i in range(0, n, 108)]
         r = SceneReplica("script")
@@ -286,7 +288,52 @@ class TestEntityRecords:
         finally:
             tracemalloc.stop()
         assert r.live_count() == n
-        assert held / n <= 50
+        assert held / n <= 12
+
+
+class TestPages:
+    #: ids at and beside the edges of the first pages, and the pegboard
+    #: tests' script id base
+    EDGES = (0, 255, 256, 257, 511, 512, 10**6)
+
+    def test_ids_at_page_edges_keep_their_own_records(self):
+        r, model = SceneReplica("node-a"), LwwModel("node-a")
+        for replica in (r, model):
+            stamp = replica.create_entities(list(self.EDGES), ts_us=1)
+            for entity in self.EDGES[::2]:
+                replica.delete_entity(entity, ts_us=2)
+        assert live_records(r) == {e: stamp for e in self.EDGES[1::2]}
+        assert r._tombs == {e: (2, "node-a", i) for i, e in enumerate(self.EDGES[::2], 1)}
+        # 10**6 was alone on its page, which went with its delete
+        assert sorted(r._pages) == [0, 1, 2]
+        assert r.live_count() == model.live_count() == 3 and digest(r) == model.digest()
+        # a stale re-create stays behind its tombstone, a newer one revives
+        for entity in self.EDGES[::2]:
+            stale = upd(entity, True, ts=1, origin="node-b")
+            assert r.apply_update(stale) is ApplyResult.SUPERSEDED
+        assert r.create_entities([0, 511], ts_us=3) == (3, "node-a", 5)
+        assert sorted(live_records(r)) == [0, 255, 257, 511, 512]
+        assert set(r._tombs) == {256, 10**6}
+
+    def test_a_page_goes_with_its_last_live_entity(self):
+        r = SceneReplica("node-a")
+        r.create_entities(list(self.EDGES), ts_us=1)
+        r.delete_entity(256, ts_us=2)
+        r.forget(257)
+        # 511 keeps page 1; page 2 held only 512
+        r.delete_entity(512, ts_us=2)
+        assert sorted(r._pages) == [0, 1, 10**6 >> 8]
+        for entity in self.EDGES:
+            if entity != 257:
+                r.forget(entity)
+            with pytest.raises(KeyError):
+                r.stamp_of(entity)
+        assert (r._pages, r._tombs, r.live_count()) == ({}, {}, 0)
+        # a forgotten id is unknown; a re-created one takes a fresh page
+        with pytest.raises(UnknownEntity):
+            r.delete_entity(255, ts_us=3)
+        r.create_entities([255], ts_us=3)
+        assert list(r._pages) == [0] and r.live_count() == 1
 
 
 class TestForget:
@@ -350,7 +397,7 @@ def test_live_count_matches_a_scan_of_the_records(deliveries):
     for u in deliveries:
         assert outcome(r.apply_update, u) == outcome(model.apply_update, u)
         assert r.live_count() == model.live_count()
-        assert not r._entities.keys() & r._tombs.keys()
+        assert not live_records(r).keys() & r._tombs.keys()
 
 
 @st.composite
@@ -411,7 +458,8 @@ def test_records_of_created_and_deleted_entities_are_untracked():
         r.create_entities([entity], ts_us=entity)
         if entity % 2:
             r.delete_entity(entity, ts_us=entity + 1)
-    assert len(r._entities) == len(r._tombs) == 1000
+    live = live_records(r)
+    assert len(live) == len(r._tombs) == 1000
     # a tuple is untracked once a collection sees that it holds no tracked
     # object.  A full collection checks the youngest generation's tuples
     # before the middle one's, so a record built after its stamp tuple was
@@ -419,4 +467,4 @@ def test_records_of_created_and_deleted_entities_are_untracked():
     gc.collect()
     gc.collect()
     assert not any(gc.is_tracked(stamp)
-                   for stamp in [*r._entities.values(), *r._tombs.values()])
+                   for stamp in [*live.values(), *r._tombs.values()])
