@@ -116,8 +116,7 @@ class GaltonGeometry:
 class RunLedger:
     """Shared counters that make conservation auditable at every instant.
 
-    created = pending creations + falling + in-flight transfers
-              + collected + discarded
+    created = pending creations + falling + in-flight transfers + collected
     holds exactly, where pending/in-flight are messages sent but not yet
     delivered.
     """
@@ -128,7 +127,6 @@ class RunLedger:
     transfers_sent: int = 0
     transfers_delivered: int = 0
     migrations_completed: int = 0
-    discarded: int = 0
     #: t_us, interval_us, partition id and bucket per collected ball, flat
     collections: array = field(default_factory=lambda: array("q"))
     #: one flag per entity id up to max_entity, set once the entity migrates
@@ -151,8 +149,7 @@ class RunLedger:
 
     def conservation_holds(self, falling: int) -> bool:
         return self.created == (self.pending_creates + falling +
-                                self.transfers_in_flight + self.collected +
-                                self.discarded)
+                                self.transfers_in_flight + self.collected)
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +228,9 @@ class ScriptActor:
 _FIELDS = 5
 _PROGRESS, _LEVEL, _KEY, _ENTITY, _CREATED = range(_FIELDS)
 
-#: (owners, drops, buckets): the owning partition of every key, -1 off the
-#: region; per [box][row], the key of that dropper row's drop position; and
-#: the bucket that a ball landing at each key falls into, -1 off the histogram
+#: (owners, drops, buckets): the owning partition of every key; per
+#: [box][row], the key of that dropper row's drop position; and the bucket
+#: that a ball landing at each key falls into
 OwnerTable = tuple[list[int], list[list[int]], list[int]]
 
 
@@ -243,29 +240,24 @@ def owner_table(geometry: GaltonGeometry, pmap: PartitionMap) -> OwnerTable:
 
     A ball's position depends only on its box, row and column, so the
     owners are looked up through ``ball_x_m`` and ``box_center_y_m``, and
-    the buckets through ``final_bucket``, over broadcast arrays.  A ball's
-    key is its (box, row) lane's offset plus its column; column 0 is the
-    lane's drop position.  Each lane pads the board with off-region columns,
-    so that a seated ball's step never leaves it.
+    the buckets through ``final_bucket``, over broadcast arrays.  A dropped
+    ball starts at column 0 and steps one column per level, so its column
+    stays within -n_levels..n_levels: each (box, row) lane holds exactly
+    those columns, and a ball's key is the lane's offset plus its column
+    plus n_levels.  ``owners_xy`` raises ``OutOfRegion`` if any of them lay
+    outside the region.
     """
     geom, region = geometry, pmap.region
     n = geom.n_levels
-    col_lo = -n - 4 - 2 * (geom.rows_per_box - 1) * geom.row_offset_buckets
-    cols = np.arange(col_lo, 2 * geom.bucket_count - n + 3)
+    cols = np.arange(-n, n + 1)
     rows = np.arange(geom.rows_per_box)
-    boxes = np.arange(geom.boxes)
-    x = geom.ball_x_m(region, rows[:, None], cols[None, :])
-    y = geom.box_center_y_m(region, boxes)
     shape = (geom.boxes, geom.rows_per_box, len(cols))
-    xs = np.broadcast_to(x, shape)
-    ys = np.broadcast_to(y[:, None, None], shape)
-    inside = (xs >= 0.0) & (xs < region.width_m)
-    table = np.full(shape, -1, dtype=np.int64)
-    table[inside] = pmap.owners_xy(xs[inside], ys[inside])
-    drops = np.arange(0, table.size, len(cols)).reshape(geom.boxes, -1) - col_lo
+    xs = np.broadcast_to(geom.ball_x_m(region, rows[:, None], cols[None, :]), shape)
+    y = geom.box_center_y_m(region, np.arange(geom.boxes))
+    owners = pmap.owners_xy(xs.ravel(), np.broadcast_to(y[:, None, None], shape).ravel())
+    drops = np.arange(n, owners.size, len(cols)).reshape(geom.boxes, -1)
     bucket = geom.final_bucket(cols[None, :], rows[:, None])
-    bucket[(bucket < 0) | (bucket >= geom.bucket_count)] = -1
-    return (table.ravel().tolist(), drops.tolist(),
+    return (owners.tolist(), drops.tolist(),
             np.broadcast_to(bucket, shape).ravel().tolist())
 
 
@@ -312,7 +304,7 @@ class PhysicsActor:
         self._level_us = level_us = geometry.level_time_us
         self._owners, _, self._buckets = table
         #: a seated ball lies in this partition, so a step onto a key owned
-        #: elsewhere leaves it: off the region (-1) or into a neighbour
+        #: elsewhere leaves it for a neighbour
         self._away = np.array(self._owners) != partition_id
         #: a row's change as it crosses a level, stepping left or right
         self._steps = np.array([[-level_us, 1, -1, 0, 0], [-level_us, 1, 1, 0, 0]])
@@ -458,36 +450,25 @@ class PhysicsActor:
         return {"stepped": k}
 
     def _leave(self, rows: np.ndarray, now_us: int) -> None:
-        """Collect the landed balls, then discard those off the region, then
-        ghost the rest and ship each one's row as it is, with the stamp this
-        replica holds, each group in service order.  A ball that lands off
-        the histogram, or leaves the region, is dropped from the results;
-        either way it is deleted from the scene, and this replica forgets
-        it: no later update for it reaches this node."""
+        """Collect the landed balls, then ghost the rest and ship each one's
+        row as it is, with the stamp this replica holds, each group in
+        service order.  A landed ball is deleted from the scene, and this
+        replica forgets it: no later update for it reaches this node."""
         owners, buckets, n_levels = self._owners, self._buckets, self.geometry.n_levels
-        landed, off, migrating = [], [], []
+        landed, migrating = [], []
         for row in rows.tolist():
             _, level, key, eid, created = row
             if level >= n_levels:
                 landed.append((eid, buckets[key], created))
-            elif owners[key] < 0:
-                off.append(eid)
             else:
                 migrating.append((eid, owners[key], tuple(row)))
         node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
         ledger, partition = self.ledger, self.partition_id
-        if landed or off:
+        if landed:
             ts = self.engine.now_us + self.offset_us
             delete, forget = self.replica.delete_entity, self.replica.forget
             for eid, bucket, created in landed:
-                if bucket >= 0:
-                    ledger.collections.extend((now_us, now_us - created, partition, bucket))
-                else:
-                    ledger.discarded += 1
-                send(node, dispatcher, "delete", delete(eid, ts))
-                forget(eid)
-            ledger.discarded += len(off)
-            for eid in off:
+                ledger.collections.extend((now_us, now_us - created, partition, bucket))
                 send(node, dispatcher, "delete", delete(eid, ts))
                 forget(eid)
         if migrating:

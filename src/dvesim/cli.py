@@ -34,12 +34,10 @@ from .stats import EmpiricalBaseline, InvalidParameter, RegressionSpec, capture_
 
 
 def _load_specs(path) -> list[RegressionSpec]:
-    """A spec file holds a list of spec entries, or ``{"specs": [...]}``."""
+    """A spec file holds a list of spec entries."""
     data = read_json(path, InvalidParameter)
-    if isinstance(data, dict) and data.keys() == {"specs"}:
-        data = data["specs"]
     if not isinstance(data, list):
-        raise InvalidParameter('a spec file must hold a list or {"specs": [...]}')
+        raise InvalidParameter("a spec file must hold a list of specs")
     return [RegressionSpec.from_json_dict(d) for d in data]
 
 
@@ -50,7 +48,7 @@ def _cmd_run_galton(args) -> int:
     baseline = EmpiricalBaseline.load(args.baseline) if args.baseline else None
     report = run_galton(config, baseline=baseline)
     export(report, args.out)
-    print(f"collected={report.collected_total} discarded={report.discarded} "
+    print(f"collected={report.collected_total} "
           f"interval_mean={report.interval_mean_s:.3f}s "
           f"rmse_theoretical={report.rmse_theoretical:.3f} -> {args.out}")
     return 0
@@ -58,8 +56,7 @@ def _cmd_run_galton(args) -> int:
 
 def _cmd_search_rate(args) -> int:
     config = GaltonExperimentConfig.from_file(args.config)
-    result = max_sustainable_rate(config, args.t_lo, args.t_hi,
-                                  iterations=args.iterations)
+    result = max_sustainable_rate(config, args.t_lo, args.t_hi)
     for t, stable, mean in result.probes:
         shown = "-" if mean is None else f"{mean:.2f}s"
         print(f"t={t:.4f}s stable={stable} final_quarter_interval={shown}")
@@ -115,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--t-lo", type=float, required=True, dest="t_lo")
     p.add_argument("--t-hi", type=float, required=True, dest="t_hi")
-    p.add_argument("--iterations", type=int, default=8)
     p.set_defaults(fn=_cmd_search_rate)
 
     p = sub.add_parser("run-login", help="run the login service-topology study")

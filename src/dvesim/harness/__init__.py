@@ -6,9 +6,7 @@ from .galton import (
     GaltonExperimentConfig,
     SearchResult,
     max_sustainable_rate,
-    rmse_envelope,
     run_galton,
-    run_galton_series,
 )
 from .login import LoginExperimentConfig, LoginReport, run_login
 from .report import (
@@ -32,8 +30,6 @@ __all__ = [
     "export",
     "load_report_summary",
     "max_sustainable_rate",
-    "rmse_envelope",
     "run_galton",
-    "run_galton_series",
     "run_login",
 ]

@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
 from ..rules import SPAN, at_least, check_fields, read_json, rules_of
-from ..stats import EmpiricalBaseline, linear_quantile, rmse, theoretical_distribution
+from ..stats import EmpiricalBaseline, rmse, theoretical_distribution
 from .report import ExperimentReport, NodeSeries, window_interval_means
 
 
@@ -82,6 +81,9 @@ SPLIT_BETWEEN_BOXES = "between_boxes"
 #: Runs count as real-time while the final-quarter mean interval stays
 #: within this factor of the nominal descent time.
 STABILITY_FACTOR = 1.1
+
+#: bisection steps after the two bracket probes: a search makes 10 probes
+BISECTION_STEPS = 8
 
 #: config key -> the RegionSpec field it sets
 REGION_FIELDS = {"region_width_m": "width_m", "region_depth_m": "depth_m",
@@ -310,7 +312,6 @@ def run_galton(config: GaltonExperimentConfig,
                 f"t={t/1e6}s: created={ledger.created} != pending="
                 f"{ledger.pending_creates} + falling={falling} + in_flight="
                 f"{ledger.transfers_in_flight} + collected={ledger.collected}"
-                f" + discarded={ledger.discarded}"
             )
         ghosts = sum(a.ghost_count for a in physics.values())
         acked = ledger.migrations_completed
@@ -325,9 +326,7 @@ def run_galton(config: GaltonExperimentConfig,
                     f"t={t/1e6}s: {n} replica holds {a.replica.live_count()} live "
                     f"balls vs {a.active_count + a.ghost_count} active or ghosted"
                 )
-        done = (script.exhausted
-                and ledger.collected + ledger.discarded == ledger.created)
-        if done:
+        if script.exhausted and ledger.collected == ledger.created:
             break
         if t >= cap_us:
             hit_cap = True
@@ -372,7 +371,6 @@ def run_galton(config: GaltonExperimentConfig,
         queue_samples=list(network.samples),
         link_totals=link_totals,
         histogram=histogram,
-        discarded=ledger.discarded,
         created_total=ledger.created,
         collected_total=ledger.collected,
         collections=collections,
@@ -398,17 +396,6 @@ def run_galton(config: GaltonExperimentConfig,
     return report
 
 
-def run_galton_series(config: GaltonExperimentConfig,
-                      seeds: list[int]) -> Iterator[ExperimentReport]:
-    """Repeat a configuration over seeds.
-
-    Every run's config is built, and so checked, by this call; the runs
-    happen as the returned iterator is read, one report at a time, so a
-    caller that keeps what it reads of a report holds one report, not k.
-    """
-    return map(run_galton, [replace(config, seed=seed) for seed in seeds])
-
-
 # ----------------------------------------------------------------------
 # scalability search
 # ----------------------------------------------------------------------
@@ -420,16 +407,15 @@ class SearchResult:
 
 
 def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
-                         t_hi_s: float, iterations: int = 8) -> SearchResult:
+                         t_hi_s: float) -> SearchResult:
     """Bisect the drop period for the fastest still-stable schedule.
 
     Requires the bracket to straddle stability: unstable at t_lo, stable at
-    t_hi.  Returns the smallest stable period found.
+    t_hi.  Returns the smallest stable period found after
+    ``BISECTION_STEPS`` halvings of the bracket.
     """
     if not 0 < t_lo_s < t_hi_s:
         raise ConfigInvalid("need 0 < t_lo < t_hi")
-    if iterations < 8:
-        raise ConfigInvalid("at least 8 bisection iterations required")
     probes: list[tuple[float, bool, Optional[float]]] = []
 
     def probe(t: float) -> bool:
@@ -444,7 +430,7 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
     if probe(t_lo_s):
         raise BoundsDoNotBracket(f"t_lo={t_lo_s} is already stable")
     lo, hi = t_lo_s, t_hi_s
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = (lo + hi) / 2.0
         if probe(mid):
             hi = mid
@@ -452,11 +438,3 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
             lo = mid
     return SearchResult(hi, probes)
 
-
-def rmse_envelope(config: GaltonExperimentConfig,
-                  seeds: list[int]) -> tuple[float, list[float]]:
-    """Monte Carlo acceptance envelope: 99th-percentile RMSE over unstressed runs."""
-    # map drops each report once its float is read; a comprehension's loop
-    # variable would keep the last report alive through the next run
-    values = list(map(attrgetter("rmse_theoretical"), run_galton_series(config, seeds)))
-    return linear_quantile(values, 0.99), values

@@ -115,7 +115,6 @@ class ExperimentReport:
     link_totals: dict[str, dict]
     #: int64 observed count per bucket
     histogram: np.ndarray
-    discarded: int
     created_total: int
     collected_total: int
     #: (n, 4) int64: t_us, interval_us, partition id, bucket per collection
@@ -158,7 +157,8 @@ class ExperimentReport:
             "geometry_hash": self.geometry_hash,
             "nominal_descent_s": self.nominal_descent_s,
             "histogram": self.histogram.tolist(),
-            "discarded": self.discarded,
+            # no ball leaves the board; the key stays for the pinned bytes
+            "discarded": 0,
             "created_total": self.created_total,
             "collected_total": self.collected_total,
             "interval_mean_s": self.interval_mean_s,

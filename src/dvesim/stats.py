@@ -119,20 +119,6 @@ def rmse(observed: Sequence[float], baseline: Sequence[float]) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def linear_quantile(values: Sequence[float], q: float) -> float:
-    """The q-quantile of the values under numpy's default linear rule, bit
-    for bit: ``np.quantile`` imports numpy.ma, about 1.2 MB of RSS."""
-    if not 0 <= q <= 1:
-        raise InvalidParameter(f"q must be in [0, 1], got {q!r}")
-    xs = sorted(values)
-    if not xs:
-        raise InvalidParameter("the quantile of no values is undefined")
-    h = (len(xs) - 1) * q
-    i = math.floor(h)
-    a, b, t = xs[i], xs[min(i + 1, len(xs) - 1)], h - i
-    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-
-
 # ----------------------------------------------------------------------
 # empirical baselines
 # ----------------------------------------------------------------------

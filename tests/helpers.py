@@ -1,14 +1,15 @@
 """Shared test machinery: randomized LWW delivery schedules, a replica's
 live records, the scene's convergence digest and a plain last-writer-wins
-model of the scene, the
-scalar key layout, owner lookup, descent and crossing model that the owner
-table and the physics tick oracle are checked against, a way to seat a
-ball on a physics node without a script or a dispatcher, the list-of-tuples window statistics that the
-columnar report code is checked against, the series shape checks and
-report series that acceptance criteria 3 and 4 judge a run by, the
-capacity-jittered series that criterion 9 must flag, the login study's
-light and heavy presets, a reader of an exported histogram.csv, and the
-benchmark's pin table."""
+model of the scene, the scalar key layout, owner lookup, descent and
+crossing model that the owner table and the physics tick oracle are
+checked against, a way to seat a ball on a physics node without a script
+or a dispatcher, the list-of-tuples window statistics that the columnar
+report code is checked against, the series shape checks and report series
+that acceptance criteria 3 and 4 judge a run by, the capacity-jittered
+series that criterion 9 must flag, a series of runs over seeds and the
+RMSE envelope that criterion 1's bound was computed with, the login
+study's light and heavy presets, a reader of an exported histogram.csv,
+and the benchmark's pin table."""
 
 from __future__ import annotations
 
@@ -16,15 +17,17 @@ import csv
 import hashlib
 import importlib.util
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from dvesim.actors import GaltonGeometry, PhysicsActor
-from dvesim.harness.galton import GaltonExperimentConfig
+from dvesim.harness.galton import GaltonExperimentConfig, run_galton
 from dvesim.harness.report import ExperimentReport
 from dvesim.partition import OutOfRegion, PartitionMap
 from dvesim.scene import (
@@ -193,10 +196,9 @@ class Ball:
 
 def key_layout(geometry: GaltonGeometry) -> tuple[int, int]:
     """(lowest column, columns per lane) of the owner table's keys: each
-    (box, row) lane pads the board's columns with off-region ones."""
+    (box, row) lane holds the columns a ball can reach, -n_levels..n_levels."""
     n = geometry.n_levels
-    col_lo = -n - 4 - 2 * (geometry.rows_per_box - 1) * geometry.row_offset_buckets
-    return col_lo, 2 * geometry.bucket_count - n + 3 - col_lo
+    return -n, 2 * n + 1
 
 
 def ball_key(geometry: GaltonGeometry, box: int, row: int, column: int) -> int:
@@ -216,8 +218,13 @@ def decode_key(geometry: GaltonGeometry, key: int) -> tuple[int, int, int]:
 def seat(actor: PhysicsActor, ball: Ball, scene_seq: int = 0) -> None:
     """Seat ``ball`` on ``actor`` as a delivered create would: counted as
     created and delivered, and ticked from the next tick boundary.  The ball
-    must lie in the actor's partition, at a column of its lane."""
-    key = ball_key(actor.geometry, ball.box, ball.row, ball.column)
+    must lie in the actor's partition, at a state that a drop reaches: a
+    ball steps one column per level from column 0, so its column is at most
+    its level away from 0 and has the level's parity."""
+    level, column = ball.level, ball.column
+    assert abs(column) <= level < actor.geometry.n_levels and (level - column) % 2 == 0, \
+        f"no drop reaches column {column} at level {level}"
+    key = ball_key(actor.geometry, ball.box, ball.row, column)
     actor._arrive((0, ball.level, key, ball.id, ball.created_at_us), (0, "script", scene_seq))
     actor.ledger.created += 1
     actor.ledger.creates_delivered += 1
@@ -373,6 +380,40 @@ def jittered_configs(config: GaltonExperimentConfig, seeds: list[int],
         configs.append(replace(config, seed=seed,
                                capacity_factor=config.capacity_factor * factor))
     return configs
+
+
+def run_galton_series(config: GaltonExperimentConfig,
+                      seeds: list[int]) -> Iterator[ExperimentReport]:
+    """Repeat a configuration over seeds.
+
+    Every run's config is built, and so checked, by this call; the runs
+    happen as the returned iterator is read, one report at a time, so a
+    caller that keeps what it reads of a report holds one report, not k.
+    """
+    return map(run_galton, [replace(config, seed=seed) for seed in seeds])
+
+
+def linear_quantile(values: Sequence[float], q: float) -> float:
+    """The q-quantile of the values under numpy's default linear rule, bit
+    for bit: ``np.quantile`` imports numpy.ma, about 1.2 MB of RSS."""
+    if not 0 <= q <= 1:
+        raise InvalidParameter(f"q must be in [0, 1], got {q!r}")
+    xs = sorted(values)
+    if not xs:
+        raise InvalidParameter("the quantile of no values is undefined")
+    h = (len(xs) - 1) * q
+    i = math.floor(h)
+    a, b, t = xs[i], xs[min(i + 1, len(xs) - 1)], h - i
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
+def rmse_envelope(config: GaltonExperimentConfig,
+                  seeds: list[int]) -> tuple[float, list[float]]:
+    """Monte Carlo acceptance envelope: 99th-percentile RMSE over unstressed runs."""
+    # map drops each report once its float is read; a comprehension's loop
+    # variable would keep the last report alive through the next run
+    values = list(map(attrgetter("rmse_theoretical"), run_galton_series(config, seeds)))
+    return linear_quantile(values, 0.99), values
 
 
 # The login study's light and heavy factor levels: inventory folders and

@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dvesim.actors import (
@@ -23,7 +25,8 @@ from dvesim.engine import Engine, RandomStream, seconds_to_us
 from dvesim.netsim import Message, Network
 from dvesim.partition import MigrationTracker, PartitionMap, RegionSpec
 from dvesim.scene import ExistenceUpdate, UnknownEntity
-from dvesim.stats import binomial_pmf
+from dvesim.harness.galton import GaltonExperimentConfig
+from dvesim.stats import binomial_pmf, theoretical_distribution
 from helpers import (
     Ball,
     ball_key,
@@ -212,19 +215,18 @@ class TestPhysicsTickOracle:
 
     The model is built from Ball, descend_one_level and detect_crossing and
     replays the node's descent stream: each tick it serves the first
-    min(n, capacity) balls in order, draws in index order, removes landed,
-    off-region and migrated balls and rotates the served survivors to the
-    back.  Balls that arrive between ticks join the back before the next
-    tick.  Both record what the node sends: for each round of crossings, a
-    delete per landed ball, then a delete per ball off the region, then a
-    transfer per migrating ball, each in service order.
+    min(n, capacity) balls in order, draws in index order, removes landed
+    and migrated balls and rotates the served survivors to the back.  Balls
+    that arrive between ticks join the back before the next tick.  Both
+    record what the node sends: for each round of crossings, a delete per
+    landed ball, then a transfer per migrating ball, each in service order.
     """
 
     GEO = GaltonGeometry(n_levels=10, boxes=1, rows_per_box=1, droppers_per_row=1,
                          balls_per_dropper=1, nominal_descent_s=10.0)
     #: two boxes of two rows: the balls take turns over the four lanes of the
-    #: owner table and start spread over their partition's columns, edges
-    #: included, so that some step off the region
+    #: owner table and start spread over the states a drop reaches in their
+    #: node's partition, the lanes' edge columns included
     LANES = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=2, droppers_per_row=1,
                            balls_per_dropper=1, nominal_descent_s=10.0)
     CAPACITY = 100
@@ -237,16 +239,17 @@ class TestPhysicsTickOracle:
     ARRIVALS = {1000: ((0.25, 24), (3.05, 40))}
 
     def place(self, geo, pmap, partition_id, entity):
-        """(box, row, column) at which a ball starts, in the partition."""
+        """(box, row, level, column) at which a ball starts, in the
+        partition."""
         if geo is self.GEO:
-            return 0, 0, 0
+            return 0, 0, 0, 0
         region = pmap.region
         box, row = divmod((entity - 1) % 4, 2)
         y = geo.box_center_y_m(region, box)
-        columns = [c for c in range(-2 * geo.n_levels, 2 * geo.n_levels)
-                   if 0 <= geo.ball_x_m(region, row, c) < region.width_m
-                   and owner_of(pmap, geo.ball_x_m(region, row, c), y) == partition_id]
-        return box, row, columns[(entity - 1) // 4 % len(columns)]
+        states = [(level, c) for level in range(geo.n_levels)
+                  for c in range(-level, level + 1, 2)
+                  if owner_of(pmap, geo.ball_x_m(region, row, c), y) == partition_id]
+        return (box, row, *states[(entity - 1) // 4 % len(states)])
 
     def scalar_model(self, geo, n_balls, node, pmap):
         """Ordered (t_us, bucket) collections, (entity, t_us) migrations and
@@ -258,8 +261,8 @@ class TestPhysicsTickOracle:
         level_us = geo.level_time_us
 
         def ball(entity):
-            box, row, column = self.place(geo, pmap, partition_id, entity)
-            return Ball(id=entity, box=box, row=row, column=column)
+            box, row, level, column = self.place(geo, pmap, partition_id, entity)
+            return Ball(id=entity, box=box, row=row, level=level, column=column)
 
         def position(b):
             return geo.ball_x_m(region, b.row, b.column), geo.box_center_y_m(region, b.box)
@@ -290,18 +293,13 @@ class TestPhysicsTickOracle:
                     prev[b.id] = position(b)
                     descend_one_level(b, stream)
                 landed = [b for b in crossed if b.level >= geo.n_levels]
-                off = [b for b in crossed if b.level < geo.n_levels
-                       and not 0 <= position(b)[0] < region.width_m]
-                moved = [b for b in crossed if b.level < geo.n_levels and b not in off
+                moved = [b for b in crossed if b.level < geo.n_levels
                          and detect_crossing(prev[b.id], position(b), pmap)]
-                for b in landed:
-                    bucket = geo.final_bucket(b.column, b.row)
-                    if 0 <= bucket < geo.bucket_count:
-                        collections.append((now, bucket))
-                sends += [(now, "delete", b.id) for b in landed + off]
+                collections += [(now, geo.final_bucket(b.column, b.row)) for b in landed]
+                sends += [(now, "delete", b.id) for b in landed]
                 sends += [(now, "migrate", b.id) for b in moved]
                 migrations += [(b.id, now) for b in moved]
-                gone.update(b.id for b in landed + off + moved)
+                gone.update(b.id for b in landed + moved)
                 crossed = [b for b in crossed
                            if b.id not in gone and progress[b.id] >= level_us]
             balls = balls[self.CAPACITY:] + [b for b in served if b.id not in gone]
@@ -336,8 +334,8 @@ class TestPhysicsTickOracle:
         def inject(count):
             for _ in range(count):
                 entity = next(entities)
-                box, row, column = self.place(geo, pmap, partition_id, entity)
-                seat(actor, Ball(id=entity, box=box, row=row, column=column),
+                box, row, level, column = self.place(geo, pmap, partition_id, entity)
+                seat(actor, Ball(id=entity, box=box, row=row, level=level, column=column),
                      scene_seq=entity - 1)
 
         inject(n_balls)
@@ -345,8 +343,8 @@ class TestPhysicsTickOracle:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(600.0))
         assert actor.active_count == 0
-        # the replica forgot every ball it deleted, landed or off the region,
-        # and keeps only the shipped ones, whose acks never come
+        # the replica forgot every ball it collected, and keeps only the
+        # shipped ones, whose acks never come
         assert not actor.replica._tombs
         assert sorted(live_records(actor.replica)) == sorted(e for e, _ in migrations)
         rows = np.array(ledger.collections).reshape(-1, 4)
@@ -355,21 +353,23 @@ class TestPhysicsTickOracle:
     @pytest.mark.parametrize("n_balls", [50, 250, _BLOCK + 76, 1000])
     @pytest.mark.parametrize("split", [False, True])
     def test_matches_scalar_model(self, n_balls, split, monkeypatch):
-        self.check(self.GEO, n_balls, split, monkeypatch)
+        # the drop column lies right of the centre split
+        self.check(self.GEO, n_balls, split, "physics-2" if split else "physics-1",
+                   monkeypatch)
 
     @pytest.mark.parametrize("n_balls", [250, 1000])
     @pytest.mark.parametrize("split", [False, True])
     def test_four_lanes_match_scalar_model(self, n_balls, split, monkeypatch):
-        self.check(self.LANES, n_balls, split, monkeypatch)
+        # on the split, each node in turn holds the balls of its own half
+        for node in ("physics-1", "physics-2") if split else ("physics-1",):
+            self.check(self.LANES, n_balls, split, node, monkeypatch)
 
-    def check(self, geo, n_balls, split, monkeypatch):
+    def check(self, geo, n_balls, split, node, monkeypatch):
         region = RegionSpec()
         if split:
             pmap = PartitionMap.split(region, 0, 128.0, (1, "physics-1"), (2, "physics-2"))
-            node = "physics-2"
         else:
             pmap = PartitionMap.single(region, 1, "physics-1")
-            node = "physics-1"
         want_collections, want_migrations, want_sends = self.scalar_model(
             geo, n_balls, node, pmap)
         got_collections, got_migrations, got_sends = self.vectorized_run(
@@ -380,8 +380,8 @@ class TestPhysicsTickOracle:
         total = n_balls + sum(count for _, count in self.ARRIVALS.get(n_balls, ()))
         assert sorted(entity for _, _, entity in want_sends) == list(range(1, total + 1))
         assert bool(want_migrations) == split
-        discards = len(want_sends) - len(want_collections) - len(want_migrations)
-        assert (discards > 0) == (geo is self.LANES)
+        # every ball that leaves lands or migrates: none is discarded
+        assert len(want_sends) == len(want_collections) + len(want_migrations)
 
 
 def seated_ids(actor):
@@ -463,7 +463,7 @@ class TestBallRing:
             engine.schedule(seconds_to_us(t_s), lambda count=count: inject(count))
         engine.run_until(seconds_to_us(3600.0))
         total = sum(count for _, count in schedule)
-        assert ledger.collected + ledger.discarded == total
+        assert ledger.collected == total
         # a tick that skipped the check would leave the deque out of step
         # with the ring, or balls in it after the drain
         assert actor.active_count == 0 and not reference
@@ -506,22 +506,21 @@ class TestOwnerTable:
         region = RegionSpec()
         pmap = layout_map(layout, region)
         owners, drops, _ = owner_table(geo, pmap)
-        _, width = key_layout(geo)
-        assert len(owners) == geo.boxes * geo.rows_per_box * width
+        n = geo.n_levels
+        assert key_layout(geo) == (-n, 2 * n + 1)
+        assert len(owners) == geo.boxes * geo.rows_per_box * (2 * n + 1)
         want = []
         for key in range(len(owners)):
             box, row, column = decode_key(geo, key)
-            x = geo.ball_x_m(region, row, column)
-            y = geo.box_center_y_m(region, box)
-            inside = 0.0 <= x < region.width_m
-            want.append(int(pmap.owners_xy(np.array([x]), np.array([y]))[0])
-                        if inside else -1)
+            assert -n <= column <= n
+            want.append(owner_of(pmap, geo.ball_x_m(region, row, column),
+                                 geo.box_center_y_m(region, box)))
             # a seated ball's step, either way, stays in its lane
-            if inside:
+            if abs(column) < n:
                 assert decode_key(geo, key - 1) == (box, row, column - 1)
                 assert decode_key(geo, key + 1) == (box, row, column + 1)
         assert owners == want
-        assert set(want) == set(pmap.partitions) | {-1}
+        assert set(want) == set(pmap.partitions)
         # each (box, row) lane drops its balls at its column 0
         assert drops == [[ball_key(geo, box, row, 0) for row in range(geo.rows_per_box)]
                          for box in range(geo.boxes)]
@@ -531,13 +530,10 @@ class TestOwnerTable:
         # (box, row) under the box count than under the rows per box
         geo = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, row_offset_buckets=2)
         _, _, buckets = owner_table(geo, PartitionMap.single(RegionSpec(), 1, "physics-1"))
-        want = []
-        for key in range(len(buckets)):
-            box, row, column = decode_key(geo, key)
-            bucket = geo.final_bucket(column, row)
-            want.append(bucket if 0 <= bucket < geo.bucket_count else -1)
+        want = [geo.final_bucket(column, row)
+                for _, row, column in (decode_key(geo, key) for key in range(len(buckets)))]
         assert buckets == want
-        assert set(want) == set(range(-1, geo.bucket_count))
+        assert set(want) == set(range(geo.bucket_count))
 
     @pytest.mark.parametrize("layout", ["single", "split_x", "split_y"])
     def test_create_routes_equal_owner_of(self, layout):
@@ -552,6 +548,50 @@ class TestOwnerTable:
                                              geo.box_center_y_m(region, box))]
                     for box in range(geo.boxes) for row in range(geo.rows_per_box)}
             assert dispatcher._create_nodes == want
+
+
+@st.composite
+def boards(draw):
+    """A geometry on a region of whole microcells, split in either way or
+    not at all: an even cell count on each axis puts either split on a
+    cell boundary."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    geometry = GaltonGeometry(
+        n_levels=n,
+        boxes=draw(st.integers(min_value=1, max_value=5)),
+        rows_per_box=draw(st.integers(min_value=1, max_value=4)),
+        row_offset_buckets=draw(st.integers(min_value=0, max_value=2 * n + 4)),
+    )
+    microcell = draw(st.sampled_from([0.5, 3.0, 16.0]))
+    topology, split = draw(st.sampled_from(
+        [("A", "center_x"), ("B", "center_x"), ("B", "between_boxes")]))
+    config = GaltonExperimentConfig(
+        geometry=geometry, topology=topology, split=split, microcell_m=microcell,
+        region_width_m=microcell * 2 * draw(st.integers(min_value=1, max_value=20)),
+        region_depth_m=microcell * 2 * draw(st.integers(min_value=1, max_value=20)))
+    return geometry, config.build_partition_map()
+
+
+@settings(max_examples=200, deadline=None)
+@given(board=boards())
+def test_every_key_of_the_owner_table_is_a_reachable_position(board):
+    # owners_xy raises OutOfRegion if any key's position lies off the region
+    geo, pmap = board
+    owners, drops, buckets = owner_table(geo, pmap)
+    n = geo.n_levels
+    assert len(owners) == len(buckets) == geo.boxes * geo.rows_per_box * (2 * n + 1)
+    assert set(owners) <= set(pmap.partitions)
+    assert all(0 <= bucket < geo.bucket_count for bucket in buckets)
+    # a ball lands at level n, on a column of n's parity; the buckets it
+    # reaches are those that theory expects a ball in, and every bucket once
+    # the rows' ranges of n + 1 buckets overlap or touch
+    landing = {buckets[ball_key(geo, box, row, column)]
+               for box in range(geo.boxes) for row in range(geo.rows_per_box)
+               for column in range(-n, n + 1, 2)}
+    expected = theoretical_distribution(geo)
+    assert landing == set(np.flatnonzero(expected > 0).tolist())
+    if geo.row_offset_buckets <= n + 1:
+        assert landing == set(range(geo.bucket_count))
 
 
 def wire_run(geometry, topology, period_s, capacity, seed=1):
@@ -771,7 +811,7 @@ class TestMigrationFlow:
         geo = GaltonGeometry(balls_per_dropper=4)
         cfg = wire_run(geo, "B", 0.5, 5000, seed=12)
         report = run_galton(cfg)
-        assert report.created_total == report.collected_total + report.discarded
+        assert report.created_total == report.collected_total
 
 
 def wire_split(geometry, max_entity):
@@ -813,12 +853,13 @@ class TestReplicaForgets:
 
     def test_losing_node_forgets_the_ball_when_the_ack_returns(self):
         # every level takes one 0.1 s tick, so the first tick steps each ball
-        # once: from column -1, just left of the split, half of them step
-        # right onto column 0 and migrate; their acks are back by 0.15 s,
-        # before the second tick
+        # once: from column -1 at level 1, just left of the split, half of
+        # them step right onto column 0 and migrate; their acks are back by
+        # 0.15 s, before the second tick
         engine, ledger, losing, gaining = wire_split(self.GEO, 8)
         for entity in range(1, 9):
-            seat(losing, Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
+            seat(losing, Ball(id=entity, box=0, row=0, level=1, column=-1),
+                 scene_seq=entity)
         engine.run_until(seconds_to_us(0.15))
         moved = [entity for entity, flag in enumerate(ledger.migrated_entities) if flag]
         assert 0 < len(moved) < 8 and ledger.migrations_completed == len(moved)
@@ -899,7 +940,8 @@ class TestOneStampPerBall:
     def test_the_gaining_replica_holds_the_losing_replicas_stamp(self):
         engine, ledger, losing, gaining = wire_split(self.GEO, 8)
         for entity in range(1, 9):
-            seat(losing, Ball(id=entity, box=0, row=0, column=-1), scene_seq=entity)
+            seat(losing, Ball(id=entity, box=0, row=0, level=1, column=-1),
+                 scene_seq=entity)
         held = {entity: losing.replica.stamp_of(entity) for entity in range(1, 9)}
         engine.run_until(seconds_to_us(0.15))
         moved = [entity for entity, flag in enumerate(ledger.migrated_entities) if flag]
@@ -908,8 +950,9 @@ class TestOneStampPerBall:
             assert gaining.replica.stamp_of(entity) is held[entity]
 
     def test_a_transfer_ships_the_position_its_key_encodes(self, monkeypatch):
-        # per lane, balls sit on the last column left of the split and take
-        # one step in the first tick: those that step right migrate.  Each
+        # per lane, balls sit on the last column left of the split, at the
+        # first level that reaches it, and take one step in the first tick:
+        # those that step right migrate.  Each
         # ships the ring row it left with, unchanged, whose key names its
         # box, row and new column, and the stamp that the losing replica
         # holds, whose ack never comes back
@@ -934,12 +977,13 @@ class TestOneStampPerBall:
         seated = {}
         for box in range(2):
             for row in range(3):
-                column = next(c for c in range(-20, 20)
+                column = next(c for c in range(-geo.n_levels, geo.n_levels)
                               if owners[ball_key(geo, box, row, c)] == 1
                               and owners[ball_key(geo, box, row, c + 1)] == 2)
                 for entity in range(len(seated) + 1, len(seated) + 9):
-                    seat(actor, Ball(id=entity, box=box, row=row, column=column,
-                                     created_at_us=1000 + entity), scene_seq=entity)
+                    seat(actor, Ball(id=entity, box=box, row=row, level=abs(column),
+                                     column=column, created_at_us=1000 + entity),
+                         scene_seq=entity)
                     seated[entity] = (box, row, column)
         engine.run_until(seconds_to_us(0.15))
         transfers = [m.payload for m in shipped if m.kind == "migrate"]
@@ -950,7 +994,8 @@ class TestOneStampPerBall:
             ball, stamp = t.state
             box, row, column = seated[t.entity]
             assert ball == left[t.entity]
-            assert ball == (0, 1, ball_key(geo, box, row, column + 1), t.entity, 1000 + t.entity)
+            assert ball == (0, abs(column) + 1, ball_key(geo, box, row, column + 1),
+                            t.entity, 1000 + t.entity)
             assert stamp is actor.replica.stamp_of(t.entity)
 
     def test_a_seated_ball_costs_at_most_56_bytes(self):

@@ -19,11 +19,10 @@ from dvesim.stats import (
     binomial_pmf,
     capture_baseline,
     check_regression,
-    linear_quantile,
     rmse,
     theoretical_distribution,
 )
-from helpers import increasing_trend, is_convex_increasing
+from helpers import increasing_trend, is_convex_increasing, linear_quantile
 
 
 class TestBinomialPmf:
