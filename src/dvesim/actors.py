@@ -14,9 +14,7 @@ losing node, and a delete to the script.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from array import array
 from dataclasses import asdict, dataclass, field
 
@@ -25,12 +23,18 @@ import numpy as np
 from .engine import Engine, seconds_to_us
 from .netsim import Message, Network
 from .partition import MigrationAck, MigrationTracker, PartitionMap, RegionSpec, TransferMessage
-from .rules import at_least, check_fields
+from .rules import at_least, check_fields, content_hash
 from .scene import ApplyResult, ExistenceUpdate, SceneReplica, Stamp
 
 
 class UnroutableMessage(KeyError):
     """A node has no route for a message of this kind."""
+
+
+#: the ids of the one script node and the one dispatcher node; a physics
+#: node's id comes with its partition, from the partition map
+SCRIPT = "script"
+DISPATCHER = "dispatcher"
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +108,7 @@ class GaltonGeometry:
         return (column + self.n_levels) // 2 + row * self.row_offset_buckets
 
     def geometry_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return content_hash(asdict(self))
 
 
 # ----------------------------------------------------------------------
@@ -159,19 +162,16 @@ class RunLedger:
 class ScriptActor:
     """Drops one ball per dropper every period until each dropper runs dry."""
 
-    def __init__(self, node_id: str, engine: Engine, network: Network,
-                 dispatcher_id: str, table: OwnerTable, geometry: GaltonGeometry,
-                 period_s: float, ledger: RunLedger):
-        self.node_id = node_id
+    def __init__(self, engine: Engine, network: Network, table: OwnerTable,
+                 geometry: GaltonGeometry, period_s: float, ledger: RunLedger):
         self.engine = engine
         self.network = network
-        self.dispatcher_id = dispatcher_id
         self.period_us = seconds_to_us(period_s)
         if self.period_us <= 0:
             raise ValueError("drop period must be positive")
         self.ledger = ledger
-        self.replica = SceneReplica(node_id)
-        self.offset_us = engine.clock(node_id)
+        self.replica = SceneReplica(SCRIPT)
+        self.offset_us = engine.clock(SCRIPT)
         self._entities = itertools.count(1)
         #: the drop key of each dropper, box by box and row by row
         self.drop_keys = [key for keys in table[1] for key in keys
@@ -196,8 +196,8 @@ class ScriptActor:
         self.remaining -= 1
         ids = list(itertools.islice(self._entities, len(self.drop_keys)))
         stamp = self.replica.create_entities(ids, self.engine.now_us + self.offset_us)
-        node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
-        msgs = [send(node, dispatcher, "create", ((0, 0, key, entity, now_us), stamp))
+        send = self.network.send
+        msgs = [send(SCRIPT, DISPATCHER, "create", ((0, 0, key, entity, now_us), stamp))
                 for entity, key in zip(ids, self.drop_keys)]
         self.ledger.created += len(msgs)
         return msgs
@@ -282,8 +282,7 @@ class PhysicsActor:
 
     def __init__(self, node_id: str, partition_id: int, table: OwnerTable,
                  geometry: GaltonGeometry, capacity: int, tick_len_s: float,
-                 engine: Engine, network: Network, dispatcher_id: str,
-                 ledger: RunLedger):
+                 engine: Engine, network: Network, ledger: RunLedger):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.node_id = node_id
@@ -295,7 +294,6 @@ class PhysicsActor:
             raise ValueError("tick length must be positive")
         self.engine = engine
         self.network = network
-        self.dispatcher_id = dispatcher_id
         self.ledger = ledger
         self.replica = SceneReplica(node_id)
         self.offset_us = engine.clock(node_id)
@@ -365,7 +363,7 @@ class PhysicsActor:
                 )
             # the ack goes out before _arrive may schedule a tick: both take
             # the engine's next seq, which orders events at one instant
-            self.network.send(self.node_id, self.dispatcher_id, "ack",
+            self.network.send(self.node_id, DISPATCHER, "ack",
                               MigrationTracker.acknowledge(transfer))
             self.ledger.transfers_delivered += 1
             self._arrive(*transfer.state)
@@ -462,14 +460,14 @@ class PhysicsActor:
                 landed.append((eid, buckets[key], created))
             else:
                 migrating.append((eid, owners[key], tuple(row)))
-        node, dispatcher, send = self.node_id, self.dispatcher_id, self.network.send
+        node, send = self.node_id, self.network.send
         ledger, partition = self.ledger, self.partition_id
         if landed:
             ts = self.engine.now_us + self.offset_us
             delete, forget = self.replica.delete_entity, self.replica.forget
             for eid, bucket, created in landed:
                 ledger.collections.extend((now_us, now_us - created, partition, bucket))
-                send(node, dispatcher, "delete", delete(eid, ts))
+                send(node, DISPATCHER, "delete", delete(eid, ts))
                 forget(eid)
         if migrating:
             begin, stamp_of = self.tracker.begin_migration, self.replica.stamp_of
@@ -477,7 +475,7 @@ class PhysicsActor:
             for eid, owner, row in migrating:
                 ledger.migrated_entities[eid] = 1
                 (transfer,) = begin(eid, partition, owner, now_us, (row, stamp_of(eid)))
-                send(node, dispatcher, "migrate", transfer)
+                send(node, DISPATCHER, "migrate", transfer)
 
 
 # ----------------------------------------------------------------------
@@ -487,11 +485,8 @@ class PhysicsActor:
 class DispatcherActor:
     """Stateless relay between the script node and the physics nodes."""
 
-    def __init__(self, node_id: str, network: Network, partitions: dict[int, str],
-                 table: OwnerTable, script_id: str):
-        self.node_id = node_id
+    def __init__(self, network: Network, partitions: dict[int, str], table: OwnerTable):
         self.network = network
-        self.script_id = script_id
         #: partition id -> owning node
         self._nodes = partitions
         owners, drops, _ = table
@@ -511,7 +506,7 @@ class DispatcherActor:
         elif kind == "create":
             node = self._create_nodes[msg.payload[0][_KEY]]
         elif kind == "delete":
-            node = self.script_id
+            node = SCRIPT
         else:
             raise UnroutableMessage(kind)
-        return [self.network.send(self.node_id, node, kind, msg.payload)]
+        return [self.network.send(DISPATCHER, node, kind, msg.payload)]

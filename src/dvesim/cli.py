@@ -17,18 +17,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (
+from .harness.galton import (
     ConfigInvalid,
     GaltonExperimentConfig,
-    LoginExperimentConfig,
-    UnknownMetric,
-    evaluate,
-    export,
-    load_report_summary,
     max_sustainable_rate,
     run_galton,
-    run_login,
 )
+from .harness.login import LoginExperimentConfig, run_login
+from .harness.report import UnknownMetric, evaluate, export, load_report_summary
 from .rules import read_json
 from .stats import EmpiricalBaseline, InvalidParameter, RegressionSpec, capture_baseline
 

@@ -12,15 +12,14 @@ each physics node's replica holds exactly its active and ghosted balls.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .. import __version__ as _code_version
 from ..actors import (
+    DISPATCHER,
+    SCRIPT,
     DispatcherActor,
     GaltonGeometry,
     PhysicsActor,
@@ -31,7 +30,7 @@ from ..actors import (
 from ..engine import Engine, seconds_to_us
 from ..netsim import DEFAULT_MESSAGE_SIZES, Network
 from ..partition import PartitionMap, RegionSpec
-from ..rules import SPAN, at_least, check_fields, read_json, rules_of
+from ..rules import SPAN, at_least, check_fields, content_hash, read_json, rules_of
 from ..stats import EmpiricalBaseline, rmse, theoretical_distribution
 from .report import ExperimentReport, NodeSeries, window_interval_means
 
@@ -57,8 +56,7 @@ class ConfigFile:
         return cls.from_dict(read_json(path, ConfigInvalid))
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return content_hash(self.to_dict())
 
 
 class BoundsDoNotBracket(ConfigInvalid):
@@ -68,9 +66,6 @@ class BoundsDoNotBracket(ConfigInvalid):
 class ConservationViolation(AssertionError):
     """A sample tick found balls unaccounted for."""
 
-
-SCRIPT = "script"
-DISPATCHER = "dispatcher"
 
 TOPOLOGY_A = "A"
 TOPOLOGY_B = "B"
@@ -124,16 +119,6 @@ class GaltonExperimentConfig(ConfigFile):
             raise ConfigInvalid(f"unknown split {self.split!r}")
         if self.effective_capacity < 1:
             raise ConfigInvalid("capacity_c * capacity_factor must round to >= 1")
-        # an override field obeys the rule of the config field it replaces
-        override_rules = {name: rules[f"link_{name}"]
-                          for name in ("latency_s", "byte_rate", "jitter_s")}
-        link_keys = {k for src, dst in self.links() for k in _override_keys(src, dst)}
-        for key, override in self.link_overrides.items():
-            if key not in link_keys:
-                raise ConfigInvalid(f"link_overrides key {key!r} names no link "
-                                    f"of topology {self.topology}")
-            check_fields(override_rules, override, ConfigInvalid,
-                         f"link_overrides[{key!r}].")
         check_fields(dict.fromkeys(DEFAULT_MESSAGE_SIZES, ("int", at_least(1))),
                      self.message_sizes, ConfigInvalid, "message_sizes.")
         # a region key obeys the rule of the RegionSpec field it sets
@@ -151,6 +136,17 @@ class GaltonExperimentConfig(ConfigFile):
             # a split halves the region's width (center_x) or depth (between_boxes)
             key = "region_width_m" if self.split == SPLIT_CENTER_X else "region_depth_m"
             raise ConfigInvalid(f"{key}: the {e}") from e
+        # the links come from the partition map, so overrides go last; an
+        # override field obeys the rule of the config field it replaces
+        override_rules = {name: rules[f"link_{name}"]
+                          for name in ("latency_s", "byte_rate", "jitter_s")}
+        link_keys = {k for src, dst in self.links() for k in _override_keys(src, dst)}
+        for key, override in self.link_overrides.items():
+            if key not in link_keys:
+                raise ConfigInvalid(f"link_overrides key {key!r} names no link "
+                                    f"of topology {self.topology}")
+            check_fields(override_rules, override, ConfigInvalid,
+                         f"link_overrides[{key!r}].")
 
     def region(self) -> RegionSpec:
         return RegionSpec(self.region_width_m, self.region_depth_m, self.microcell_m)
@@ -159,27 +155,26 @@ class GaltonExperimentConfig(ConfigFile):
     def effective_capacity(self) -> int:
         return round(self.capacity_c * self.capacity_factor)
 
-    def physics_nodes(self) -> list[str]:
-        if self.topology == TOPOLOGY_A:
-            return ["physics-1"]
-        return ["physics-1", "physics-2"]
-
     def links(self) -> list[tuple[str, str]]:
-        """(src, dst) of every link the topology wires."""
-        physics_ids = self.physics_nodes()
+        """(src, dst) of every link the topology wires, to and from each
+        physics node of the partition map in partition order."""
+        physics = self.build_partition_map().partitions.values()
         return ([(SCRIPT, DISPATCHER), (DISPATCHER, SCRIPT)]
-                + [(DISPATCHER, p) for p in physics_ids]
-                + [(p, DISPATCHER) for p in physics_ids])
+                + [(DISPATCHER, p) for p in physics]
+                + [(p, DISPATCHER) for p in physics])
 
     def build_partition_map(self) -> PartitionMap:
+        """Partition 1 owns the region; topology B gives the split's high
+        side to partition 2.  This names each partition's physics node."""
         region = self.region()
+        low = (1, "physics-1")
         if self.topology == TOPOLOGY_A:
-            return PartitionMap.single(region, 1, "physics-1")
+            return PartitionMap.single(region, *low)
         if self.split == SPLIT_CENTER_X:
             axis, at_m = 0, region.width_m / 2
         else:
             axis, at_m = 1, region.depth_m / 2
-        return PartitionMap.split(region, axis, at_m, (1, "physics-1"), (2, "physics-2"))
+        return PartitionMap.split(region, axis, at_m, low, (2, "physics-2"))
 
     # ---- serialization -------------------------------------------------
 
@@ -247,20 +242,18 @@ def run_galton(config: GaltonExperimentConfig,
     pmap = config.build_partition_map()
     ledger = RunLedger(geometry.total_balls)
 
-    physics_ids = config.physics_nodes()
     for src, dst in config.links():
         latency, rate, jitter = _link_params(config, src, dst)
         network.add_link(src, dst, latency, rate, jitter_s=jitter)
 
     table = owner_table(geometry, pmap)
-    script = ScriptActor(SCRIPT, engine, network, DISPATCHER, table, geometry,
-                         config.period_t_s, ledger)
-    dispatcher = DispatcherActor(DISPATCHER, network, pmap.partitions, table, SCRIPT)
+    script = ScriptActor(engine, network, table, geometry, config.period_t_s, ledger)
+    dispatcher = DispatcherActor(network, pmap.partitions, table)
     physics = {}
     for pid, node in sorted(pmap.partitions.items()):
         physics[node] = PhysicsActor(node, pid, table, geometry,
                                      config.effective_capacity, config.tick_len_s,
-                                     engine, network, DISPATCHER, ledger)
+                                     engine, network, ledger)
     network.register_handler(SCRIPT, script.on_message)
     network.register_handler(DISPATCHER, dispatcher.dispatcher_relay)
     for node, actor in physics.items():
@@ -270,7 +263,7 @@ def run_galton(config: GaltonExperimentConfig,
 
     sample_us = seconds_to_us(config.sample_period_s)
     cap_us = seconds_to_us(config.duration_cap_s)
-    node_order = [SCRIPT, DISPATCHER] + physics_ids
+    node_order = [SCRIPT, DISPATCHER, *physics]
     series = {n: NodeSeries() for n in node_order}
     # a node's traffic is what its links carried: sent on its outgoing
     # links, delivered on its incoming ones; the script's received count
@@ -361,11 +354,6 @@ def run_galton(config: GaltonExperimentConfig,
 
     report = ExperimentReport(
         config=config.to_dict(),
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        code_version=_code_version,
-        geometry_hash=geometry.geometry_hash(),
-        nominal_descent_s=geometry.nominal_descent_s,
         times_s=[t_us / 1e6 for t_us in times_us],
         nodes=series,
         queue_samples=list(network.samples),
@@ -383,7 +371,6 @@ def run_galton(config: GaltonExperimentConfig,
         rmse_baseline=rmse_base,
         end_time_s=end_time_s,
         hit_cap=hit_cap,
-        audit_ok=True,
         expected_theoretical=expected,
         baseline_mean=baseline_mean,
         baseline_sd=baseline_sd,
@@ -421,7 +408,8 @@ def max_sustainable_rate(config: GaltonExperimentConfig, t_lo_s: float,
     def probe(t: float) -> bool:
         report = run_galton(replace(config, period_t_s=t))
         mean = report.final_quarter_interval_mean()
-        stable = mean is not None and mean <= STABILITY_FACTOR * report.nominal_descent_s
+        stable = (mean is not None
+                  and mean <= STABILITY_FACTOR * config.geometry.nominal_descent_s)
         probes.append((t, stable, mean))
         return stable
 

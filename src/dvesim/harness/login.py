@@ -12,7 +12,6 @@ request, so topology effects are exact rather than estimated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import permutations
@@ -20,7 +19,7 @@ from typing import Optional
 
 from ..engine import Engine, seconds_to_us
 from ..netsim import Message, Network
-from ..rules import SPAN, at_least, check_fields
+from ..rules import SPAN, at_least, check_fields, write_json
 from .galton import ConfigFile, ConfigInvalid
 
 CLIENT = "client"
@@ -178,9 +177,7 @@ class LoginReport:
     completed: bool
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, asdict(self))
 
 
 def run_login(config: LoginExperimentConfig) -> LoginReport:

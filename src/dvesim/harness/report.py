@@ -9,7 +9,6 @@ artifacts byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import __version__
 from ..netsim import QueueSample
-from ..rules import is_a, read_json
+from ..rules import content_hash, is_a, read_json, write_json
 from ..stats import InvalidParameter, RegressionSpec, Verdict, check_regression
 
 
@@ -54,19 +54,10 @@ def window_interval_means(collections: np.ndarray, times_us: Sequence[int],
             for total, count in zip(totals.tolist(), counts.tolist())]
 
 
-#: Scalar regression metric name -> the report.json key holding its value.
-SCALAR_METRICS = {
-    "interval_mean_s": "interval_mean_s",
-    "rmse_theoretical": "rmse_theoretical",
-    "rmse_baseline": "rmse_baseline",
-    "peak_load_proxy": "peak_load_proxy",
-    "peak_balls_in_scene": "peak_balls_in_scene",
-    "collected_total": "collected_total",
-    "discarded_total": "discarded",
-    "created_total": "created_total",
-    "migrations_total": "migrations_total",
-    "end_time_s": "end_time_s",
-}
+#: The scalar regression metrics, each named by the report.json key holding it.
+SCALAR_METRICS = ("interval_mean_s", "rmse_theoretical", "rmse_baseline",
+                  "peak_load_proxy", "peak_balls_in_scene", "collected_total",
+                  "created_total", "migrations_total", "end_time_s")
 
 #: ``final_queue_depth:<link>`` is the link's queue depth when the run ended.
 QUEUE_DEPTH_METRIC = "final_queue_depth:"
@@ -88,10 +79,9 @@ def report_metric(data: dict, name: str) -> float:
                                    f"delivered_count, got {reprlib.repr(totals)}")
         # every message sent and not yet delivered is still queued
         return float(totals["sent_count"] - totals["delivered_count"])
-    key = SCALAR_METRICS.get(name)
-    if key is None:
-        raise UnknownMetric(name)
-    value = data.get(key)
+    if name not in SCALAR_METRICS:
+        raise UnknownMetric(f"unknown metric {name!r}")
+    value = data.get(name)
     if value is None:
         raise UnknownMetric(f"metric {name!r} not measured in this run")
     if not is_a(value, "float"):
@@ -101,14 +91,9 @@ def report_metric(data: dict, name: str) -> float:
 
 @dataclass
 class ExperimentReport:
-    """Everything measured in one benchmark run."""
+    """Everything measured in one benchmark run, under the config it ran."""
 
     config: dict
-    config_hash: str
-    seed: int
-    code_version: str
-    geometry_hash: str
-    nominal_descent_s: float
     times_s: list[float]
     nodes: dict[str, NodeSeries]
     queue_samples: list[QueueSample]
@@ -128,7 +113,6 @@ class ExperimentReport:
     rmse_baseline: Optional[float]
     end_time_s: float
     hit_cap: bool
-    audit_ok: bool
     expected_theoretical: Optional[np.ndarray] = None
     baseline_mean: Optional[np.ndarray] = None
     baseline_sd: Optional[np.ndarray] = None
@@ -149,13 +133,15 @@ class ExperimentReport:
     # ---- json ---------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        geometry = self.config["geometry"]
         return {
             "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "code_version": self.code_version,
-            "geometry_hash": self.geometry_hash,
-            "nominal_descent_s": self.nominal_descent_s,
+            # the config's and the geometry's own hashes: to_dict is asdict
+            "config_hash": content_hash(self.config),
+            "seed": self.config["seed"],
+            "code_version": __version__,
+            "geometry_hash": content_hash(geometry),
+            "nominal_descent_s": geometry["nominal_descent_s"],
             "histogram": self.histogram.tolist(),
             # no ball leaves the board; the key stays for the pinned bytes
             "discarded": 0,
@@ -170,7 +156,8 @@ class ExperimentReport:
             "rmse_baseline": self.rmse_baseline,
             "end_time_s": self.end_time_s,
             "hit_cap": self.hit_cap,
-            "audit_ok": self.audit_ok,
+            # a run whose audit fails raises ConservationViolation instead
+            "audit_ok": True,
             "link_totals": self.link_totals,
             "verdicts": [],
         }
@@ -246,9 +233,7 @@ def export(report: ExperimentReport, directory) -> list[Path]:
     written.append(hist_path)
 
     report_path = directory / "report.json"
-    with open(report_path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(report_path, report.to_json_dict())
     written.append(report_path)
     return written
 

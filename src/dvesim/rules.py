@@ -5,11 +5,14 @@ A field declares its range once, in ``field(metadata=...)``: ``at_least(b)``
 must round to at least 1 microsecond, the run's timebase).  Its type comes
 from its annotation.  ``check_fields`` enforces keys, types and rules for
 every class; only rules that relate two fields stay in the classes.
-``read_json`` reads such a file, or any other input file of the CLI.
+``read_json`` reads such a file, or any other input file of the CLI;
+``write_json`` writes every JSON file the package writes, and
+``content_hash`` names a config or a geometry by its canonical JSON.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -64,6 +67,19 @@ def read_json(path, error, keys=None):
             shown = f"list[{want[0]}]" if isinstance(want, list) else want
             raise error(f"{path}: {key} must be {shown}, got {reprlib.repr(data[key])}")
     return data
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` as canonical JSON: sorted keys, indent 2, newline-ended."""
+    with open(path, "w") as f:
+        json.dump(value, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def content_hash(value) -> str:
+    """16 hex digits of the sha256 of ``value``'s sorted-key JSON."""
+    blob = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def check_fields(rules, values, error, prefix: str = "") -> None:

@@ -9,14 +9,13 @@ non-functional metrics across repeated runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .rules import above, check_fields, read_json
+from .rules import above, check_fields, read_json, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .actors import GaltonGeometry
@@ -153,9 +152,7 @@ class EmpiricalBaseline:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "EmpiricalBaseline":

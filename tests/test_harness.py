@@ -17,23 +17,26 @@ import pytest
 import dvesim
 from dvesim.actors import GaltonGeometry, PhysicsActor
 from dvesim.engine import Engine, seconds_to_us
-from dvesim.harness import (
+from dvesim.harness.galton import (
     BoundsDoNotBracket,
     ConfigInvalid,
     GaltonExperimentConfig,
+    max_sustainable_rate,
+    run_galton,
+)
+from dvesim.harness.login import (
+    TOPOLOGY_DEDICATED,
+    TOPOLOGY_PROXIED,
     LoginExperimentConfig,
+    run_login,
+)
+from dvesim.harness.report import (
+    SCALAR_METRICS,
+    ExperimentReport,
     UnknownMetric,
     evaluate,
     export,
     load_report_summary,
-    max_sustainable_rate,
-    run_galton,
-    run_login,
-)
-from dvesim.harness.login import TOPOLOGY_DEDICATED, TOPOLOGY_PROXIED
-from dvesim.harness.report import (
-    SCALAR_METRICS,
-    ExperimentReport,
     report_metric,
     window_interval_means,
 )
@@ -62,9 +65,10 @@ TINY = GaltonGeometry(n_levels=10, boxes=2, rows_per_box=3, droppers_per_row=2,
                       balls_per_dropper=5, nominal_descent_s=12.0)
 
 
-#: modules a run has no use for: numpy.ma costs about 1.2 MB of RSS, and
-#: statistics, which only check_regression imports, about 3 ms and 0.4 MB
-UNUSED_MODULES = ("numpy.ma", "statistics")
+#: modules a run has no use for: numpy.ma costs about 1.2 MB of RSS,
+#: statistics, which only check_regression imports, about 3 ms and 0.4 MB,
+#: and a Galton run has no use for the login study
+UNUSED_MODULES = ("numpy.ma", "statistics", "dvesim.harness.login")
 
 
 def imports_unused(code: str, config_path, *args) -> list:
@@ -73,7 +77,7 @@ def imports_unused(code: str, config_path, *args) -> list:
     config read from ``sys.argv[1]``, and ``args`` follow it."""
     src = str(Path(dvesim.__file__).resolve().parents[1])
     code = ("import sys\n"
-            "from dvesim.harness import GaltonExperimentConfig\n"
+            "from dvesim.harness.galton import GaltonExperimentConfig\n"
             "config = GaltonExperimentConfig.from_file(sys.argv[1])\n"
             + code + f"print(*(m for m in {UNUSED_MODULES!r} if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", code, str(config_path), *map(str, args)],
@@ -141,7 +145,22 @@ class TestRunGalton:
         report = run_galton(tiny_config())
         assert report.created_total == TINY.total_balls == 60
         assert report.collected_total == 60
-        assert report.audit_ok and not report.hit_cap
+        assert not report.hit_cap
+
+    @pytest.mark.parametrize("topology", ["A", "B"])
+    def test_exported_keys_equal_their_sources(self, tmp_path, topology):
+        # the report stores its config only; report.json derives the rest
+        config = tiny_config(topology=topology)
+        export(run_galton(config), tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["config"] == config.to_dict()
+        assert data["config_hash"] == config.config_hash()
+        # run-galton --baseline compares it with the baseline's
+        assert data["geometry_hash"] == config.geometry.geometry_hash()
+        assert data["seed"] == config.seed
+        assert data["nominal_descent_s"] == config.geometry.nominal_descent_s
+        assert data["code_version"] == dvesim.__version__
+        assert data["audit_ok"] is True
 
     def test_histograms_deterministic_across_runs(self):
         a = run_galton(tiny_config())
@@ -228,11 +247,12 @@ class TestRunGalton:
         assert not left
 
     def test_a_run_does_not_import_numpy_ma(self, tmp_path):
-        """Nor statistics: a fresh interpreter runs and exports a
-        centre-split run, since this one may have imported either."""
+        """Nor statistics or the login study: a fresh interpreter runs and
+        exports a centre-split run, since this one may have imported them."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(tiny_config(topology="B", split="center_x").to_dict()))
-        assert imports_unused("from dvesim.harness import export, run_galton\n"
+        assert imports_unused("from dvesim.harness.galton import run_galton\n"
+                              "from dvesim.harness.report import export\n"
                               "export(run_galton(config), sys.argv[2])\n",
                               config, tmp_path / "out") == []
 
@@ -949,6 +969,8 @@ class TestCliInputErrors:
               "spec_hi_nan": "spec.hi must be float, got nan",
               "spec_metric_not_a_string": "spec.metric must be str, got 5",
               "spec_unknown_key": "unknown key spec.window",
+              # report.json's "discarded" key, always 0, is no metric
+              "spec_discarded_total": "unknown metric 'discarded_total'",
               "login_sub_microsecond_run": "run_length_s must round to at least 1",
               "login_negative_cost": "proxy_cost must be >= 0",
               "two_runs": "need at least 3 runs, got 2",
@@ -1007,7 +1029,8 @@ class TestCliInputErrors:
                  "spec_k_not_an_int": [dict(self.SPEC, k=3.7)],
                  "spec_hi_nan": [dict(self.SPEC, hi=float("nan"))],
                  "spec_metric_not_a_string": [dict(self.SPEC, metric=5)],
-                 "spec_unknown_key": [dict(self.SPEC, window=1)]}
+                 "spec_unknown_key": [dict(self.SPEC, window=1)],
+                 "spec_discarded_total": [dict(self.SPEC, metric="discarded_total")]}
         logins = {"login_sub_microsecond_run": {"run_length_s": 1e-9},
                   "login_negative_cost": {"proxy_cost": -5.0}}
         baselines = {"two_runs": ["seed1", "seed2"],
